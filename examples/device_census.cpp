@@ -39,14 +39,17 @@ int main(int argc, char** argv) {
 
   // Show a few concrete devices with their observations.
   std::cout << "\nsample devices:\n";
+  core::DomainBytesTally tally(ds);
   int shown = 0;
   for (core::DeviceIndex i = 0; i < ds.num_devices() && shown < 6; i += 37) {
     const auto& obs = ds.device(i).observations;
     const auto& c = study.classifications()[i];
+    std::uint64_t bytes = 0;
+    for (const core::Flow& f : ds.FlowsOfDevice(i)) bytes += f.total_bytes();
     std::cout << "  device " << i << ": " << classify::ToString(c.device_class)
               << " (evidence: " << c.evidence << ")\n"
-              << "    flows=" << obs.flow_count << " bytes=" << obs.total_bytes
-              << " domains=" << obs.bytes_by_domain.size()
+              << "    flows=" << ds.FlowsOfDevice(i).size() << " bytes=" << bytes
+              << " domains=" << tally.Of(i).size()
               << (obs.locally_administered ? " randomized-mac" : "") << "\n";
     if (!obs.user_agents.empty()) {
       std::cout << "    ua: " << obs.user_agents.front().substr(0, 70) << "...\n";
@@ -58,7 +61,7 @@ int main(int argc, char** argv) {
   const classify::IotDetector iot(world::ServiceCatalog::Default());
   std::map<std::string, int> platforms;
   for (core::DeviceIndex i = 0; i < ds.num_devices(); ++i) {
-    if (const auto match = iot.Detect(ds.device(i).observations)) {
+    if (const auto match = iot.Detect(tally.Of(i))) {
       ++platforms[std::string(match->platform)];
     }
   }

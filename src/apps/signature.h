@@ -16,6 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/hash.h"
+
 namespace lockdown::apps {
 
 class DomainSignature {
@@ -33,15 +35,6 @@ class DomainSignature {
  private:
   std::string name_;
   std::vector<std::string> domains_;
-};
-
-/// Transparent string hash so the registry can look up string_views without
-/// allocating.
-struct StringHash {
-  using is_transparent = void;
-  [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
 };
 
 using AppId = std::uint16_t;
@@ -65,7 +58,8 @@ class SignatureRegistry {
 
  private:
   std::vector<DomainSignature> sigs_;
-  std::unordered_map<std::string, AppId, StringHash, std::equal_to<>> suffix_index_;
+  std::unordered_map<std::string, AppId, util::StringHash, std::equal_to<>>
+      suffix_index_;
 };
 
 }  // namespace lockdown::apps

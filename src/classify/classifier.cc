@@ -26,9 +26,10 @@ DeviceClassifier DeviceClassifier::Default(const world::ServiceCatalog& catalog)
                           SwitchDetector(catalog));
 }
 
-Classification DeviceClassifier::Classify(const DeviceObservations& obs) const {
+Classification DeviceClassifier::Classify(
+    const DeviceObservations& obs, std::span<const DomainBytes> domains) const {
   // 1. Traffic-dominance Switch rule (§5.3.2) — strongest evidence.
-  if (switches_.IsSwitch(obs)) {
+  if (switches_.IsSwitch(domains)) {
     return {DeviceClass::kGameConsole, "nintendo-traffic"};
   }
 
@@ -72,7 +73,7 @@ Classification DeviceClassifier::Classify(const DeviceObservations& obs) const {
   }
 
   // 4. Saidi-style IoT backend signatures (threshold 0.5).
-  if (iot_.Detect(obs)) {
+  if (iot_.Detect(domains)) {
     return {DeviceClass::kIot, "iot-signature"};
   }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "classify/iot.h"
@@ -46,7 +47,9 @@ class DeviceClassifier {
   /// Convenience: all heuristics built from the default databases/catalog.
   [[nodiscard]] static DeviceClassifier Default(const world::ServiceCatalog& catalog);
 
-  [[nodiscard]] Classification Classify(const DeviceObservations& obs) const;
+  /// `domains` is the device's DNS-mapped traffic, one entry per domain.
+  [[nodiscard]] Classification Classify(const DeviceObservations& obs,
+                                        std::span<const DomainBytes> domains) const;
 
  private:
   const world::OuiDatabase* ouis_;

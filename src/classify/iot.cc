@@ -18,13 +18,14 @@ IotDetector::IotDetector(const world::ServiceCatalog& catalog, double threshold)
 IotDetector::IotDetector(std::vector<Signature> signatures, double threshold)
     : signatures_(std::move(signatures)), threshold_(threshold) {}
 
-std::optional<IotMatch> IotDetector::Detect(const DeviceObservations& obs) const {
+std::optional<IotMatch> IotDetector::Detect(
+    std::span<const DomainBytes> domains) const {
   std::optional<IotMatch> best;
   for (const Signature& sig : signatures_) {
     int hit = 0;
     for (const std::string& domain : sig.domains) {
-      for (const auto& [contacted, bytes] : obs.bytes_by_domain) {
-        if (util::DomainMatches(contacted, domain)) {
+      for (const DomainBytes& contacted : domains) {
+        if (util::DomainMatches(contacted.domain, domain)) {
           ++hit;
           break;
         }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,8 +37,10 @@ class IotDetector {
   /// Custom signatures (tests).
   IotDetector(std::vector<Signature> signatures, double threshold);
 
-  /// Best-scoring platform at or above the threshold, if any.
-  [[nodiscard]] std::optional<IotMatch> Detect(const DeviceObservations& obs) const;
+  /// Best-scoring platform at or above the threshold, if any, over the
+  /// domains a device contacted.
+  [[nodiscard]] std::optional<IotMatch> Detect(
+      std::span<const DomainBytes> domains) const;
 
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
   [[nodiscard]] std::size_t num_signatures() const noexcept {

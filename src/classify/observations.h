@@ -1,14 +1,24 @@
 // Per-device traffic observations — everything the classifier is allowed to
-// see. The pipeline accumulates these while ingesting flows; no simulator
-// ground truth crosses this boundary.
+// see. The pipeline records these while ingesting flows; no simulator
+// ground truth crosses this boundary. What a device's traffic says (bytes per
+// contacted domain) is not stored here: it is derived from the device's flows
+// on demand (core::DomainBytesTally) and handed to the classifier as a span
+// of DomainBytes.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace lockdown::classify {
+
+/// Bytes a device exchanged with one remote domain (DNS-mapped). A device's
+/// list names each contacted domain once; raw-IP traffic is not in it.
+struct DomainBytes {
+  std::string_view domain;
+  std::uint64_t bytes = 0;
+};
 
 struct DeviceObservations {
   /// OUI bits of the device MAC, extracted before anonymization (as the
@@ -17,11 +27,6 @@ struct DeviceObservations {
   bool locally_administered = false;
   /// Distinct cleartext User-Agent strings seen from the device.
   std::vector<std::string> user_agents;
-  /// Bytes exchanged per remote domain (DNS-mapped). Raw-IP traffic is
-  /// accounted under total_bytes only.
-  std::unordered_map<std::string, std::uint64_t> bytes_by_domain;
-  std::uint64_t total_bytes = 0;
-  std::uint64_t flow_count = 0;
 
   void AddUserAgent(std::string_view ua) {
     for (const std::string& seen : user_agents) {
@@ -29,6 +34,9 @@ struct DeviceObservations {
     }
     user_agents.emplace_back(ua);
   }
+
+  friend bool operator==(const DeviceObservations&,
+                         const DeviceObservations&) = default;
 };
 
 }  // namespace lockdown::classify

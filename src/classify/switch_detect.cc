@@ -18,10 +18,10 @@ SwitchDetector::SwitchDetector(std::vector<std::string> nintendo_domains,
                                double traffic_threshold)
     : domains_(std::move(nintendo_domains)), threshold_(traffic_threshold) {}
 
-double SwitchDetector::NintendoShare(const DeviceObservations& obs) const {
+double SwitchDetector::NintendoShare(std::span<const DomainBytes> domains) const {
   std::uint64_t nintendo = 0;
   std::uint64_t total = 0;
-  for (const auto& [domain, bytes] : obs.bytes_by_domain) {
+  for (const auto& [domain, bytes] : domains) {
     total += bytes;
     for (const std::string& sig : domains_) {
       if (util::DomainMatches(domain, sig)) {
@@ -34,8 +34,8 @@ double SwitchDetector::NintendoShare(const DeviceObservations& obs) const {
   return static_cast<double>(nintendo) / static_cast<double>(total);
 }
 
-bool SwitchDetector::IsSwitch(const DeviceObservations& obs) const {
-  return NintendoShare(obs) >= threshold_;
+bool SwitchDetector::IsSwitch(std::span<const DomainBytes> domains) const {
+  return NintendoShare(domains) >= threshold_;
 }
 
 }  // namespace lockdown::classify

@@ -3,6 +3,7 @@
 // (paper §5.3.2).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,12 +22,12 @@ class SwitchDetector {
   /// Custom domain list (tests).
   SwitchDetector(std::vector<std::string> nintendo_domains, double traffic_threshold);
 
-  /// True if at least `threshold` of the device's bytes went to Nintendo
-  /// servers. Devices with no attributed traffic never match.
-  [[nodiscard]] bool IsSwitch(const DeviceObservations& obs) const;
+  /// True if at least `threshold` of the device's domain-attributed bytes
+  /// went to Nintendo servers. Devices with no attributed traffic never match.
+  [[nodiscard]] bool IsSwitch(std::span<const DomainBytes> domains) const;
 
   /// Fraction of the device's domain-attributed bytes on Nintendo domains.
-  [[nodiscard]] double NintendoShare(const DeviceObservations& obs) const;
+  [[nodiscard]] double NintendoShare(std::span<const DomainBytes> domains) const;
 
  private:
   std::vector<std::string> domains_;

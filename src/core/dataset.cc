@@ -12,7 +12,7 @@ Dataset::Dataset() {
 
 DomainId Dataset::InternDomain(std::string_view domain) {
   if (domain.empty()) return kNoDomain;
-  const auto it = domain_index_.find(std::string(domain));
+  const auto it = domain_index_.find(domain);
   if (it != domain_index_.end()) return it->second;
   const auto id = static_cast<DomainId>(domains_.size());
   domains_.emplace_back(domain);
@@ -152,6 +152,26 @@ std::span<const Flow> Dataset::FlowsOfDevice(DeviceIndex i) const {
 
 std::string_view Dataset::DomainName(DomainId id) const {
   return domains_.at(id);
+}
+
+DomainBytesTally::DomainBytesTally(const Dataset& dataset)
+    : dataset_(&dataset), slot_(dataset.num_domains(), 0) {}
+
+std::span<const classify::DomainBytes> DomainBytesTally::Of(DeviceIndex device) {
+  for (const DomainId id : ids_) slot_[id] = 0;
+  list_.clear();
+  ids_.clear();
+  for (const Flow& f : dataset_->FlowsOfDevice(device)) {
+    if (f.domain == kNoDomain) continue;
+    std::uint32_t& slot = slot_[f.domain];
+    if (slot == 0) {
+      list_.push_back({dataset_->DomainName(f.domain), 0});
+      ids_.push_back(f.domain);
+      slot = static_cast<std::uint32_t>(list_.size());
+    }
+    list_[slot - 1].bytes += f.total_bytes();
+  }
+  return list_;
 }
 
 }  // namespace lockdown::core

@@ -15,6 +15,7 @@
 #include "classify/observations.h"
 #include "net/ipv4.h"
 #include "privacy/anonymizer.h"
+#include "util/hash.h"
 #include "util/time.h"
 
 namespace lockdown::core {
@@ -44,6 +45,8 @@ struct Flow {
   [[nodiscard]] std::uint64_t total_bytes() const noexcept {
     return bytes_up + bytes_down;
   }
+  /// Field-wise; the padding byte is not compared.
+  friend bool operator==(const Flow&, const Flow&) = default;
 };
 
 /// A retained device: pseudonymous id plus the observations the classifier
@@ -51,6 +54,8 @@ struct Flow {
 struct DeviceEntry {
   privacy::DeviceId id;
   classify::DeviceObservations observations;
+
+  friend bool operator==(const DeviceEntry&, const DeviceEntry&) = default;
 };
 
 /// Per-day directory over the finalized flow order: for each study day, the
@@ -167,10 +172,34 @@ class Dataset {
   std::shared_ptr<const void> flow_keepalive_;    ///< owns borrowed memory
   std::vector<DeviceEntry> devices_;
   std::vector<std::string> domains_;  // [0] = ""
-  std::unordered_map<std::string, DomainId> domain_index_;
+  std::unordered_map<std::string, DomainId, util::StringHash, std::equal_to<>>
+      domain_index_;
   std::vector<std::uint64_t> device_offsets_;  // CSR after Finalize
   DayRunIndex day_runs_;  // built by Finalize/RebuildDayRuns or restored
   bool finalized_ = false;
+};
+
+/// Derives each device's (domain name, bytes) list — what the classifier and
+/// the Switch rule read — from its slice of the flow array, so no per-device
+/// copy of it is stored. One tally holds a scratch array indexed by DomainId;
+/// keep one per thread or chunk and reuse it across devices. DNS names map
+/// 1:1 to DomainIds, so every contacted domain appears exactly once.
+class DomainBytesTally {
+ public:
+  /// `dataset` must be finalized and outlive the tally.
+  explicit DomainBytesTally(const Dataset& dataset);
+
+  /// The device's DNS-mapped bytes per domain, in first-contact order;
+  /// raw-IP flows are skipped. Valid until the next call.
+  std::span<const classify::DomainBytes> Of(DeviceIndex device);
+  /// DomainIds of the entries the last Of() returned, index for index.
+  [[nodiscard]] std::span<const DomainId> ids() const noexcept { return ids_; }
+
+ private:
+  const Dataset* dataset_;
+  std::vector<std::uint32_t> slot_;  ///< by DomainId: 1 + list index, 0 = absent
+  std::vector<classify::DomainBytes> list_;
+  std::vector<DomainId> ids_;
 };
 
 }  // namespace lockdown::core

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "flow/assembler.h"
 #include "io/io.h"
 #include "flow/conn_log.h"
 #include "logs/dhcp_log.h"
@@ -95,23 +94,10 @@ void ExportLogs(const StudyConfig& config, const std::filesystem::path& dir,
   std::filesystem::create_directories(dir);
 
   sim::TrafficGenerator generator(config.generator, catalog);
-  std::vector<flow::FlowRecord> flows;
-  {
-    OBS_SPAN("sim/generate");
-    flow::Assembler assembler(flow::AssemblerConfig{},
-                              [&flows](const flow::FlowRecord& rec) {
-                                flows.push_back(rec);
-                              });
-    generator.Run([&](const flow::TapEvent& ev) {
-      const auto svc = catalog.FindByIp(ev.tuple.dst_ip);
-      if (svc && catalog.Get(*svc).tap_excluded) return;
-      assembler.Ingest(ev);
-    });
-    assembler.Finish();
-  }
+  const CapturedFlows captured = CaptureFlows(generator, catalog);
 
   WriteLogOrThrow(dir / LogFiles::kConn, [&](std::ostream& out) {
-    flow::WriteConnLog(out, flows);
+    flow::WriteConnLog(out, captured.flows);
   });
   WriteLogOrThrow(dir / LogFiles::kDhcp, [&](std::ostream& out) {
     logs::WriteDhcpLog(out, generator.dhcp_log());

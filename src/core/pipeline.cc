@@ -180,13 +180,6 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
       f.bytes_up = rec.bytes_up;
       f.bytes_down = rec.bytes_down;
       ds.AddFlow(f);
-
-      classify::DeviceObservations& obs = ds.device_mutable(dev).observations;
-      obs.total_bytes += f.total_bytes();
-      obs.flow_count += 1;
-      if (disposition[i] == kKeepDomain) {
-        obs.bytes_by_domain[std::string(domains[i])] += f.total_bytes();
-      }
     }
   }
 
@@ -231,31 +224,35 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
   return result;
 }
 
+CapturedFlows CaptureFlows(sim::TrafficGenerator& generator,
+                           const world::ServiceCatalog& catalog) {
+  OBS_SPAN("sim/generate");
+  CapturedFlows captured;
+  flow::Assembler assembler(flow::AssemblerConfig{},
+                            [&captured](const flow::FlowRecord& rec) {
+                              captured.flows.push_back(rec);
+                            });
+  generator.Run([&](const flow::TapEvent& ev) {
+    // Tap exclusion list (§3): traffic to these networks is never mirrored.
+    const auto svc = catalog.FindByIp(ev.tuple.dst_ip);
+    if (svc && catalog.Get(*svc).tap_excluded) {
+      ++captured.tap_excluded;
+      return;
+    }
+    assembler.Ingest(ev);
+  });
+  assembler.Finish();
+  return captured;
+}
+
 CollectionResult MeasurementPipeline::Collect(const StudyConfig& config,
                                               const world::ServiceCatalog& catalog) {
   OBS_SPAN("pipeline/collect");
   // --- Stage 1: tap capture + flow extraction ---------------------------------
   sim::TrafficGenerator generator(config.generator, catalog);
+  CapturedFlows captured = CaptureFlows(generator, catalog);
   RawInputs inputs;
-  std::uint64_t tap_excluded = 0;
-  {
-    OBS_SPAN("sim/generate");
-    flow::Assembler assembler(flow::AssemblerConfig{},
-                              [&inputs](const flow::FlowRecord& rec) {
-                                inputs.flows.push_back(rec);
-                              });
-    generator.Run([&](const flow::TapEvent& ev) {
-      // Tap exclusion list (§3): traffic to these networks is never mirrored.
-      const auto svc = catalog.FindByIp(ev.tuple.dst_ip);
-      if (svc && catalog.Get(*svc).tap_excluded) {
-        ++tap_excluded;
-        return;
-      }
-      assembler.Ingest(ev);
-    });
-    assembler.Finish();
-  }
-
+  inputs.flows = std::move(captured.flows);
   inputs.dhcp_log = generator.dhcp_log();
   inputs.dns_log = generator.dns_log();
   inputs.ua_log.reserve(generator.ua_sightings().size());
@@ -264,13 +261,13 @@ CollectionResult MeasurementPipeline::Collect(const StudyConfig& config,
         logs::UaRecord{ua.ts, ua.client_ip, std::string(ua.user_agent)});
   }
   if (obs::MetricsEnabled()) {
-    obs::GetCounter("sim/tap_excluded", "events").Add(tap_excluded);
+    obs::GetCounter("sim/tap_excluded", "events").Add(captured.tap_excluded);
   }
 
   // --- Stages 2-5 --------------------------------------------------------------
   CollectionResult result = Process(std::move(inputs), MakeAnonymizer(config),
                                     config.visitor_min_days, config.threads);
-  result.stats.tap_excluded = tap_excluded;
+  result.stats.tap_excluded = captured.tap_excluded;
   return result;
 }
 

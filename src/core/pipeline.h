@@ -26,6 +26,10 @@
 #include "privacy/anonymizer.h"
 #include "world/catalog.h"
 
+namespace lockdown::sim {
+class TrafficGenerator;
+}  // namespace lockdown::sim
+
 namespace lockdown::core {
 
 /// Collection statistics, for tests and reporting.
@@ -41,6 +45,8 @@ struct CollectionStats {
   // ua_sightings + ua_unattributed + ua_visitor_dropped == |ua log|.
   std::uint64_t ua_unattributed = 0;    ///< UA records with no covering lease
   std::uint64_t ua_visitor_dropped = 0; ///< UA records from filtered devices
+
+  friend bool operator==(const CollectionStats&, const CollectionStats&) = default;
 };
 
 struct CollectionResult {
@@ -56,6 +62,19 @@ struct RawInputs {
   std::vector<dns::Resolution> dns_log;
   std::vector<logs::UaRecord> ua_log;
 };
+
+/// The flow records the simulated tap yields, plus how many tap events the
+/// exclusion list dropped before flow assembly.
+struct CapturedFlows {
+  std::vector<flow::FlowRecord> flows;
+  std::uint64_t tap_excluded = 0;
+};
+
+/// Runs `generator` through the tap exclusion list (§3) into the flow
+/// assembler: the capture stage shared by MeasurementPipeline::Collect and
+/// ExportLogs. The generator's DHCP, DNS and UA logs are filled afterwards.
+[[nodiscard]] CapturedFlows CaptureFlows(sim::TrafficGenerator& generator,
+                                         const world::ServiceCatalog& catalog);
 
 class MeasurementPipeline {
  public:

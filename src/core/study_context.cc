@@ -39,22 +39,6 @@ StudyContext::StudyContext(const Dataset& dataset,
   OBS_SPAN("study/census");
   const std::size_t n = dataset.num_devices();
 
-  // Classify every device. Each slot is written by exactly one chunk.
-  const classify::DeviceClassifier classifier =
-      classify::DeviceClassifier::Default(catalog);
-  classifications_.resize(n);
-  report_class_.resize(n);
-  pool.ParallelFor(n, kDeviceGrain,
-                   [&](std::size_t, std::size_t begin, std::size_t end) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                       const auto dev = static_cast<DeviceIndex>(i);
-                       classifications_[i] =
-                           classifier.Classify(dataset.device(dev).observations);
-                       report_class_[i] =
-                           ReportClassOf(classifications_[i].device_class);
-                     }
-                   });
-
   // Precompute per-domain application flags (slot-disjoint writes).
   domain_flags_.resize(dataset.num_domains());
   pool.ParallelFor(dataset.num_domains(), kDeviceGrain,
@@ -71,6 +55,37 @@ StudyContext::StudyContext(const Dataset& dataset,
                        f.steam = steam_.Matches(name);
                        f.nintendo = nintendo_.IsNintendo(name);
                        f.nintendo_gameplay = nintendo_.IsGameplay(name);
+                     }
+                   });
+
+  // Classify every device from its observations plus the per-domain bytes
+  // tallied from its flows; the same walk applies the §5.3.2 Switch rule (at
+  // least half the domain-attributed bytes on Nintendo domains). Each slot
+  // is written by exactly one chunk.
+  const classify::DeviceClassifier classifier =
+      classify::DeviceClassifier::Default(catalog);
+  classifications_.resize(n);
+  report_class_.resize(n);
+  is_switch_.assign(n, 0);
+  pool.ParallelFor(n, kDeviceGrain,
+                   [&](std::size_t, std::size_t begin, std::size_t end) {
+                     DomainBytesTally tally(dataset);
+                     for (std::size_t i = begin; i < end; ++i) {
+                       const auto dev = static_cast<DeviceIndex>(i);
+                       const auto domains = tally.Of(dev);
+                       classifications_[i] = classifier.Classify(
+                           dataset.device(dev).observations, domains);
+                       report_class_[i] =
+                           ReportClassOf(classifications_[i].device_class);
+                       std::uint64_t total = 0;
+                       std::uint64_t nintendo_bytes = 0;
+                       for (std::size_t k = 0; k < domains.size(); ++k) {
+                         total += domains[k].bytes;
+                         if (domain_flags_[tally.ids()[k]].nintendo) {
+                           nintendo_bytes += domains[k].bytes;
+                         }
+                       }
+                       is_switch_[i] = total > 0 && nintendo_bytes * 2 >= total;
                      }
                    });
 
@@ -104,17 +119,6 @@ bool StudyContext::IsZoomFlow(const Flow& f) const noexcept {
   if (f.domain != kNoDomain) return domain_flags_[f.domain].zoom;
   return zoom_.MatchesCurrentIp(f.server_ip) ||
          zoom_.MatchesHistoricalIp(f.server_ip);
-}
-
-bool StudyContext::IsSwitchDevice(DeviceIndex device) const {
-  const classify::DeviceObservations& obs = dataset_->device(device).observations;
-  std::uint64_t total = 0;
-  std::uint64_t nintendo_bytes = 0;
-  for (const auto& [domain, b] : obs.bytes_by_domain) {
-    total += b;
-    if (nintendo_.IsNintendo(domain)) nintendo_bytes += b;
-  }
-  return total > 0 && nintendo_bytes * 2 >= total;
 }
 
 void StudyContext::ComputeSplit(util::ThreadPool& pool) {

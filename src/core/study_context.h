@@ -124,8 +124,10 @@ class StudyContext {
   [[nodiscard]] bool IsZoomFlow(const Flow& f) const noexcept;
 
   /// True if the device is a Switch by the §5.3.2 traffic rule (at least
-  /// half its observed bytes go to Nintendo domains).
-  [[nodiscard]] bool IsSwitchDevice(DeviceIndex device) const;
+  /// half its domain-attributed bytes go to Nintendo domains).
+  [[nodiscard]] bool IsSwitchDevice(DeviceIndex device) const noexcept {
+    return is_switch_[device] != 0;
+  }
 
   [[nodiscard]] const apps::SocialMediaSignatures& social() const noexcept {
     return social_;
@@ -163,6 +165,7 @@ class StudyContext {
   std::vector<classify::Classification> classifications_;
   std::vector<ReportClass> report_class_;
   std::vector<DomainFlags> domain_flags_;  // indexed by DomainId
+  std::vector<std::uint8_t> is_switch_;    // per device
   std::vector<DeviceIndex> post_shutdown_;
   std::vector<std::uint8_t> is_post_shutdown_;  // per device
   PopulationSplit split_;

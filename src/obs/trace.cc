@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -32,7 +33,6 @@ struct TraceBuffer {
   util::Mutex mu;
   std::vector<TraceEvent> events GUARDED_BY(mu);
   std::uint64_t dropped GUARDED_BY(mu) = 0;
-  std::int64_t epoch_ns GUARDED_BY(mu) = 0;  // set on first recorded span
   std::uint32_t next_tid GUARDED_BY(mu) = 1;
 };
 
@@ -98,7 +98,6 @@ ScopedSpan::~ScopedSpan() {
     ++buf.dropped;
     return;
   }
-  if (buf.epoch_ns == 0) buf.epoch_ns = start_ns_;
   TraceEvent ev;
   ev.name = std::move(name_);
   ev.tid = tid;
@@ -123,6 +122,13 @@ std::uint64_t TraceDroppedCount() noexcept {
 void WriteChromeTrace(std::ostream& out) {
   TraceBuffer& buf = Buffer();
   const util::MutexLock lock(buf.mu);
+  // Spans land at scope exit, so an enclosing span is recorded after the
+  // spans it encloses; the epoch is the earliest start, keeping every ts >= 0.
+  const auto earliest = std::min_element(
+      buf.events.begin(), buf.events.end(),
+      [](const TraceEvent& a, const TraceEvent& b) { return a.start_ns < b.start_ns; });
+  const std::int64_t epoch_ns =
+      earliest == buf.events.end() ? 0 : earliest->start_ns;
   std::string doc;
   doc += "{\"traceEvents\": [\n";
   std::uint32_t max_tid = 0;
@@ -137,7 +143,7 @@ void WriteChromeTrace(std::ostream& out) {
                   "\"ph\": \"X\", \"pid\": 1, \"tid\": %u, "
                   "\"ts\": %.3f, \"dur\": %.3f, \"args\": {\"depth\": %u}}",
                   ev.tid,
-                  static_cast<double>(ev.start_ns - buf.epoch_ns) / 1000.0,
+                  static_cast<double>(ev.start_ns - epoch_ns) / 1000.0,
                   static_cast<double>(ev.dur_ns) / 1000.0, ev.depth);
     doc += buf_num;
   }
@@ -161,7 +167,6 @@ void ResetTrace() noexcept {
   const util::MutexLock lock(buf.mu);
   buf.events.clear();
   buf.dropped = 0;
-  buf.epoch_ns = 0;
 }
 
 }  // namespace lockdown::obs

@@ -1,4 +1,4 @@
-// LDS ("Lockdown Dataset Snapshot") on-disk format, version 3.
+// LDS ("Lockdown Dataset Snapshot") on-disk format, version 4.
 //
 // The write-once/analyze-many layer: the processed dataset the paper keeps
 // after discarding raw data (§3), serialized so every downstream analysis
@@ -18,7 +18,10 @@
 //   kDeviceOffsets CSR index, (num_devices+1) x u64
 //   kStringPool    interned strings; the first num_domains entries are the
 //                  dataset's domain pool in DomainId order (entry 0 = "")
-//   kDevices       variable-length device records (see reader/writer)
+//   kDevices       variable-length device records: pseudonymous id u64 |
+//                  OUI u32 | flags u8 | UA count u32 | UA string refs u32...
+//                  (v1-v3 add byte/flow totals and a domain-bytes list; see
+//                  version 4 below)
 //   kStats         core::CollectionStats, 9 x u64 (7 x u64 in version 1;
 //                  the reader zero-fills the UA-accounting fields there)
 //
@@ -41,12 +44,20 @@
 //                  server_port u16 | proto u8 | bytes_up varint |
 //                  bytes_down varint.
 //
-// A v3 file stores flows either as kFlows (raw, zero-copy eligible) or as
+// A v3 or v4 file stores flows either as kFlows (raw, zero-copy eligible) or as
 // the three kCol* sections (`snapshot save --compress`; decoded into an
 // owned array on load), never both. Every non-raw section's payload begins
 // with a u64 raw (decoded) byte size, and its descriptor's flags word
 // carries the codec id, so `snapshot info` can report per-section
 // compression ratios without decoding.
+//
+// Version 4 keeps the v3 section set and drops from each kDevices record
+// what the flows already say: v1-v3 records carry total_bytes u64 and
+// flow_count u64 after the flags byte, and a (domain string ref u32, bytes
+// u64) list with a u32 count after the UA refs. The reader decodes those
+// legacy fields under the same bounds and string-ref checks and discards
+// them; per-device domain bytes are derived from the flow array instead
+// (core::DomainBytesTally). Writers only produce the current version.
 //
 // The flow record layout is frozen against core::Flow below; any change to
 // that struct is a format break and must bump kFormatVersion.
@@ -68,8 +79,9 @@ inline constexpr std::array<char, 8> kTrailerMagic = {'L', 'D', 'S', 'F', 'I', '
 // ua_visitor_dropped). Version 3 made the section count variable, added the
 // kDayIndex section group and the optional columnar flow sections
 // (kColTimestamps/kColDomains/kColRest), and started recording codec ids in
-// the descriptor flags. Version-1 and version-2 files remain readable.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// the descriptor flags. Version 4 dropped the derivable per-device totals and
+// domain-bytes list from kDevices. Versions 1-3 remain readable.
+inline constexpr std::uint32_t kFormatVersion = 4;
 inline constexpr std::uint32_t kMinReadVersion = 1;
 /// Written as a u32; reads back as something else on a mixed-endian copy.
 inline constexpr std::uint32_t kEndianMarker = 0x0A0B0C0Du;

@@ -113,6 +113,10 @@ class Reader::Impl {
     }
 
     // --- Devices -------------------------------------------------------------
+    // v1-v3 records also carry per-device byte/flow totals and a (domain ref,
+    // bytes) list. The flows say the same, so those fields are decoded under
+    // the usual bounds and string-ref checks and discarded.
+    const bool legacy_totals = info_.version < 4;
     detail::Decoder dev(Section(SectionKind::kDevices), "devices");
     for (std::uint64_t i = 0; i < info_.num_devices; ++i) {
       const core::DeviceIndex idx = ds.AddDevice(privacy::DeviceId{dev.U64()});
@@ -121,18 +125,21 @@ class Reader::Impl {
       const std::uint8_t flags = dev.U8();
       if (flags > 1) Fail("corrupt device flags");
       obs.locally_administered = flags != 0;
-      obs.total_bytes = dev.U64();
-      obs.flow_count = dev.U64();
+      if (legacy_totals) {
+        (void)dev.U64();  // total_bytes
+        (void)dev.U64();  // flow_count
+      }
       const std::uint32_t num_uas = dev.U32();
       obs.user_agents.reserve(num_uas);
       for (std::uint32_t u = 0; u < num_uas; ++u) {
         obs.user_agents.emplace_back(StringAt(strings, dev.U32()));
       }
-      const std::uint32_t num_domains = dev.U32();
-      obs.bytes_by_domain.reserve(num_domains);
-      for (std::uint32_t d = 0; d < num_domains; ++d) {
-        const std::string_view domain = StringAt(strings, dev.U32());
-        obs.bytes_by_domain[std::string(domain)] = dev.U64();
+      if (legacy_totals) {
+        const std::uint32_t num_domains = dev.U32();
+        for (std::uint32_t d = 0; d < num_domains; ++d) {
+          (void)StringAt(strings, dev.U32());
+          (void)dev.U64();  // bytes
+        }
       }
     }
     dev.ExpectDone();
@@ -288,18 +295,12 @@ class Reader::Impl {
     return out;
   }
 
-  /// Deep invariant check beyond checksums: flow ordering and CSR agreement.
+  /// Deep invariant check beyond checksums: CSR and day-index agreement with
+  /// the flows (Load itself already rejects out-of-order flows).
   void VerifyInvariants() const {
     const LoadedSnapshot snap = Load({LoadMode::kAuto, false});
     const core::Dataset& ds = snap.collection.dataset;
     const auto flows = ds.flows();
-    for (std::size_t i = 1; i < flows.size(); ++i) {
-      const bool ordered =
-          flows[i - 1].device < flows[i].device ||
-          (flows[i - 1].device == flows[i].device &&
-           flows[i - 1].start_offset_s <= flows[i].start_offset_s);
-      if (!ordered) Fail("flows not in finalize order");
-    }
     const auto offsets = ds.device_offsets();
     for (std::size_t i = 0; i < flows.size(); ++i) {
       const core::DeviceIndex d = flows[i].device;

@@ -57,15 +57,11 @@ struct LoadOptions {
   bool salvage = false;
 };
 
-/// How a snapshot should be written. Defaults produce the current format;
-/// `format_version = 2` reproduces the previous layout byte-for-byte (the
-/// differential suite reads figures off all three).
+/// How a snapshot should be written. Snapshots are always written in the
+/// current format (store::kFormatVersion); older versions are read only.
 struct SaveOptions {
-  /// 2 or 3. Version 2 is the fixed six-section layout; version 3 adds the
-  /// day index and may compress.
-  std::uint32_t format_version = 3;
   /// Store flows as dictionary/delta-varint coded columns instead of the
-  /// raw (zero-copy eligible) record array. Requires format_version >= 3.
+  /// raw (zero-copy eligible) record array.
   bool compress = false;
 };
 

@@ -122,30 +122,14 @@ class PoolBuilder {
 
 detail::Encoder EncodeDevices(const core::Dataset& ds, PoolBuilder& pool) {
   detail::Encoder enc;
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> by_domain;
   for (core::DeviceIndex i = 0; i < ds.num_devices(); ++i) {
     const core::DeviceEntry& dev = ds.device(i);
     const classify::DeviceObservations& obs = dev.observations;
     enc.U64(dev.id.value);
     enc.U32(obs.oui);
     enc.U8(obs.locally_administered ? 1 : 0);
-    enc.U64(obs.total_bytes);
-    enc.U64(obs.flow_count);
     enc.U32(static_cast<std::uint32_t>(obs.user_agents.size()));
     for (const std::string& ua : obs.user_agents) enc.U32(pool.Ref(ua));
-    // Sorted by pool ref so identical datasets serialize identically no
-    // matter what order the unordered_map happens to iterate in.
-    by_domain.clear();
-    // lockdown-lint: allow(LD002) collected then sorted before encoding
-    for (const auto& [domain, bytes] : obs.bytes_by_domain) {
-      by_domain.emplace_back(pool.Ref(domain), bytes);
-    }
-    std::sort(by_domain.begin(), by_domain.end());
-    enc.U32(static_cast<std::uint32_t>(by_domain.size()));
-    for (const auto& [ref, bytes] : by_domain) {
-      enc.U32(ref);
-      enc.U64(bytes);
-    }
   }
   return enc;
 }
@@ -211,17 +195,9 @@ class Writer::Impl {
   void WriteCollection(const core::CollectionResult& result,
                        const SnapshotMeta& meta, const SaveOptions& options) {
     if (written_) throw Error("WriteCollection called twice");
-    if (options.format_version < 2 || options.format_version > kFormatVersion) {
-      throw Error("unsupported save format version " +
-                  std::to_string(options.format_version));
-    }
-    if (options.compress && options.format_version < 3) {
-      throw Error("compressed snapshots require format version 3");
-    }
     const core::Dataset& ds = result.dataset;
     if (!ds.finalized()) throw Error("cannot snapshot a non-finalized dataset");
-    const bool v3 = options.format_version >= 3;
-    if (v3 && !ds.has_day_runs()) {
+    if (!ds.has_day_runs()) {
       throw Error("dataset has no day-run index (Finalize was bypassed)");
     }
     written_ = true;
@@ -249,9 +225,8 @@ class Writer::Impl {
       std::uint32_t crc = 0;
       const detail::Encoder* body = nullptr;  // null for the streamed flows
     };
-    // Version-2 files contain exactly the first six kinds in this order;
-    // version 3 appends the day index and, when compressing, swaps the raw
-    // flow array for the three column sections.
+    // The six classic kinds in version-1/2 order, then the day index; when
+    // compressing, the three column sections replace the raw flow array.
     std::vector<Section> sections;
     sections.push_back(
         {SectionKind::kMeta, SectionCodec::kRaw, meta_enc.size(), 0, 0, &meta_enc});
@@ -267,15 +242,12 @@ class Writer::Impl {
                         devices.size(), 0, 0, &devices});
     sections.push_back({SectionKind::kStats, SectionCodec::kRaw,
                         stats_enc.size(), 0, 0, &stats_enc});
-    detail::Encoder day_index;
+    const detail::Encoder day_index = detail::EncodeDayIndex(ds.day_runs());
+    sections.push_back({SectionKind::kDayIndex, SectionCodec::kDeltaVarint,
+                        day_index.size(), 0, 0, &day_index});
     detail::Encoder col_ts;
     detail::Encoder col_dom;
     detail::Encoder col_rest;
-    if (v3) {
-      day_index = detail::EncodeDayIndex(ds.day_runs());
-      sections.push_back({SectionKind::kDayIndex, SectionCodec::kDeltaVarint,
-                          day_index.size(), 0, 0, &day_index});
-    }
     if (options.compress) {
       col_ts = detail::EncodeTimestampColumn(flows);
       col_dom = detail::EncodeDomainColumn(flows);
@@ -332,7 +304,7 @@ class Writer::Impl {
     detail::Encoder table;
     for (const char c : kMagic) table.U8(static_cast<std::uint8_t>(c));
     table.U32(kEndianMarker);
-    table.U32(options.format_version);
+    table.U32(kFormatVersion);
     table.U32(kHeaderSize);
     table.U32(static_cast<std::uint32_t>(sections.size()));
     table.U64(file_size);

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string_view>
 
@@ -19,6 +20,15 @@ namespace lockdown::util {
 
 /// 64-bit FNV-1a over a string.
 [[nodiscard]] std::uint64_t Fnv1a64(std::string_view s) noexcept;
+
+/// Transparent string hash: with std::equal_to<>, a string-keyed unordered
+/// map can be looked up by string_view without building a std::string.
+struct StringHash {
+  using is_transparent = void;
+  [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// 128-bit key for SipHash.
 struct SipHashKey {

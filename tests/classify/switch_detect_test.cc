@@ -12,13 +12,11 @@ SwitchDetector MakeDetector(double threshold = 0.5) {
       threshold);
 }
 
-DeviceObservations Obs(std::uint64_t nintendo_bytes, std::uint64_t other_bytes) {
-  DeviceObservations obs;
-  if (nintendo_bytes > 0) {
-    obs.bytes_by_domain["npln.srv.nintendo.net"] = nintendo_bytes;
-  }
-  if (other_bytes > 0) obs.bytes_by_domain["netflix.com"] = other_bytes;
-  return obs;
+std::vector<DomainBytes> Obs(std::uint64_t nintendo_bytes, std::uint64_t other_bytes) {
+  std::vector<DomainBytes> domains;
+  if (nintendo_bytes > 0) domains.push_back({"npln.srv.nintendo.net", nintendo_bytes});
+  if (other_bytes > 0) domains.push_back({"netflix.com", other_bytes});
+  return domains;
 }
 
 TEST(SwitchDetector, PureNintendoTrafficIsSwitch) {
@@ -38,8 +36,8 @@ TEST(SwitchDetector, MinorityNintendoIsNotSwitch) {
 }
 
 TEST(SwitchDetector, NoTrafficIsNotSwitch) {
-  EXPECT_FALSE(MakeDetector().IsSwitch(DeviceObservations{}));
-  EXPECT_DOUBLE_EQ(MakeDetector().NintendoShare(DeviceObservations{}), 0.0);
+  EXPECT_FALSE(MakeDetector().IsSwitch({}));
+  EXPECT_DOUBLE_EQ(MakeDetector().NintendoShare({}), 0.0);
 }
 
 TEST(SwitchDetector, ShareComputation) {
@@ -47,20 +45,18 @@ TEST(SwitchDetector, ShareComputation) {
 }
 
 TEST(SwitchDetector, SubdomainsMatch) {
-  DeviceObservations obs;
-  obs.bytes_by_domain["east.npln.srv.nintendo.net"] = 100;
-  EXPECT_TRUE(MakeDetector().IsSwitch(obs));
+  const std::vector<DomainBytes> domains = {{"east.npln.srv.nintendo.net", 100}};
+  EXPECT_TRUE(MakeDetector().IsSwitch(domains));
 }
 
 TEST(SwitchDetector, CatalogConstruction) {
   SwitchDetector detector(world::ServiceCatalog::Default());
-  DeviceObservations sw;
-  sw.bytes_by_domain["npln.srv.nintendo.net"] = 5000;
-  sw.bytes_by_domain["conntest.nintendowifi.net"] = 100;
+  const std::vector<DomainBytes> sw = {{"npln.srv.nintendo.net", 5000},
+                                       {"conntest.nintendowifi.net", 100}};
   EXPECT_TRUE(detector.IsSwitch(sw));
-  DeviceObservations laptop;
-  laptop.bytes_by_domain["netflix.com"] = 100000;
-  laptop.bytes_by_domain["accounts.nintendo.com"] = 50;  // bought a gift card
+  const std::vector<DomainBytes> laptop = {
+      {"netflix.com", 100000},
+      {"accounts.nintendo.com", 50}};  // bought a gift card
   EXPECT_FALSE(detector.IsSwitch(laptop));
 }
 

@@ -82,10 +82,10 @@ TEST(Dataset, TimeHelpers) {
 TEST(Dataset, ObservationsMutable) {
   Dataset ds;
   const DeviceIndex a = ds.AddDevice(privacy::DeviceId{1});
-  ds.device_mutable(a).observations.total_bytes = 42;
+  ds.device_mutable(a).observations.oui = 42;
   ds.device_mutable(a).observations.AddUserAgent("agent");
   ds.device_mutable(a).observations.AddUserAgent("agent");  // dedup
-  EXPECT_EQ(ds.device(a).observations.total_bytes, 42u);
+  EXPECT_EQ(ds.device(a).observations.oui, 42u);
   EXPECT_EQ(ds.device(a).observations.user_agents.size(), 1u);
 }
 

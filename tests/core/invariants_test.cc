@@ -76,20 +76,6 @@ TEST_P(InvariantTest, DomainsConsistentWithServerAddresses) {
   }
 }
 
-TEST_P(InvariantTest, ObservationTotalsMatchFlows) {
-  std::unordered_map<DeviceIndex, std::uint64_t> bytes;
-  std::unordered_map<DeviceIndex, std::uint64_t> counts;
-  for (const Flow& f : result_.dataset.flows()) {
-    bytes[f.device] += f.total_bytes();
-    counts[f.device] += 1;
-  }
-  for (DeviceIndex i = 0; i < result_.dataset.num_devices(); ++i) {
-    const auto& obs = result_.dataset.device(i).observations;
-    EXPECT_EQ(obs.total_bytes, bytes[i]);
-    EXPECT_EQ(obs.flow_count, counts[i]);
-  }
-}
-
 TEST_P(InvariantTest, StudyAnalysesAreInternallyConsistent) {
   const LockdownStudy study(result_.dataset, world::ServiceCatalog::Default());
   // Post-shutdown devices all have traffic after online-term start.

@@ -9,13 +9,15 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <span>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "core/study.h"
 #include "store/snapshot.h"
 #include "world/catalog.h"
+
+#include "dataset_equal.h"
+#include "figure_render.h"
 
 namespace lockdown::core {
 namespace {
@@ -26,190 +28,22 @@ CollectionResult CollectWith(int students, std::uint64_t seed, int threads) {
   return MeasurementPipeline::Collect(cfg);
 }
 
-void ExpectStatsIdentical(const CollectionStats& a, const CollectionStats& b) {
-  EXPECT_EQ(a.raw_flows, b.raw_flows);
-  EXPECT_EQ(a.tap_excluded, b.tap_excluded);
-  EXPECT_EQ(a.unattributed, b.unattributed);
-  EXPECT_EQ(a.visitor_flows, b.visitor_flows);
-  EXPECT_EQ(a.devices_observed, b.devices_observed);
-  EXPECT_EQ(a.devices_retained, b.devices_retained);
-  EXPECT_EQ(a.ua_sightings, b.ua_sightings);
-  EXPECT_EQ(a.ua_unattributed, b.ua_unattributed);
-  EXPECT_EQ(a.ua_visitor_dropped, b.ua_visitor_dropped);
-}
-
-// Field-wise flow comparison (memcmp would also read padding bytes, which
-// the frozen layout leaves indeterminate). Reports only the first mismatch.
-void ExpectFlowsIdentical(std::span<const Flow> a, std::span<const Flow> b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const Flow& x = a[i];
-    const Flow& y = b[i];
-    const bool same = x.start_offset_s == y.start_offset_s &&
-                      x.duration_s == y.duration_s && x.device == y.device &&
-                      x.domain == y.domain && x.server_ip == y.server_ip &&
-                      x.server_port == y.server_port && x.proto == y.proto &&
-                      x.bytes_up == y.bytes_up && x.bytes_down == y.bytes_down;
-    if (!same) {
-      ADD_FAILURE() << "flow " << i << " differs (device " << x.device << " vs "
-                    << y.device << ", start " << x.start_offset_s << " vs "
-                    << y.start_offset_s << ")";
-      return;
-    }
-  }
-}
-
-void ExpectDatasetsIdentical(const Dataset& a, const Dataset& b) {
-  ASSERT_EQ(a.num_devices(), b.num_devices());
-  ASSERT_EQ(a.num_domains(), b.num_domains());
-  ExpectFlowsIdentical(a.flows(), b.flows());
-  for (DomainId d = 0; d < a.num_domains(); ++d) {
-    ASSERT_EQ(a.DomainName(d), b.DomainName(d)) << "domain id " << d;
-  }
-  for (DeviceIndex i = 0; i < a.num_devices(); ++i) {
-    const DeviceEntry& x = a.device(i);
-    const DeviceEntry& y = b.device(i);
-    ASSERT_EQ(x.id.value, y.id.value) << "device " << i;
-    const auto& ox = x.observations;
-    const auto& oy = y.observations;
-    EXPECT_EQ(ox.oui, oy.oui) << "device " << i;
-    EXPECT_EQ(ox.locally_administered, oy.locally_administered) << "device " << i;
-    EXPECT_EQ(ox.user_agents, oy.user_agents) << "device " << i;
-    EXPECT_EQ(ox.total_bytes, oy.total_bytes) << "device " << i;
-    EXPECT_EQ(ox.flow_count, oy.flow_count) << "device " << i;
-    ASSERT_EQ(ox.bytes_by_domain, oy.bytes_by_domain) << "device " << i;
-  }
-}
-
-void ExpectBoxStatsIdentical(const analysis::BoxStats& a,
-                             const analysis::BoxStats& b, const char* what) {
-  EXPECT_EQ(a.n, b.n) << what;
-  EXPECT_EQ(a.p1, b.p1) << what;
-  EXPECT_EQ(a.q1, b.q1) << what;
-  EXPECT_EQ(a.median, b.median) << what;
-  EXPECT_EQ(a.q3, b.q3) << what;
-  EXPECT_EQ(a.p95, b.p95) << what;
-  EXPECT_EQ(a.p99, b.p99) << what;
-  EXPECT_EQ(a.mean, b.mean) << what;
-}
-
-void ExpectSeriesIdentical(const analysis::DailySeries& a,
-                           const analysis::DailySeries& b, const char* what) {
-  ASSERT_EQ(a.num_days(), b.num_days()) << what;
-  for (int d = 0; d < a.num_days(); ++d) {
-    ASSERT_EQ(a.at(d), b.at(d)) << what << " day " << d;
-  }
-}
-
-// Every figure and headline the study produces, compared bit for bit.
-void ExpectStudiesIdentical(const LockdownStudy& a, const LockdownStudy& b) {
-  // Classification + cohort membership.
-  const auto ca = a.classifications();
-  const auto cb = b.classifications();
-  ASSERT_EQ(ca.size(), cb.size());
-  for (std::size_t i = 0; i < ca.size(); ++i) {
-    ASSERT_EQ(ca[i].device_class, cb[i].device_class) << "device " << i;
-    ASSERT_EQ(ca[i].evidence, cb[i].evidence) << "device " << i;
+// The census every figure starts from, then every figure and headline the
+// study produces through the canonical %.17g rendering (equal text iff
+// bit-identical numbers).
+void ExpectStudiesIdentical(const CollectionResult& ca, const LockdownStudy& a,
+                            const CollectionResult& cb, const LockdownStudy& b) {
+  const auto xa = a.classifications();
+  const auto xb = b.classifications();
+  ASSERT_EQ(xa.size(), xb.size());
+  for (std::size_t i = 0; i < xa.size(); ++i) {
+    ASSERT_EQ(xa[i].device_class, xb[i].device_class) << "device " << i;
+    ASSERT_EQ(xa[i].evidence, xb[i].evidence) << "device " << i;
   }
   ASSERT_EQ(a.PostShutdownDevices(), b.PostShutdownDevices());
   ASSERT_EQ(a.Split().international, b.Split().international);
-  EXPECT_EQ(a.Split().num_international, b.Split().num_international);
   EXPECT_EQ(a.Split().num_with_geo, b.Split().num_with_geo);
-
-  // Figure 1.
-  const auto f1a = a.ActiveDevicesPerDay();
-  const auto f1b = b.ActiveDevicesPerDay();
-  ASSERT_EQ(f1a.size(), f1b.size());
-  for (std::size_t i = 0; i < f1a.size(); ++i) {
-    ASSERT_EQ(f1a[i].day, f1b[i].day);
-    ASSERT_EQ(f1a[i].by_class, f1b[i].by_class) << "fig1 day " << f1a[i].day;
-    ASSERT_EQ(f1a[i].total, f1b[i].total);
-  }
-
-  // Figure 2.
-  const auto f2a = a.BytesPerDevicePerDay();
-  const auto f2b = b.BytesPerDevicePerDay();
-  ASSERT_EQ(f2a.size(), f2b.size());
-  for (std::size_t i = 0; i < f2a.size(); ++i) {
-    ASSERT_EQ(f2a[i].mean, f2b[i].mean) << "fig2 day " << f2a[i].day;
-    ASSERT_EQ(f2a[i].median, f2b[i].median) << "fig2 day " << f2a[i].day;
-  }
-
-  // Figure 3.
-  const auto f3a = a.HourOfWeekVolume();
-  const auto f3b = b.HourOfWeekVolume();
-  ASSERT_EQ(f3a.normalization, f3b.normalization);
-  for (std::size_t w = 0; w < f3a.weeks.size(); ++w) {
-    for (int h = 0; h < analysis::HourOfWeekSeries::kHours; ++h) {
-      ASSERT_EQ(f3a.weeks[w].at(h), f3b.weeks[w].at(h))
-          << "fig3 week " << w << " hour " << h;
-    }
-  }
-
-  // Figure 4.
-  const auto f4a = a.MedianBytesExcludingZoom();
-  const auto f4b = b.MedianBytesExcludingZoom();
-  ASSERT_EQ(f4a.size(), f4b.size());
-  for (std::size_t i = 0; i < f4a.size(); ++i) {
-    ASSERT_EQ(f4a[i].intl_mobile_desktop, f4b[i].intl_mobile_desktop);
-    ASSERT_EQ(f4a[i].dom_mobile_desktop, f4b[i].dom_mobile_desktop);
-    ASSERT_EQ(f4a[i].intl_unclassified, f4b[i].intl_unclassified);
-    ASSERT_EQ(f4a[i].dom_unclassified, f4b[i].dom_unclassified);
-  }
-
-  // Figures 5 and 8.
-  ExpectSeriesIdentical(a.ZoomDailyBytes(), b.ZoomDailyBytes(), "fig5");
-  ExpectSeriesIdentical(a.SwitchGameplayDaily(), b.SwitchGameplayDaily(), "fig8");
-  const auto swa = a.CountSwitches();
-  const auto swb = b.CountSwitches();
-  EXPECT_EQ(swa.active_february, swb.active_february);
-  EXPECT_EQ(swa.active_post_shutdown, swb.active_post_shutdown);
-  EXPECT_EQ(swa.new_in_april_may, swb.new_in_april_may);
-
-  // Figures 6 and 7, every app and month the paper plots.
-  for (int month = 2; month <= 5; ++month) {
-    for (const auto app : {apps::SocialApp::kFacebook, apps::SocialApp::kInstagram,
-                           apps::SocialApp::kTikTok}) {
-      const auto sa = a.SocialDurations(app, month);
-      const auto sb = b.SocialDurations(app, month);
-      ExpectBoxStatsIdentical(sa.domestic, sb.domestic, "fig6 domestic");
-      ExpectBoxStatsIdentical(sa.international, sb.international, "fig6 intl");
-    }
-    const auto sta = a.SteamUsage(month);
-    const auto stb = b.SteamUsage(month);
-    ExpectBoxStatsIdentical(sta.dom_bytes, stb.dom_bytes, "fig7 dom bytes");
-    ExpectBoxStatsIdentical(sta.intl_bytes, stb.intl_bytes, "fig7 intl bytes");
-    ExpectBoxStatsIdentical(sta.dom_conns, stb.dom_conns, "fig7 dom conns");
-    ExpectBoxStatsIdentical(sta.intl_conns, stb.intl_conns, "fig7 intl conns");
-  }
-
-  // Extensions + headline.
-  const auto cva = a.CategoryVolumes();
-  const auto cvb = b.CategoryVolumes();
-  ASSERT_EQ(cva.size(), cvb.size());
-  for (std::size_t i = 0; i < cva.size(); ++i) {
-    ASSERT_EQ(cva[i].education, cvb[i].education) << "categories day " << cva[i].day;
-    ASSERT_EQ(cva[i].video_conferencing, cvb[i].video_conferencing);
-    ASSERT_EQ(cva[i].streaming, cvb[i].streaming);
-    ASSERT_EQ(cva[i].social_media, cvb[i].social_media);
-    ASSERT_EQ(cva[i].gaming, cvb[i].gaming);
-    ASSERT_EQ(cva[i].messaging, cvb[i].messaging);
-    ASSERT_EQ(cva[i].other, cvb[i].other);
-  }
-  const auto da = a.DiurnalShape(0, util::StudyCalendar::NumDays() - 1);
-  const auto db = b.DiurnalShape(0, util::StudyCalendar::NumDays() - 1);
-  ASSERT_EQ(da.weekday, db.weekday);
-  ASSERT_EQ(da.weekend, db.weekend);
-
-  const auto ha = a.HeadlineStats();
-  const auto hb = b.HeadlineStats();
-  EXPECT_EQ(ha.peak_active_devices, hb.peak_active_devices);
-  EXPECT_EQ(ha.trough_active_devices, hb.trough_active_devices);
-  EXPECT_EQ(ha.post_shutdown_users, hb.post_shutdown_users);
-  EXPECT_EQ(ha.traffic_increase, hb.traffic_increase);
-  EXPECT_EQ(ha.distinct_sites_increase, hb.distinct_sites_increase);
-  EXPECT_EQ(ha.international_devices, hb.international_devices);
-  EXPECT_EQ(ha.international_share, hb.international_share);
+  EXPECT_EQ(testing::RenderFigures(ca, a), testing::RenderFigures(cb, b));
 }
 
 // Widths to test against serial: even split, odd split (chunks don't divide
@@ -224,11 +58,10 @@ TEST(ParallelEquivalence, CollectionIdenticalAcrossThreadCounts) {
   for (const Case c : {Case{60, 2020}, Case{45, 909}}) {
     const CollectionResult serial = CollectWith(c.students, c.seed, 1);
     for (const int threads : kWidths) {
-      SCOPED_TRACE(testing::Message() << c.students << " students, seed "
+      SCOPED_TRACE(::testing::Message() << c.students << " students, seed "
                                       << c.seed << ", " << threads << " threads");
       const CollectionResult par = CollectWith(c.students, c.seed, threads);
-      ExpectStatsIdentical(serial.stats, par.stats);
-      ExpectDatasetsIdentical(serial.dataset, par.dataset);
+      testing::ExpectSameCollection(serial, par);
     }
   }
 }
@@ -238,9 +71,9 @@ TEST(ParallelEquivalence, StudyIdenticalAcrossThreadCounts) {
   const auto& catalog = world::ServiceCatalog::Default();
   const LockdownStudy serial(collection.dataset, catalog, 1);
   for (const int threads : kWidths) {
-    SCOPED_TRACE(testing::Message() << threads << " threads");
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
     const LockdownStudy par(collection.dataset, catalog, threads);
-    ExpectStudiesIdentical(serial, par);
+    ExpectStudiesIdentical(collection, serial, collection, par);
   }
 }
 
@@ -254,13 +87,12 @@ TEST(ParallelEquivalence, SnapshotRoundTripStudyIdentical) {
   store::LoadedSnapshot snap = store::LoadSnapshot(path);
   std::filesystem::remove(path);
 
-  ExpectStatsIdentical(original.stats, snap.collection.stats);
-  ExpectDatasetsIdentical(original.dataset, snap.collection.dataset);
+  testing::ExpectSameCollection(original, snap.collection);
 
   const auto& catalog = world::ServiceCatalog::Default();
   const LockdownStudy serial(original.dataset, catalog, 1);
   const LockdownStudy par(snap.collection.dataset, catalog, 3);
-  ExpectStudiesIdentical(serial, par);
+  ExpectStudiesIdentical(original, serial, snap.collection, par);
 }
 
 }  // namespace

@@ -76,8 +76,7 @@ TEST_F(PipelineTest, ObservationsAccumulated) {
   std::size_t with_oui = 0;
   for (DeviceIndex i = 0; i < result_->dataset.num_devices(); ++i) {
     const auto& obs = result_->dataset.device(i).observations;
-    EXPECT_GT(obs.flow_count, 0u);
-    EXPECT_GT(obs.total_bytes, 0u);
+    EXPECT_FALSE(result_->dataset.FlowsOfDevice(i).empty());
     with_ua += !obs.user_agents.empty();
     with_oui += !obs.locally_administered && obs.oui != 0;
   }

@@ -59,10 +59,6 @@ class StudyBuilder {
     f.bytes_down = bytes_down;
     f.bytes_up = bytes_up;
     ds_.AddFlow(f);
-    auto& obs = ds_.device_mutable(dev).observations;
-    obs.total_bytes += bytes_down + bytes_up;
-    obs.flow_count += 1;
-    if (host) obs.bytes_by_domain[host] += bytes_down + bytes_up;
   }
 
   /// Marks the device post-shutdown with a token April flow.
@@ -230,6 +226,31 @@ TEST(StudyUnit, CountSwitchesTracksFirstAppearance) {
   EXPECT_EQ(counts.active_february, 0u);
   EXPECT_EQ(counts.active_post_shutdown, 1u);
   EXPECT_EQ(counts.new_in_april_may, 1u);
+}
+
+TEST(StudyUnit, NintendoShareComesFromTheDeviceFlows) {
+  // Nothing but the flows says this device is a Switch: its UA is a phone's,
+  // and no per-device byte totals are kept beside the flow array.
+  StudyBuilder b;
+  const DeviceIndex sw = b.AddMobileDevice();
+  const DeviceIndex phone = b.AddMobileDevice();
+  b.AddFlow(sw, Offset(4, 10, 20), 1800, "npln.srv.nintendo.net",
+            ServiceIp("nintendo-gameplay"), 6'000);
+  b.AddFlow(sw, Offset(4, 11, 20), 600, "netflix.com", ServiceIp("netflix"), 5'000);
+  b.AddFlow(sw, Offset(4, 12, 20), 600, nullptr, ServiceIp("netflix"), 1'000'000);
+  b.AddFlow(phone, Offset(4, 10, 20), 600, "npln.srv.nintendo.net",
+            ServiceIp("nintendo-gameplay"), 4'000);
+  b.AddFlow(phone, Offset(4, 11, 20), 600, "netflix.com", ServiceIp("netflix"),
+            5'000);
+  const auto study = b.Build();
+  // 6000 of 11000 domain-attributed bytes; raw-IP bytes do not count.
+  EXPECT_EQ(study.classifications()[sw].device_class,
+            classify::DeviceClass::kGameConsole);
+  EXPECT_TRUE(study.context().IsSwitchDevice(sw));
+  EXPECT_EQ(study.classifications()[phone].device_class,
+            classify::DeviceClass::kMobile);
+  EXPECT_FALSE(study.context().IsSwitchDevice(phone));
+  EXPECT_EQ(study.CountSwitches().active_post_shutdown, 1u);
 }
 
 TEST(StudyUnit, InternationalSplitByFebruaryMidpoint) {

@@ -62,6 +62,25 @@ TEST(ObsTrace, RecordsNestedSpansWithDepth) {
   EXPECT_NE(doc.find("\"args\": {\"depth\": 0}", outer), std::string::npos);
 }
 
+// Spans land at scope exit, so an enclosing span is recorded last; the
+// epoch is still its start, and no span gets a negative timestamp.
+TEST(ObsTrace, EnclosingSpanStartsAtTimeZero) {
+  TracingOn on;
+  {
+    OBS_SPAN("test/enclosing");
+    {
+      OBS_SPAN("test/enclosed");
+    }
+  }
+  std::ostringstream out;
+  WriteChromeTrace(out);
+  const std::string doc = out.str();
+  EXPECT_EQ(doc.find("\"ts\": -"), std::string::npos) << doc;
+  const auto outer = doc.find("\"test/enclosing\"");
+  ASSERT_NE(outer, std::string::npos);
+  EXPECT_EQ(doc.find("\"ts\": ", outer), doc.find("\"ts\": 0.000,", outer)) << doc;
+}
+
 TEST(ObsTrace, ChromeTraceShape) {
   TracingOn on;
   {

@@ -1,8 +1,10 @@
 // The tentpole proof: Figures 1-8 (plus extension analyses and headline
 // stats) are bit-identical across {scalar, SIMD} dispatch x {1, 4} threads
-// x {v2, v3, v3-compressed} snapshot formats — twelve configurations, one
-// canonical %.17g rendering each, all compared byte-for-byte against the
-// scalar/serial baseline computed straight from the pipeline.
+// x {raw, compressed} snapshots — eight configurations, one canonical %.17g
+// rendering each, all compared byte-for-byte against the scalar/serial
+// baseline computed straight from the pipeline. Snapshots written by older
+// format versions are checked against their recorded figures in
+// tests/store/legacy_test.cc.
 //
 // This is what licenses the vectorized query path: not "close", identical.
 #include <gtest/gtest.h>
@@ -39,12 +41,9 @@ class FiguresDifferentialTest : public ::testing::Test {
     std::filesystem::create_directories(*dir_);
     collection_ = new core::CollectionResult(core::MeasurementPipeline::Collect(
         core::StudyConfig::Small(kStudents, kSeed)));
-    store::SaveSnapshot(*dir_ / "v2.lds", *collection_, {},
-                        {.format_version = 2});
-    store::SaveSnapshot(*dir_ / "v3.lds", *collection_, {},
-                        {.format_version = 3});
-    store::SaveSnapshot(*dir_ / "v3c.lds", *collection_, {},
-                        {.format_version = 3, .compress = true});
+    store::SaveSnapshot(*dir_ / "raw.lds", *collection_);
+    store::SaveSnapshot(*dir_ / "compressed.lds", *collection_, {},
+                        {.compress = true});
     // The baseline every configuration must reproduce byte-for-byte:
     // scalar dispatch, serial, straight from the pipeline.
     SetDispatchForTest(DispatchKind::kScalar);
@@ -99,14 +98,14 @@ std::filesystem::path* FiguresDifferentialTest::dir_ = nullptr;
 core::CollectionResult* FiguresDifferentialTest::collection_ = nullptr;
 std::string* FiguresDifferentialTest::baseline_ = nullptr;
 
-TEST_F(FiguresDifferentialTest, AllTwelveConfigurationsBitIdentical) {
+TEST_F(FiguresDifferentialTest, AllConfigurationsBitIdentical) {
   const bool have_simd = Simd() != nullptr;
   if (!have_simd) {
-    ADD_FAILURE() << "SIMD table unavailable; the 12-cell matrix would "
+    ADD_FAILURE() << "SIMD table unavailable; the 8-cell matrix would "
                      "silently shrink (this repo targets AVX2 hosts)";
   }
   int cells = 0;
-  for (const char* file : {"v2.lds", "v3.lds", "v3c.lds"}) {
+  for (const char* file : {"raw.lds", "compressed.lds"}) {
     const store::LoadedSnapshot snap = store::LoadSnapshot(*dir_ / file);
     ASSERT_TRUE(snap.warnings.empty()) << file;
     for (const DispatchKind dispatch :
@@ -123,7 +122,7 @@ TEST_F(FiguresDifferentialTest, AllTwelveConfigurationsBitIdentical) {
       }
     }
   }
-  EXPECT_EQ(cells, have_simd ? 12 : 6);
+  EXPECT_EQ(cells, have_simd ? 8 : 4);
 }
 
 TEST_F(FiguresDifferentialTest, PipelineCollectionMatchesAcrossDispatch) {

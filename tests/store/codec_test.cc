@@ -4,7 +4,8 @@
 // never crash or read out of bounds; the ASan tier is the real judge), a
 // byte-sweep over every compressed section of a real snapshot proving the
 // reader rejects or salvages but never silently misreads, and format-matrix
-// round trips (v2, v3, v3-compressed all reload to the identical dataset).
+// round trips (raw and compressed both reload to the identical dataset; the
+// legacy v2 and v3 layouts are covered by the fixtures in tests/store/legacy).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,6 +22,8 @@
 #include "store/column_codec.h"
 #include "store/format.h"
 #include "store/snapshot.h"
+
+#include "../core/dataset_equal.h"
 
 namespace lockdown::store {
 namespace {
@@ -239,10 +242,8 @@ class CompressedSnapshotTest : public ::testing::Test {
     std::filesystem::create_directories(*dir_);
     result_ = new core::CollectionResult(core::MeasurementPipeline::Collect(
         core::StudyConfig::Small(4, 1)));
-    SaveSnapshot(*dir_ / "v2.lds", *result_, {}, {.format_version = 2});
-    SaveSnapshot(*dir_ / "v3.lds", *result_, {}, {.format_version = 3});
-    SaveSnapshot(*dir_ / "v3c.lds", *result_, {},
-                 {.format_version = 3, .compress = true});
+    SaveSnapshot(*dir_ / "raw.lds", *result_);
+    SaveSnapshot(*dir_ / "compressed.lds", *result_, {}, {.compress = true});
   }
   static void TearDownTestSuite() {
     std::filesystem::remove_all(*dir_);
@@ -250,19 +251,6 @@ class CompressedSnapshotTest : public ::testing::Test {
     delete result_;
     dir_ = nullptr;
     result_ = nullptr;
-  }
-
-  static void ExpectSameDataset(const core::Dataset& a, const core::Dataset& b) {
-    ASSERT_EQ(a.num_flows(), b.num_flows());
-    ASSERT_EQ(a.num_devices(), b.num_devices());
-    ASSERT_EQ(a.num_domains(), b.num_domains());
-    const auto fa = a.flows();
-    const auto fb = b.flows();
-    ASSERT_EQ(0, std::memcmp(fa.data(), fb.data(), fa.size() * sizeof(Flow)));
-    ASSERT_TRUE(b.has_day_runs());
-    ASSERT_EQ(a.day_runs().day_offsets, b.day_runs().day_offsets);
-    ASSERT_EQ(a.day_runs().run_begin, b.day_runs().run_begin);
-    ASSERT_EQ(a.day_runs().run_len, b.day_runs().run_len);
   }
 
   static std::filesystem::path* dir_;
@@ -273,16 +261,16 @@ std::filesystem::path* CompressedSnapshotTest::dir_ = nullptr;
 core::CollectionResult* CompressedSnapshotTest::result_ = nullptr;
 
 TEST_F(CompressedSnapshotTest, AllFormatsReloadTheIdenticalDataset) {
-  for (const char* file : {"v2.lds", "v3.lds", "v3c.lds"}) {
+  for (const char* file : {"raw.lds", "compressed.lds"}) {
     const LoadedSnapshot snap = LoadSnapshot(*dir_ / file);
     EXPECT_TRUE(snap.warnings.empty()) << file;
-    ExpectSameDataset(result_->dataset, snap.collection.dataset);
+    core::testing::ExpectSameDataset(result_->dataset, snap.collection.dataset);
   }
 }
 
 TEST_F(CompressedSnapshotTest, CompressedFileIsSmallerAndDescribesCodecs) {
-  const SnapshotInfo raw = InspectSnapshot(*dir_ / "v3.lds");
-  const SnapshotInfo comp = InspectSnapshot(*dir_ / "v3c.lds");
+  const SnapshotInfo raw = InspectSnapshot(*dir_ / "raw.lds");
+  const SnapshotInfo comp = InspectSnapshot(*dir_ / "compressed.lds");
   EXPECT_LT(comp.file_size, raw.file_size);
   int coded = 0;
   for (const SectionInfo& s : comp.sections) {
@@ -299,7 +287,7 @@ TEST_F(CompressedSnapshotTest, CompressedFileIsSmallerAndDescribesCodecs) {
 /// load must succeed with the identical flow table, salvage with a warning,
 /// or throw — a flip that silently changes decoded flows would be a CRC hole.
 TEST_F(CompressedSnapshotTest, CompressedByteSweepNeverMisreads) {
-  const auto path = *dir_ / "v3c.lds";
+  const auto path = *dir_ / "compressed.lds";
   std::ifstream in(path, std::ios::binary);
   const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
                                 std::istreambuf_iterator<char>());
@@ -346,7 +334,7 @@ TEST_F(CompressedSnapshotTest, CompressedByteSweepNeverMisreads) {
 }
 
 TEST_F(CompressedSnapshotTest, CorruptDayIndexSalvagesByRebuild) {
-  const auto path = *dir_ / "v3.lds";
+  const auto path = *dir_ / "raw.lds";
   SectionInfo day_index;
   for (const SectionInfo& s : InspectSnapshot(path).sections) {
     if (s.name == "day-index") day_index = s;
@@ -367,7 +355,7 @@ TEST_F(CompressedSnapshotTest, CorruptDayIndexSalvagesByRebuild) {
   EXPECT_NE(snap.warnings[0].find("day index"), std::string::npos)
       << snap.warnings[0];
   // The rebuilt index must equal the one Finalize computed.
-  ExpectSameDataset(result_->dataset, snap.collection.dataset);
+  core::testing::ExpectSameDataset(result_->dataset, snap.collection.dataset);
 }
 
 }  // namespace

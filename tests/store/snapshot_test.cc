@@ -15,6 +15,9 @@
 #include "core/study.h"
 #include "store/format.h"
 
+#include "../core/dataset_equal.h"
+#include "../core/figure_render.h"
+
 namespace lockdown::store {
 namespace {
 
@@ -70,59 +73,11 @@ void ExpectLoadError(const fs::path& path, const std::string& message_part) {
   }
 }
 
-void ExpectDatasetsEqual(const core::Dataset& a, const core::Dataset& b) {
-  ASSERT_EQ(a.num_flows(), b.num_flows());
-  ASSERT_EQ(a.num_devices(), b.num_devices());
-  ASSERT_EQ(a.num_domains(), b.num_domains());
-
-  for (std::size_t i = 0; i < a.num_flows(); ++i) {
-    const core::Flow& fa = a.flows()[i];
-    const core::Flow& fb = b.flows()[i];
-    ASSERT_EQ(fa.start_offset_s, fb.start_offset_s) << "flow " << i;
-    ASSERT_EQ(fa.duration_s, fb.duration_s) << "flow " << i;
-    ASSERT_EQ(fa.device, fb.device) << "flow " << i;
-    ASSERT_EQ(fa.domain, fb.domain) << "flow " << i;
-    ASSERT_EQ(fa.server_ip.value(), fb.server_ip.value()) << "flow " << i;
-    ASSERT_EQ(fa.server_port, fb.server_port) << "flow " << i;
-    ASSERT_EQ(fa.proto, fb.proto) << "flow " << i;
-    ASSERT_EQ(fa.bytes_up, fb.bytes_up) << "flow " << i;
-    ASSERT_EQ(fa.bytes_down, fb.bytes_down) << "flow " << i;
-  }
-  for (core::DomainId d = 0; d < a.num_domains(); ++d) {
-    ASSERT_EQ(a.DomainName(d), b.DomainName(d)) << "domain " << d;
-  }
-  for (core::DeviceIndex i = 0; i < a.num_devices(); ++i) {
-    const core::DeviceEntry& da = a.device(i);
-    const core::DeviceEntry& db = b.device(i);
-    ASSERT_EQ(da.id.value, db.id.value) << "device " << i;
-    ASSERT_EQ(da.observations.oui, db.observations.oui);
-    ASSERT_EQ(da.observations.locally_administered,
-              db.observations.locally_administered);
-    ASSERT_EQ(da.observations.total_bytes, db.observations.total_bytes);
-    ASSERT_EQ(da.observations.flow_count, db.observations.flow_count);
-    ASSERT_EQ(da.observations.user_agents, db.observations.user_agents);
-    ASSERT_EQ(da.observations.bytes_by_domain, db.observations.bytes_by_domain);
-    ASSERT_EQ(a.FlowsOfDevice(i).size(), b.FlowsOfDevice(i).size());
-  }
-}
-
-void ExpectStatsEqual(const core::CollectionStats& a,
-                      const core::CollectionStats& b) {
-  EXPECT_EQ(a.raw_flows, b.raw_flows);
-  EXPECT_EQ(a.tap_excluded, b.tap_excluded);
-  EXPECT_EQ(a.unattributed, b.unattributed);
-  EXPECT_EQ(a.visitor_flows, b.visitor_flows);
-  EXPECT_EQ(a.devices_observed, b.devices_observed);
-  EXPECT_EQ(a.devices_retained, b.devices_retained);
-  EXPECT_EQ(a.ua_sightings, b.ua_sightings);
-}
-
 // --- Round-trip properties ----------------------------------------------------
 
 TEST(SnapshotRoundTrip, PreservesDatasetAndStats) {
   const LoadedSnapshot snap = LoadSnapshot(Campus().file);
-  ExpectDatasetsEqual(Campus().fresh.dataset, snap.collection.dataset);
-  ExpectStatsEqual(Campus().fresh.stats, snap.collection.stats);
+  core::testing::ExpectSameCollection(Campus().fresh, snap.collection);
   EXPECT_EQ(snap.info.meta.num_students, 60u);
   EXPECT_EQ(snap.info.meta.seed, 4u);
   EXPECT_EQ(snap.info.flow_stride, kFlowStride);
@@ -137,7 +92,7 @@ TEST(SnapshotRoundTrip, ZeroCopyAndPortablePathsAgree) {
   EXPECT_TRUE(mmaped.collection.dataset.flows_borrowed());
   EXPECT_FALSE(copied.zero_copy);
   EXPECT_FALSE(copied.collection.dataset.flows_borrowed());
-  ExpectDatasetsEqual(mmaped.collection.dataset, copied.collection.dataset);
+  core::testing::ExpectSameDataset(mmaped.collection.dataset, copied.collection.dataset);
 }
 
 TEST(SnapshotRoundTrip, StudyOutputsIdentical) {
@@ -148,36 +103,8 @@ TEST(SnapshotRoundTrip, StudyOutputsIdentical) {
   const core::LockdownStudy fresh(Campus().fresh.dataset, catalog);
   const core::LockdownStudy loaded(snap.collection.dataset, catalog);
 
-  const auto h1 = fresh.HeadlineStats();
-  const auto h2 = loaded.HeadlineStats();
-  EXPECT_EQ(h1.peak_active_devices, h2.peak_active_devices);
-  EXPECT_EQ(h1.trough_active_devices, h2.trough_active_devices);
-  EXPECT_EQ(h1.post_shutdown_users, h2.post_shutdown_users);
-  EXPECT_EQ(h1.traffic_increase, h2.traffic_increase);
-  EXPECT_EQ(h1.distinct_sites_increase, h2.distinct_sites_increase);
-  EXPECT_EQ(h1.international_devices, h2.international_devices);
-  EXPECT_EQ(h1.international_share, h2.international_share);
-
-  const auto rows1 = fresh.ActiveDevicesPerDay();
-  const auto rows2 = loaded.ActiveDevicesPerDay();
-  ASSERT_EQ(rows1.size(), rows2.size());
-  for (std::size_t i = 0; i < rows1.size(); ++i) {
-    EXPECT_EQ(rows1[i].by_class, rows2[i].by_class) << "day " << i;
-    EXPECT_EQ(rows1[i].total, rows2[i].total) << "day " << i;
-  }
-
-  const auto zoom1 = fresh.ZoomDailyBytes();
-  const auto zoom2 = loaded.ZoomDailyBytes();
-  ASSERT_EQ(zoom1.num_days(), zoom2.num_days());
-  for (int i = 0; i < zoom1.num_days(); ++i) {
-    EXPECT_EQ(zoom1.at(i), zoom2.at(i)) << "day " << i;
-  }
-
-  const auto sw1 = fresh.CountSwitches();
-  const auto sw2 = loaded.CountSwitches();
-  EXPECT_EQ(sw1.active_february, sw2.active_february);
-  EXPECT_EQ(sw1.active_post_shutdown, sw2.active_post_shutdown);
-  EXPECT_EQ(sw1.new_in_april_may, sw2.new_in_april_may);
+  EXPECT_EQ(core::testing::RenderFigures(Campus().fresh, fresh),
+            core::testing::RenderFigures(snap.collection, loaded));
 }
 
 TEST(SnapshotRoundTrip, SecondSaveOfLoadedSnapshotIsValid) {
@@ -186,7 +113,7 @@ TEST(SnapshotRoundTrip, SecondSaveOfLoadedSnapshotIsValid) {
   SaveSnapshot(resaved, snap.collection, snap.info.meta);
   VerifySnapshot(resaved);
   const LoadedSnapshot again = LoadSnapshot(resaved);
-  ExpectDatasetsEqual(snap.collection.dataset, again.collection.dataset);
+  core::testing::ExpectSameDataset(snap.collection.dataset, again.collection.dataset);
   fs::remove(resaved);
 }
 

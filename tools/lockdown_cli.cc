@@ -74,7 +74,6 @@
 #include "io/io.h"
 #include "obs/obs.h"
 #include "snapshot_info.h"
-#include "store/format.h"
 #include "store/snapshot.h"
 #include "stream/streaming_study.h"
 #include "usage.h"
@@ -107,7 +106,7 @@ struct Options {
   double fault_rate = 0.01;
   std::string fault_kind = "mixed";
   bool streaming = false;
-  bool compress = false;  // snapshot save: columnar-coded v3 sections
+  bool compress = false;  // snapshot save: columnar-coded flow sections
   std::size_t memory_budget = stream::StreamingOptions{}.memory_budget_bytes;
   std::string metrics_out;  // --metrics-out FILE (obs metrics JSON at exit)
   std::string trace_out;    // --trace-out FILE (Chrome trace JSON at exit)
@@ -482,9 +481,7 @@ int RunSnapshotSave(const Options& opts) {
     meta.seed = opts.seed;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  store::SaveSnapshot(opts.out, collection, meta,
-                      {.format_version = store::kFormatVersion,
-                       .compress = opts.compress});
+  store::SaveSnapshot(opts.out, collection, meta, {.compress = opts.compress});
   std::cout << "wrote " << opts.out << (opts.compress ? " (compressed)" : "")
             << "  ("
             << std::filesystem::file_size(opts.out) / 1024 << " KiB, "
