@@ -10,9 +10,8 @@
 //
 // Machine-readable results: when LOCKDOWN_BENCH_JSON=<file> is set, every
 // bench::Metric() call is collected and the process writes one JSON document
-// to <file> at exit ({bench, config, metrics:[{name, value, unit}]}).
-// tools/check.sh uses this to regenerate BENCH_baseline.json; the human
-// tables on stdout are unaffected.
+// to <file> at exit ({bench, config, metrics:[{name, value, unit}]}); the
+// human tables on stdout are unaffected.
 #pragma once
 
 #include <charconv>

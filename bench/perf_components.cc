@@ -7,14 +7,10 @@
 //    pipeline collection of the same dataset
 //  - parallel processing + study at 1/2/4/8 threads vs. serial
 //
-// With LOCKDOWN_BENCH_JSON set, the process additionally runs one obs-
-// instrumented end-to-end pass (export -> ingest -> process -> batch study ->
-// snapshot save/verify/load -> streaming study) and folds the merged metrics
-// snapshot into the JSON document — the per-stage breakdown checked in as
-// BENCH_components.json. Pass --benchmark_filter=NONE to run only that.
+// The end-to-end, per-layer ledger is perfbench/ (BENCHMARK.json), not this
+// binary.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
@@ -30,11 +26,8 @@
 #include "dns/resolver.h"
 #include "flow/assembler.h"
 #include "geo/geodesy.h"
-#include "obs/obs.h"
 #include "pcapio/tap_pcap.h"
 #include "privacy/anonymizer.h"
-#include "stream/streaming_study.h"
-#include "util/memstats.h"
 #include "util/rng.h"
 #include "world/catalog.h"
 
@@ -384,83 +377,12 @@ BENCHMARK(BM_ProcessStudyThreads)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// --- Per-stage component breakdown (src/obs) -----------------------------------
-// One end-to-end run with the obs metrics registry enabled: every duration
-// histogram the instrumentation fills ("us" spans across pipeline, ingest,
-// study, store, stream, thread_pool) lands in the bench JSON as
-// <name>_total_ms; counters and gauges pass through verbatim. This is how
-// BENCH_components.json gets a per-stage perf trajectory instead of a single
-// end-to-end number.
-
-void EmitComponentBreakdown() {
-  namespace fs = std::filesystem;
-  obs::SetMetricsEnabled(true);
-  obs::ResetMetrics();
-  const core::StudyConfig cfg = bench::DefaultConfig();
-
-  const fs::path dir = fs::temp_directory_path() / "lockdown_perf_obs_logs";
-  core::ExportLogs(cfg, dir);
-  core::IngestSummary summary;
-  const core::CollectionResult collection = core::CollectFromLogs(
-      dir.string(), cfg, ingest::IngestOptions{}, &summary);
-  fs::remove_all(dir);
-
-  const core::LockdownStudy study(collection.dataset,
-                                  world::ServiceCatalog::Default(), cfg.threads);
-  benchmark::DoNotOptimize(study.ActiveDevicesPerDay());
-  benchmark::DoNotOptimize(study.BytesPerDevicePerDay());
-  benchmark::DoNotOptimize(study.HourOfWeekVolume());
-  benchmark::DoNotOptimize(study.MedianBytesExcludingZoom());
-  benchmark::DoNotOptimize(study.ZoomDailyBytes());
-  benchmark::DoNotOptimize(study.SocialDurations(apps::SocialApp::kFacebook, 4));
-  benchmark::DoNotOptimize(study.SteamUsage(4));
-  benchmark::DoNotOptimize(study.SwitchGameplayDaily());
-  benchmark::DoNotOptimize(study.CountSwitches());
-  benchmark::DoNotOptimize(study.CategoryVolumes());
-  benchmark::DoNotOptimize(study.DiurnalShape(0, 28));
-  benchmark::DoNotOptimize(study.HeadlineStats());
-
-  const fs::path file = fs::temp_directory_path() / "lockdown_perf_obs.lds";
-  store::SaveSnapshot(file, collection, {});
-  store::VerifySnapshot(file.string());
-  const auto snap = store::LoadSnapshot(file.string());
-  benchmark::DoNotOptimize(snap.collection.dataset.num_flows());
-  fs::remove(file);
-
-  stream::StreamingOptions streaming_opts;
-  streaming_opts.threads = cfg.threads;
-  const stream::StreamingStudy streaming(
-      collection.dataset, world::ServiceCatalog::Default(), streaming_opts);
-  benchmark::DoNotOptimize(streaming.HeadlineStats());
-  benchmark::DoNotOptimize(streaming.Accuracy());
-
-  util::PublishRssGauges();
-
-  const obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
-  for (const auto& c : snapshot.counters) {
-    bench::Metric(c.name, static_cast<double>(c.value), c.unit);
-  }
-  for (const auto& g : snapshot.gauges) {
-    bench::Metric(g.name, g.value, g.unit);
-  }
-  for (const auto& h : snapshot.histograms) {
-    if (h.unit == "us") {
-      bench::Metric(h.name + "_total_ms", static_cast<double>(h.sum) / 1000.0,
-                    "ms");
-    }
-  }
-  obs::SetMetricsEnabled(false);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchName("perf_components");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  const char* json = std::getenv("LOCKDOWN_BENCH_JSON");
-  if (json != nullptr && *json != '\0') EmitComponentBreakdown();
   return 0;
 }

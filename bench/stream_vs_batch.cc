@@ -1,8 +1,7 @@
 // Batch study vs streaming study head-to-head: wall time to answer every
 // figure, flow throughput, the streaming engine's tracked sketch state
 // against its budget, and the process peak RSS. With LOCKDOWN_BENCH_JSON
-// set, the numbers land in a machine-readable document (BENCH_baseline.json
-// is a checked-in run of this bench; tools/check.sh regenerates it).
+// set, the numbers land in a machine-readable document.
 //
 // LOCKDOWN_MEMORY_BUDGET (bytes, default 32 MiB) sizes the streaming engine.
 #include <chrono>

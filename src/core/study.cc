@@ -9,6 +9,7 @@
 // lockdown-lint: disable-file(LD001)
 
 #include "obs/obs.h"
+#include "query/kernels.h"
 
 #include <algorithm>
 #include <cmath>
@@ -25,7 +26,7 @@ namespace {
 constexpr auto kSpd = static_cast<std::uint32_t>(util::kSecondsPerDay);
 
 /// Clamps a timestamp-difference to the u32 start-offset domain, so calendar
-/// windows translate into count_less_u32 bounds.
+/// windows translate into bounds over the start-offset column.
 [[nodiscard]] std::uint32_t ClampOffset(std::int64_t v) noexcept {
   if (v < 0) return 0;
   if (v > std::numeric_limits<std::uint32_t>::max()) {
@@ -51,13 +52,11 @@ LockdownStudy::LockdownStudy(const Dataset& dataset,
     return ctx_.domain_flags(static_cast<DomainId>(d)).zoom;
   });
   const auto flows = dataset.flows();
-  const query::KernelTable& kern = query::Active();
   pool_.ParallelFor(
       num_flows, kFlowGrain,
       [&](std::size_t, std::size_t begin, std::size_t end) {
-        kern.flag_mask_u8(cols_.domain.data() + begin, end - begin,
-                          zoom_lut.data(), zoom_lut.size(),
-                          zoom_mask_.data() + begin);
+        query::FlagMaskU8(cols_.domain.data() + begin, end - begin,
+                          zoom_lut.data(), zoom_mask_.data() + begin);
         for (std::size_t i = begin; i < end; ++i) {
           if (cols_.domain[i] == kNoDomain) {
             zoom_mask_[i] = ctx_.IsZoomFlow(flows[i]) ? 1 : 0;
@@ -75,7 +74,6 @@ std::vector<LockdownStudy::ActiveDevicesRow> LockdownStudy::ActiveDevicesPerDay(
   const auto udays = static_cast<std::uint32_t>(days);
   const std::size_t n = ds.num_devices();
   const auto offsets = ds.device_offsets();
-  const query::KernelTable& kern = query::Active();
   // Device-major active matrix: each device scatters its (sorted) timestamp
   // slice into its own row, so the fill shards without write overlap.
   std::vector<std::uint8_t> active(n * static_cast<std::size_t>(days), 0);
@@ -83,7 +81,7 @@ std::vector<LockdownStudy::ActiveDevicesRow> LockdownStudy::ActiveDevicesPerDay(
       n, kDeviceGrain, [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t dev = begin; dev < end; ++dev) {
           const auto b = static_cast<std::size_t>(offsets[dev]);
-          kern.mark_days_u8(cols_.start.data() + b,
+          query::MarkDaysU8(cols_.start.data() + b,
                             static_cast<std::size_t>(offsets[dev + 1]) - b,
                             kSpd,
                             active.data() + dev * static_cast<std::size_t>(days),
@@ -120,7 +118,6 @@ std::vector<LockdownStudy::BytesPerDeviceRow> LockdownStudy::BytesPerDevicePerDa
   const auto udays = static_cast<std::uint32_t>(days);
   const std::size_t n = ds.num_devices();
   const auto offsets = ds.device_offsets();
-  const query::KernelTable& kern = query::Active();
   // Device-major u64 sums; each day-sum stays far below 2^53, so the final
   // double conversion reproduces the old per-flow double accumulation bit
   // for bit.
@@ -129,7 +126,8 @@ std::vector<LockdownStudy::BytesPerDeviceRow> LockdownStudy::BytesPerDevicePerDa
       n, kDeviceGrain, [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t dev = begin; dev < end; ++dev) {
           const auto b = static_cast<std::size_t>(offsets[dev]);
-          kern.day_sums_u64(cols_.start.data() + b, cols_.bytes.data() + b,
+          query::DaySumsU64(cols_.start.data() + b, cols_.bytes.data() + b,
+                            nullptr,
                             static_cast<std::size_t>(offsets[dev + 1]) - b,
                             kSpd,
                             bytes.data() + dev * static_cast<std::size_t>(days),
@@ -225,7 +223,6 @@ std::vector<LockdownStudy::Fig4Row> LockdownStudy::MedianBytesExcludingZoom() co
   const auto udays = static_cast<std::uint32_t>(days);
   const std::size_t n = ds.num_devices();
   const auto offsets = ds.device_offsets();
-  const query::KernelTable& kern = query::Active();
   // "we exclude Zoom traffic" (§4.2): the not-Zoom mask gates the masked
   // day-sum kernel over each post-shutdown device's slice.
   std::vector<std::uint64_t> bytes(n * static_cast<std::size_t>(days), 0);
@@ -234,7 +231,7 @@ std::vector<LockdownStudy::Fig4Row> LockdownStudy::MedianBytesExcludingZoom() co
         for (std::size_t dev = begin; dev < end; ++dev) {
           if (!ctx_.IsPostShutdown(dev)) continue;
           const auto b = static_cast<std::size_t>(offsets[dev]);
-          kern.masked_day_sums_u64(
+          query::DaySumsU64(
               cols_.start.data() + b, cols_.bytes.data() + b,
               not_zoom_mask_.data() + b,
               static_cast<std::size_t>(offsets[dev + 1]) - b, kSpd,
@@ -284,7 +281,6 @@ analysis::DailySeries LockdownStudy::ZoomDailyBytes() const {
   const auto udays = static_cast<std::uint32_t>(days);
   const std::size_t n = ds.num_devices();
   const auto offsets = ds.device_offsets();
-  const query::KernelTable& kern = query::Active();
   const std::size_t num_chunks = util::ThreadPool::NumChunks(n, kDeviceGrain);
   // Per-chunk u64 day totals, folded in chunk order below — integer sums
   // make the fold exact, so the series matches the old per-flow double
@@ -298,7 +294,7 @@ analysis::DailySeries LockdownStudy::ZoomDailyBytes() const {
         for (std::size_t dev = begin; dev < end; ++dev) {
           if (!ctx_.IsPostShutdown(dev)) continue;
           const auto b = static_cast<std::size_t>(offsets[dev]);
-          kern.masked_day_sums_u64(
+          query::DaySumsU64(
               cols_.start.data() + b, cols_.bytes.data() + b,
               zoom_mask_.data() + b,
               static_cast<std::size_t>(offsets[dev + 1]) - b, kSpd,
@@ -323,14 +319,15 @@ LockdownStudy::SocialBox LockdownStudy::SocialDurations(apps::SocialApp app,
   const Timestamp month_start = util::TimestampOf(util::CivilDate{2020, month, 1});
   const Timestamp month_end =
       util::TimestampOf(util::CivilDate{2020, month + 1, 1});
-  // The month window as start-offset bounds: count_less_u32 over each
-  // device's sorted timestamp slice yields [first, last) directly, so the
-  // session pass only touches in-window flows.
+  // The month window as start-offset bounds: std::lower_bound over each
+  // device's slice of the start column (sorted: Finalize() orders flows by
+  // (device, start) and store::Reader rejects any other order) yields
+  // [first, last) directly, so the session pass only touches in-window
+  // flows.
   const std::uint32_t win_lo = ClampOffset(month_start - StudyCalendar::StartTs());
   const std::uint32_t win_hi = ClampOffset(month_end - StudyCalendar::StartTs());
   const auto offsets = ds.device_offsets();
   const auto flows = ds.flows();
-  const query::KernelTable& kern = query::Active();
   // Session merging dominates here, so shard over cohort members; per-device
   // hours land in disjoint slots and fold below in cohort order — the order
   // the serial loop pushed them.
@@ -348,10 +345,11 @@ LockdownStudy::SocialBox LockdownStudy::SocialDurations(apps::SocialApp app,
           intervals.clear();
           const auto b = static_cast<std::size_t>(offsets[dev]);
           const std::size_t len = static_cast<std::size_t>(offsets[dev + 1]) - b;
-          const std::size_t wb =
-              b + kern.count_less_u32(cols_.start.data() + b, len, win_lo);
-          const std::size_t we =
-              b + kern.count_less_u32(cols_.start.data() + b, len, win_hi);
+          const auto first = cols_.start.begin() + b;
+          const auto wb = static_cast<std::size_t>(
+              std::lower_bound(first, first + len, win_lo) - cols_.start.begin());
+          const auto we = static_cast<std::size_t>(
+              std::lower_bound(first, first + len, win_hi) - cols_.start.begin());
           for (std::size_t i = wb; i < we; ++i) {
             const Flow& f = flows[i];
             const Timestamp start = Dataset::StartOf(f);
@@ -403,7 +401,6 @@ LockdownStudy::SteamBox LockdownStudy::SteamUsage(int month) const {
     return d != kNoDomain && ctx_.domain_flags(d).steam;
   });
   const auto offsets = ds.device_offsets();
-  const query::KernelTable& kern = query::Active();
   std::vector<double> dom_bytes, intl_bytes, dom_conns, intl_conns;
   const std::size_t n = ds.num_devices();
   std::vector<double> bytes(n, 0.0);
@@ -414,18 +411,19 @@ LockdownStudy::SteamBox LockdownStudy::SteamUsage(int month) const {
         for (std::size_t dev = begin; dev < end; ++dev) {
           const auto b = static_cast<std::size_t>(offsets[dev]);
           const std::size_t len = static_cast<std::size_t>(offsets[dev + 1]) - b;
-          const std::size_t wb =
-              b + kern.count_less_u32(cols_.start.data() + b, len, win_lo);
-          const std::size_t we =
-              b + kern.count_less_u32(cols_.start.data() + b, len, win_hi);
+          const auto first = cols_.start.begin() + b;
+          const auto wb = static_cast<std::size_t>(
+              std::lower_bound(first, first + len, win_lo) - cols_.start.begin());
+          const auto we = static_cast<std::size_t>(
+              std::lower_bound(first, first + len, win_hi) - cols_.start.begin());
           if (wb == we) continue;
           mask.resize(we - wb);
-          kern.flag_mask_u8(cols_.domain.data() + wb, we - wb, steam_lut.data(),
-                            steam_lut.size(), mask.data());
-          const std::size_t hits = kern.count_nonzero_u8(mask.data(), we - wb);
+          query::FlagMaskU8(cols_.domain.data() + wb, we - wb, steam_lut.data(),
+                            mask.data());
+          const auto hits = std::count(mask.begin(), mask.end(), 1);
           if (hits == 0) continue;
           bytes[dev] = static_cast<double>(
-              kern.masked_sum_u64(cols_.bytes.data() + wb, mask.data(), we - wb));
+              query::MaskedSumU64(cols_.bytes.data() + wb, mask.data(), we - wb));
           conns[dev] = static_cast<double>(hits);
         }
       });
@@ -460,7 +458,6 @@ analysis::DailySeries LockdownStudy::SwitchGameplayDaily(int ma_window) const {
     return d != kNoDomain && ctx_.domain_flags(d).nintendo_gameplay;
   });
   const auto offsets = ds.device_offsets();
-  const query::KernelTable& kern = query::Active();
   const std::size_t num_chunks = util::ThreadPool::NumChunks(n, kDeviceGrain);
   std::vector<std::vector<std::uint64_t>> shards(num_chunks);
   pool_.ParallelFor(
@@ -475,18 +472,17 @@ analysis::DailySeries LockdownStudy::SwitchGameplayDaily(int ma_window) const {
           const auto b = static_cast<std::size_t>(offsets[dev]);
           const std::size_t len = static_cast<std::size_t>(offsets[dev + 1]) - b;
           if (len == 0) continue;
-          // Sorted timestamps turn the activity tests into rank queries:
-          // any flow before March 1 / any flow on or after May 1.
-          const bool in_feb =
-              kern.count_less_u32(cols_.start.data() + b, len, feb_end_off) > 0;
-          const bool in_may =
-              kern.count_less_u32(cols_.start.data() + b, len, may_start_off) < len;
+          // Within-device flows are sorted by start, so the activity tests
+          // read the slice's ends: any flow before March 1 / any flow on or
+          // after May 1.
+          const bool in_feb = cols_.start[b] < feb_end_off;
+          const bool in_may = cols_.start[b + len - 1] >= may_start_off;
           if (!in_feb || !in_may) continue;
           mask.resize(len);
-          kern.flag_mask_u8(cols_.domain.data() + b, len, gameplay_lut.data(),
-                            gameplay_lut.size(), mask.data());
-          kern.masked_day_sums_u64(cols_.start.data() + b, cols_.bytes.data() + b,
-                                   mask.data(), len, kSpd, sums.data(), udays);
+          query::FlagMaskU8(cols_.domain.data() + b, len, gameplay_lut.data(),
+                            mask.data());
+          query::DaySumsU64(cols_.start.data() + b, cols_.bytes.data() + b,
+                            mask.data(), len, kSpd, sums.data(), udays);
         }
       });
   analysis::DailySeries series;
@@ -509,7 +505,6 @@ LockdownStudy::SwitchCounts LockdownStudy::CountSwitches() const {
   const std::uint32_t post_off =
       static_cast<std::uint32_t>(ctx_.post_shutdown_day()) * kSpd;
   const auto offsets = ds.device_offsets();
-  const query::KernelTable& kern = query::Active();
   const std::size_t num_chunks = util::ThreadPool::NumChunks(n, kDeviceGrain);
   std::vector<SwitchCounts> shards(num_chunks);
   pool_.ParallelFor(
@@ -523,11 +518,9 @@ LockdownStudy::SwitchCounts LockdownStudy::CountSwitches() const {
           const std::size_t len = static_cast<std::size_t>(offsets[dev + 1]) - b;
           if (len == 0) continue;
           // Within-device flows are sorted by start, so the first flow holds
-          // the earliest day and the activity tests are rank queries.
-          const bool feb =
-              kern.count_less_u32(cols_.start.data() + b, len, feb_end_off) > 0;
-          const bool post =
-              kern.count_less_u32(cols_.start.data() + b, len, post_off) < len;
+          // the earliest day and the activity tests read the slice's ends.
+          const bool feb = cols_.start[b] < feb_end_off;
+          const bool post = cols_.start[b + len - 1] >= post_off;
           const int first_day = static_cast<int>(cols_.start[b] / kSpd);
           counts.active_february += feb;
           counts.active_post_shutdown += post;
@@ -683,7 +676,7 @@ LockdownStudy::Headline LockdownStudy::HeadlineStats() const {
   // and distinct sites per device per month. The flow scan shards into
   // per-chunk partial sums and (device, domain) sets; partials fold in chunk
   // order, and set sizes are union-order independent. Byte totals come from
-  // masked_range_sum_u64 over a per-chunk post-shutdown device mask; the
+  // MaskedRangeSumU64 over a per-chunk post-shutdown device mask; the
   // distinct-site sets stay scalar (hash insertion has no kernel shape).
   const Dataset& ds = ctx_.dataset();
   const int feb_days = 29;
@@ -695,7 +688,6 @@ LockdownStudy::Headline LockdownStudy::HeadlineStats() const {
   const query::ByteLut post_lut(ds.num_devices(), [&](std::uint32_t dev) {
     return ctx_.IsPostShutdown(static_cast<DeviceIndex>(dev));
   });
-  const query::KernelTable& kern = query::Active();
   struct Partial {
     double feb_bytes = 0.0;
     double apr_may_bytes = 0.0;
@@ -711,12 +703,12 @@ LockdownStudy::Headline LockdownStudy::HeadlineStats() const {
         Partial& p = shards[chunk];
         const std::size_t len = end - begin;
         std::vector<std::uint8_t> mask(len);
-        kern.flag_mask_u8(cols_.device.data() + begin, len, post_lut.data(),
-                          post_lut.size(), mask.data());
-        p.feb_bytes = static_cast<double>(kern.masked_range_sum_u64(
+        query::FlagMaskU8(cols_.device.data() + begin, len, post_lut.data(),
+                          mask.data());
+        p.feb_bytes = static_cast<double>(query::MaskedRangeSumU64(
             cols_.start.data() + begin, cols_.bytes.data() + begin, mask.data(),
             len, 0, feb_end_off));
-        p.apr_may_bytes = static_cast<double>(kern.masked_range_sum_u64(
+        p.apr_may_bytes = static_cast<double>(query::MaskedRangeSumU64(
             cols_.start.data() + begin, cols_.bytes.data() + begin, mask.data(),
             len, apr_start_off, std::numeric_limits<std::uint32_t>::max()));
         for (std::size_t i = begin; i < end; ++i) {

@@ -16,7 +16,6 @@
 #include "core/dataset.h"
 #include "core/study_context.h"
 #include "query/columns.h"
-#include "query/kernels.h"
 #include "util/thread_pool.h"
 
 namespace lockdown::core {
@@ -174,7 +173,7 @@ class LockdownStudy {
   StudyContext ctx_;
   /// Columnar projection of the flow array (finalize order, so the CSR
   /// device offsets index it directly); the figure passes feed per-device
-  /// and per-chunk slices of these columns through query::Active()'s kernels.
+  /// and per-chunk slices of these columns through the query/kernels.h loops.
   query::FlowColumns cols_;
   std::vector<std::uint8_t> zoom_mask_;      ///< per flow: IsZoomFlow
   std::vector<std::uint8_t> not_zoom_mask_;  ///< complement of zoom_mask_

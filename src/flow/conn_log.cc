@@ -1,6 +1,7 @@
 #include "flow/conn_log.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <ostream>
 
@@ -32,14 +33,19 @@ bool ParseDouble(std::string_view s, double& out) {
   return end == buf + s.size();
 }
 
-/// Parses one data row; nullopt on success. The acceptance set is exactly
-/// the historical ReadConnLog's — only the failure is now classified.
+/// Parses one data row; nullopt on success. The acceptance set is the
+/// historical ReadConnLog's minus non-finite and negative durations
+/// (kBadValue): strtod accepts "nan", "inf" and "-1", and the figures cast
+/// the duration to an integer timestamp, which is undefined for NaN/inf.
 std::optional<ingest::ErrorClass> ParseRow(std::string_view raw, FlowRecord& r) {
   const std::string_view line = util::Trim(raw);
   const auto fields = util::Split(line, '\t');
   if (fields.size() != 8) return ingest::ErrorClass::kFieldCount;
   if (!ParseNum(fields[0], r.start)) return ingest::ErrorClass::kBadTimestamp;
   if (!ParseDouble(fields[1], r.duration_s)) return ingest::ErrorClass::kBadNumber;
+  if (!std::isfinite(r.duration_s) || r.duration_s < 0.0) {
+    return ingest::ErrorClass::kBadValue;
+  }
   const auto client = net::Ipv4Address::Parse(fields[2]);
   if (!client) return ingest::ErrorClass::kBadIp;
   const auto server = net::Ipv4Address::Parse(fields[3]);

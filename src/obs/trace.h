@@ -11,8 +11,8 @@
 // are inert (two relaxed atomic loads, no clock read) unless tracing or
 // metrics are enabled. When metrics are enabled, closing a span also
 // observes its duration into a kDurationUs histogram named after the span —
-// that is how per-stage breakdowns appear in --metrics-out JSON and in
-// BENCH_components.json without a second layer of timers.
+// that is how per-stage breakdowns appear in --metrics-out JSON without a
+// second layer of timers.
 //
 // WriteChromeTrace emits {"traceEvents": [...]} with complete ("ph":"X")
 // events, loadable in chrome://tracing or https://ui.perfetto.dev.

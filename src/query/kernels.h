@@ -1,22 +1,19 @@
-// Branch-light columnar query kernels for the hot figure loops: time-range
-// selection over sorted timestamps, masked byte accumulation, and
-// domain-signature matching. Every kernel exists twice — a scalar reference
-// (kernels_scalar.cc, compiled with auto-vectorization disabled so it stays
-// the readable specification) and a SIMD implementation (kernels_simd.cc,
-// AVX2 on x86-64) — behind one function-pointer table selected at runtime.
-//
-// Dispatch: query::Active() returns the SIMD table when the CPU supports it
-// and LOCKDOWN_NO_SIMD is unset/0; query::Scalar() always returns the
-// reference. The selection is observable through the metrics registry as the
-// gauge "query/kernel_dispatch" (0 = scalar, 1 = simd).
+// Columnar query kernels for the hot figure loops: domain-signature matching,
+// masked byte accumulation and per-day scatter. They are plain loops over
+// the dense FlowColumns; at campus scale the figure passes are bound by
+// memory traffic and scatter, not arithmetic, so there is one portable
+// implementation.
 //
 // Determinism contract: every kernel is a pure function of its operands with
-// integer (u64) accumulation, so scalar and SIMD results are bit-identical —
-// not merely close — and independent of chunking. Figure passes keep the
-// PR 2 ParallelFor decomposition and feed each chunk/device slice through
-// these kernels, converting exact integer sums to double only at the
-// figure boundary (exact below 2^53, which campus-scale day/device sums
-// never approach).
+// integer (u64) accumulation, so results are exact and independent of
+// chunking. Figure passes keep the chunk-ordered ParallelFor decomposition
+// and feed each chunk/device slice through these kernels, converting exact
+// integer sums to double only at the figure boundary (exact below 2^53,
+// which campus-scale day/device sums never approach).
+//
+// Pointer operands need no particular alignment; `n == 0` is valid for every
+// kernel. Time-range selection over a device's sorted start offsets is
+// std::lower_bound at the call site, not a kernel (see DESIGN §3.2).
 #pragma once
 
 #include <cstddef>
@@ -25,107 +22,77 @@
 
 namespace lockdown::query {
 
-/// The kernel function-pointer table. Pointer operands need no particular
-/// alignment; `n == 0` is valid for every kernel.
-struct KernelTable {
-  /// Number of elements of sorted-or-not `v` with v[i] < bound. On a sorted
-  /// array this is the lower-bound rank, i.e. the time-range selection
-  /// primitive: a window [lo, hi) over sorted timestamps is
-  /// [count_less(lo), count_less(hi)).
-  std::size_t (*count_less_u32)(const std::uint32_t* v, std::size_t n,
-                                std::uint32_t bound);
+/// Sum of v[i] where mask[i] != 0 (wrap-around on overflow, as in plain C++).
+[[nodiscard]] inline std::uint64_t MaskedSumU64(const std::uint64_t* v,
+                                                const std::uint8_t* mask,
+                                                std::size_t n) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (mask[i] != 0) sum += v[i];
+  }
+  return sum;
+}
 
-  /// Exact u64 sum (wrap-around on overflow, as in plain C++).
-  std::uint64_t (*sum_u64)(const std::uint64_t* v, std::size_t n);
+/// Sum of bytes[i] where mask[i] != 0 and lo <= ts[i] < hi. Fuses the
+/// time-range selection with the masked accumulation for flat (unsorted)
+/// flow scans.
+[[nodiscard]] inline std::uint64_t MaskedRangeSumU64(
+    const std::uint32_t* ts, const std::uint64_t* bytes,
+    const std::uint8_t* mask, std::size_t n, std::uint32_t lo,
+    std::uint32_t hi) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (mask[i] != 0 && ts[i] >= lo && ts[i] < hi) sum += bytes[i];
+  }
+  return sum;
+}
 
-  /// Sum of v[i] where mask[i] != 0.
-  std::uint64_t (*masked_sum_u64)(const std::uint64_t* v,
-                                  const std::uint8_t* mask, std::size_t n);
+/// Domain-signature matching: out[i] = lut[ids[i]] != 0 ? 1 : 0. Every id
+/// must index the lut.
+inline void FlagMaskU8(const std::uint32_t* ids, std::size_t n,
+                       const std::uint8_t* lut, std::uint8_t* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = lut[ids[i]] != 0 ? std::uint8_t{1} : std::uint8_t{0};
+  }
+}
 
-  /// Sum of bytes[i] where mask[i] != 0 and lo <= ts[i] < hi. Fuses the
-  /// time-range selection with the masked accumulation for flat (unsorted)
-  /// flow scans.
-  std::uint64_t (*masked_range_sum_u64)(const std::uint32_t* ts,
-                                        const std::uint64_t* bytes,
-                                        const std::uint8_t* mask, std::size_t n,
-                                        std::uint32_t lo, std::uint32_t hi);
+/// sums[ts[i] / day_seconds] += bytes[i] where mask[i] != 0 and the day is
+/// < num_days (out-of-range days are dropped, matching the figures'
+/// day-window guards). A null mask selects every element.
+inline void DaySumsU64(const std::uint32_t* ts, const std::uint64_t* bytes,
+                       const std::uint8_t* mask, std::size_t n,
+                       std::uint32_t day_seconds, std::uint64_t* sums,
+                       std::uint32_t num_days) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (mask != nullptr && mask[i] == 0) continue;
+    const std::uint32_t day = ts[i] / day_seconds;
+    if (day < num_days) sums[day] += bytes[i];
+  }
+}
 
-  /// Number of nonzero mask bytes (e.g. matching-flow connection counts).
-  std::size_t (*count_nonzero_u8)(const std::uint8_t* mask, std::size_t n);
-
-  /// Domain-signature matching: out[i] = lut[ids[i]] != 0 ? 1 : 0. Every id
-  /// must be < lut_size; the lut must be readable 3 bytes past lut_size
-  /// (ByteLut below guarantees both). The SIMD path gathers 32-bit loads.
-  void (*flag_mask_u8)(const std::uint32_t* ids, std::size_t n,
-                       const std::uint8_t* lut, std::size_t lut_size,
-                       std::uint8_t* out);
-
-  /// sums[ts[i] / day_seconds] += bytes[i] for days < num_days (out-of-range
-  /// days are dropped, matching the figures' day-window guards). Scatter
-  /// writes keep this scalar in both tables; it is in the table so callers
-  /// stay dispatch-agnostic.
-  void (*day_sums_u64)(const std::uint32_t* ts, const std::uint64_t* bytes,
-                       std::size_t n, std::uint32_t day_seconds,
-                       std::uint64_t* sums, std::uint32_t num_days);
-
-  /// day_sums_u64 restricted to mask[i] != 0.
-  void (*masked_day_sums_u64)(const std::uint32_t* ts,
-                              const std::uint64_t* bytes,
-                              const std::uint8_t* mask, std::size_t n,
-                              std::uint32_t day_seconds, std::uint64_t* sums,
-                              std::uint32_t num_days);
-
-  /// days[ts[i] / day_seconds] = 1 for days < num_days (scatter; scalar in
-  /// both tables).
-  void (*mark_days_u8)(const std::uint32_t* ts, std::size_t n,
+/// days[ts[i] / day_seconds] = 1 for days < num_days.
+inline void MarkDaysU8(const std::uint32_t* ts, std::size_t n,
                        std::uint32_t day_seconds, std::uint8_t* days,
-                       std::uint32_t num_days);
-};
+                       std::uint32_t num_days) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t day = ts[i] / day_seconds;
+    if (day < num_days) days[day] = 1;
+  }
+}
 
-enum class DispatchKind : std::uint8_t { kScalar = 0, kSimd = 1 };
-
-[[nodiscard]] const char* ToString(DispatchKind kind) noexcept;
-
-/// The scalar reference table (always available).
-[[nodiscard]] const KernelTable& Scalar() noexcept;
-
-/// The SIMD table, or nullptr when this build/CPU has none. Exposed for the
-/// differential suite; production callers go through Active().
-[[nodiscard]] const KernelTable* Simd() noexcept;
-
-/// The runtime-selected table: SIMD when supported and LOCKDOWN_NO_SIMD is
-/// unset/0, else scalar. Resolved once on first use; publishes the
-/// "query/kernel_dispatch" gauge when metrics are enabled.
-[[nodiscard]] const KernelTable& Active() noexcept;
-
-/// Which table Active() returns.
-[[nodiscard]] DispatchKind ActiveKind() noexcept;
-
-/// Re-runs the environment + CPU resolution (and republishes the dispatch
-/// gauge). Test hook for exercising LOCKDOWN_NO_SIMD without process
-/// restarts; returns the newly active kind.
-DispatchKind ReresolveDispatchForTest();
-
-/// Forces a specific table. Test hook; pair with ReresolveDispatchForTest()
-/// to restore environment-driven selection.
-void SetDispatchForTest(DispatchKind kind);
-
-/// A 0/1 byte lookup table over dense ids (domain ids, device indices) with
-/// the 3-byte tail padding the gather-based flag_mask_u8 requires.
+/// A 0/1 byte lookup table over dense ids (domain ids, device indices).
 class ByteLut {
  public:
   template <typename Pred>
-  ByteLut(std::size_t size, Pred&& pred) : size_(size), bytes_(size + 3, 0) {
+  ByteLut(std::size_t size, Pred&& pred) : bytes_(size, 0) {
     for (std::size_t i = 0; i < size; ++i) {
       bytes_[i] = pred(i) ? std::uint8_t{1} : std::uint8_t{0};
     }
   }
 
   [[nodiscard]] const std::uint8_t* data() const noexcept { return bytes_.data(); }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
-  std::size_t size_;
   std::vector<std::uint8_t> bytes_;
 };
 

@@ -214,7 +214,7 @@ class Reader::Impl {
     // Per-flow references must be in range and the array must be in
     // Finalize() order before any analysis indexes by them — a CRC-valid but
     // ill-formed file must fail here, not as UB (or a silently wrong figure)
-    // in a consumer. The query kernels binary-search timestamps per device,
+    // in a consumer. The figure passes binary-search timestamps per device,
     // so the sort order is part of the format contract.
     const std::span<const core::Flow> loaded = ds.flows();
     for (std::size_t i = 0; i < loaded.size(); ++i) {

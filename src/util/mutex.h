@@ -10,7 +10,7 @@
 //
 // The wrappers add nothing at runtime: every member is a single inlined
 // forward to the std primitive, so TSan/ASan behavior and performance are
-// unchanged (BENCH_baseline.json was re-measured after the conversion).
+// unchanged.
 #pragma once
 
 #include <condition_variable>

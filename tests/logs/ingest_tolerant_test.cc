@@ -198,6 +198,40 @@ TEST(TolerantIngest, ConnLogTaxonomy) {
   EXPECT_EQ(ClassCount(report, ingest::ErrorClass::kBadValue), 1u);
 }
 
+TEST(TolerantIngest, ConnLogRejectsNonFiniteAndNegativeDurations) {
+  // strtod parses these, but the figures cast the duration to an integer
+  // timestamp (undefined for NaN/inf) and a negative span has no meaning.
+  const std::string header =
+      "ts\tduration\tid.orig_h\tid.resp_h\tid.resp_p\tproto\torig_bytes\t"
+      "resp_bytes\n";
+  const auto row = [](std::string_view duration) {
+    return "100\t" + std::string(duration) +
+           "\t10.0.0.1\t64.1.2.3\t443\ttcp\t100\t200\n";
+  };
+  std::string tolerant_doc = header + row("0") + row("1.5");
+  for (const std::string_view bad : {"nan", "inf", "-1"}) {
+    tolerant_doc += row(bad);
+    ingest::IngestReport report;
+    EXPECT_FALSE(flow::ReadConnLog(header + row("1.5") + row(bad),
+                                   ingest::IngestOptions{}, report)
+                     .has_value())
+        << bad;
+    EXPECT_EQ(report.rejected, 1u) << bad;
+    EXPECT_EQ(ClassCount(report, ingest::ErrorClass::kBadValue), 1u) << bad;
+  }
+  ingest::IngestReport report;
+  const auto parsed = flow::ReadConnLog(tolerant_doc, Tolerant(), report);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->size(), 2u);
+  EXPECT_EQ((*parsed)[0].duration_s, 0.0);
+  EXPECT_EQ((*parsed)[1].duration_s, 1.5);
+  EXPECT_EQ(report.lines_total, 5u);
+  EXPECT_EQ(report.kept, 2u);
+  EXPECT_EQ(report.rejected, 3u);
+  EXPECT_EQ(report.kept + report.rejected, report.lines_total);
+  EXPECT_EQ(ClassCount(report, ingest::ErrorClass::kBadValue), 3u);
+}
+
 TEST(TolerantIngest, DhcpAndUaTaxonomy) {
   ingest::IngestReport report;
   const auto dhcp = logs::ReadDhcpLog(

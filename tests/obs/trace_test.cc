@@ -120,7 +120,7 @@ TEST(ObsTrace, ResetDiscardsBufferedSpans) {
 
 // Closing a span with metrics enabled observes its duration into a
 // kDurationUs histogram of the same name — the bridge that gives
-// --metrics-out and BENCH_components.json their per-stage timings.
+// --metrics-out its per-stage timings.
 TEST(ObsTrace, SpanFeedsDurationHistogramWhenMetricsOn) {
   ResetTrace();
   SetTracingEnabled(false);

@@ -1,12 +1,9 @@
-// The tentpole proof: Figures 1-8 (plus extension analyses and headline
-// stats) are bit-identical across {scalar, SIMD} dispatch x {1, 4} threads
-// x {raw, compressed} snapshots — eight configurations, one canonical %.17g
-// rendering each, all compared byte-for-byte against the scalar/serial
-// baseline computed straight from the pipeline. Snapshots written by older
-// format versions are checked against their recorded figures in
-// tests/store/legacy_test.cc.
-//
-// This is what licenses the vectorized query path: not "close", identical.
+// Figures 1-8 (plus extension analyses and headline stats) are
+// bit-identical across {raw, compressed} snapshots x {1, 4} threads — four
+// configurations, one canonical %.17g rendering each, all compared
+// byte-for-byte against the serial baseline computed straight from the
+// pipeline. Snapshots written by older format versions are checked against
+// their recorded figures in tests/store/legacy_test.cc.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,7 +14,6 @@
 
 #include "core/pipeline.h"
 #include "core/study.h"
-#include "query/kernels.h"
 #include "store/snapshot.h"
 #include "world/catalog.h"
 
@@ -45,13 +41,8 @@ class FiguresDifferentialTest : public ::testing::Test {
     store::SaveSnapshot(*dir_ / "compressed.lds", *collection_, {},
                         {.compress = true});
     // The baseline every configuration must reproduce byte-for-byte:
-    // scalar dispatch, serial, straight from the pipeline.
-    SetDispatchForTest(DispatchKind::kScalar);
-    const core::LockdownStudy study(collection_->dataset,
-                                    world::ServiceCatalog::Default(), 1);
-    baseline_ = new std::string(
-        core::testing::RenderFigures(*collection_, study));
-    ReresolveDispatchForTest();
+    // serial, straight from the pipeline.
+    baseline_ = new std::string(Render(*collection_, 1));
   }
   static void TearDownTestSuite() {
     std::filesystem::remove_all(*dir_);
@@ -65,13 +56,10 @@ class FiguresDifferentialTest : public ::testing::Test {
 
   /// Renders all figures for one configuration cell.
   static std::string Render(const core::CollectionResult& collection,
-                            DispatchKind dispatch, int threads) {
-    SetDispatchForTest(dispatch);
+                            int threads) {
     const core::LockdownStudy study(collection.dataset,
                                     world::ServiceCatalog::Default(), threads);
-    std::string rendered = core::testing::RenderFigures(collection, study);
-    ReresolveDispatchForTest();
-    return rendered;
+    return core::testing::RenderFigures(collection, study);
   }
 
   static void ExpectIdentical(const std::string& rendered, const char* what) {
@@ -85,7 +73,7 @@ class FiguresDifferentialTest : public ::testing::Test {
       line += rendered[pos] == '\n';
       ++pos;
     }
-    FAIL() << what << " diverges from the scalar/serial baseline at line "
+    FAIL() << what << " diverges from the serial baseline at line "
            << line << " (byte " << pos << " of " << baseline_->size() << ")";
   }
 
@@ -99,43 +87,21 @@ core::CollectionResult* FiguresDifferentialTest::collection_ = nullptr;
 std::string* FiguresDifferentialTest::baseline_ = nullptr;
 
 TEST_F(FiguresDifferentialTest, AllConfigurationsBitIdentical) {
-  const bool have_simd = Simd() != nullptr;
-  if (!have_simd) {
-    ADD_FAILURE() << "SIMD table unavailable; the 8-cell matrix would "
-                     "silently shrink (this repo targets AVX2 hosts)";
-  }
-  int cells = 0;
   for (const char* file : {"raw.lds", "compressed.lds"}) {
     const store::LoadedSnapshot snap = store::LoadSnapshot(*dir_ / file);
     ASSERT_TRUE(snap.warnings.empty()) << file;
-    for (const DispatchKind dispatch :
-         {DispatchKind::kScalar, DispatchKind::kSimd}) {
-      if (dispatch == DispatchKind::kSimd && !have_simd) continue;
-      for (const int threads : {1, 4}) {
-        const std::string rendered =
-            Render(snap.collection, dispatch, threads);
-        const std::string what = std::string(file) + " / " +
-                                 ToString(dispatch) + " / threads=" +
-                                 std::to_string(threads);
-        ExpectIdentical(rendered, what.c_str());
-        ++cells;
-      }
+    for (const int threads : {1, 4}) {
+      const std::string what =
+          std::string(file) + " / threads=" + std::to_string(threads);
+      ExpectIdentical(Render(snap.collection, threads), what.c_str());
     }
   }
-  EXPECT_EQ(cells, have_simd ? 8 : 4);
 }
 
-TEST_F(FiguresDifferentialTest, PipelineCollectionMatchesAcrossDispatch) {
-  // Same matrix without the store round-trip: isolates study-layer dispatch
-  // or threading divergence from snapshot codec bugs.
-  ExpectIdentical(Render(*collection_, DispatchKind::kScalar, 4),
-                  "direct / scalar / threads=4");
-  if (Simd() != nullptr) {
-    ExpectIdentical(Render(*collection_, DispatchKind::kSimd, 1),
-                    "direct / simd / threads=1");
-    ExpectIdentical(Render(*collection_, DispatchKind::kSimd, 4),
-                    "direct / simd / threads=4");
-  }
+TEST_F(FiguresDifferentialTest, PipelineCollectionMatchesAcrossThreads) {
+  // The threaded study without the store round-trip: isolates study-layer
+  // threading divergence from snapshot codec bugs.
+  ExpectIdentical(Render(*collection_, 4), "direct / threads=4");
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
-// Differential kernel suite: every kernel in the SIMD table is run against
-// its scalar twin on random, adversarial, and golden-fixture inputs, and the
-// results must be bit-identical — the scalar TU is compiled with the
-// auto-vectorizer off, so the two sides cannot share a miscompilation.
+// Kernel suite: every kernel in query/kernels.h is checked against a
+// one-line reference written here with standard algorithms, on random and
+// adversarial inputs, and against hand-computed fixtures.
 //
-// Adversarial shapes: empty inputs, every length from 1 to a few SIMD widths
-// (tail handling), unaligned base pointers (the kernels promise no alignment
-// requirement), all-match and none-match masks, and bound extremes (0,
-// UINT32_MAX). Fixtures assert absolute expected values against BOTH tables,
-// so a bug shared by some future refactor of both sides still gets caught.
+// Adversarial shapes: empty inputs, every length through a few dozen plus
+// larger blocks (TailLengths), unaligned base pointers (the kernels promise
+// no alignment requirement), all-match and none-match masks, and bound
+// extremes (0, UINT32_MAX). The fixtures assert absolute expected values, so
+// a bug shared by a kernel and its reference still gets caught.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,9 +22,8 @@ namespace {
 
 constexpr std::uint32_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 
-/// The lengths that stress SIMD tails: empty, every size through a few
-/// vector widths (AVX2 processes 8 u32 per lane-group), and larger blocks
-/// that exercise the unrolled main loop with every tail residue.
+/// Empty, every size through 40, and larger blocks with every small residue
+/// around a power of two.
 std::vector<std::size_t> TailLengths() {
   std::vector<std::size_t> lens;
   for (std::size_t n = 0; n <= 40; ++n) lens.push_back(n);
@@ -39,11 +37,6 @@ std::vector<std::size_t> TailLengths() {
 
 class KernelsDiffTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (Simd() == nullptr) GTEST_SKIP() << "no SIMD table on this CPU/build";
-  }
-  const KernelTable& scalar_ = Scalar();
-  const KernelTable& simd_ = *Simd();
   std::mt19937_64 rng_{20200316};
 
   std::vector<std::uint32_t> RandomU32(std::size_t n, std::uint32_t max) {
@@ -69,43 +62,38 @@ class KernelsDiffTest : public ::testing::Test {
   }
 };
 
-TEST_F(KernelsDiffTest, CountLessMatchesOnRandomAndTails) {
-  for (const std::size_t n : TailLengths()) {
-    auto v = RandomU32(n, 1000);
-    std::vector<std::uint32_t> bounds = {0, 1, 500, 999, 1000, 1001, kU32Max};
-    if (n > 0) bounds.push_back(v[n / 2]);
-    for (const std::uint32_t bound : bounds) {
-      ASSERT_EQ(scalar_.count_less_u32(v.data(), n, bound),
-                simd_.count_less_u32(v.data(), n, bound))
-          << "n=" << n << " bound=" << bound;
-    }
-    // Unaligned base pointers (the SIMD loads must not assume alignment).
-    for (std::size_t off = 1; off < std::min<std::size_t>(4, n); ++off) {
-      ASSERT_EQ(scalar_.count_less_u32(v.data() + off, n - off, 500),
-                simd_.count_less_u32(v.data() + off, n - off, 500))
-          << "n=" << n << " off=" << off;
-    }
+/// Reference: sum of v[i] over set mask bytes and lo <= ts[i] < hi (a null
+/// ts means no window). Full-range u64 values make it wrap like the kernels.
+std::uint64_t RefSum(const std::uint32_t* ts, const std::uint64_t* v,
+                     const std::uint8_t* mask, std::size_t n, std::uint32_t lo,
+                     std::uint32_t hi) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool in_window = ts == nullptr || (ts[i] >= lo && ts[i] < hi);
+    if (mask[i] != 0 && in_window) sum += v[i];
   }
+  return sum;
 }
 
 TEST_F(KernelsDiffTest, CountLessIsLowerBoundRankOnSortedInput) {
-  // The property the figure passes rely on: on sorted data, count_less is
-  // the std::lower_bound rank, so [lo, hi) windows come from two calls.
-  auto v = RandomU32(4096, 100000);
-  std::sort(v.begin(), v.end());
-  for (const std::uint32_t bound : RandomU32(200, 110000)) {
-    const auto want = static_cast<std::size_t>(
-        std::lower_bound(v.begin(), v.end(), bound) - v.begin());
-    ASSERT_EQ(scalar_.count_less_u32(v.data(), v.size(), bound), want);
-    ASSERT_EQ(simd_.count_less_u32(v.data(), v.size(), bound), want);
-  }
-}
-
-TEST_F(KernelsDiffTest, SumMatchesIncludingWraparound) {
+  // The property the figure passes rely on: on a device's sorted start
+  // slice, the std::lower_bound rank is the number of starts below the
+  // bound, so [lo, hi) windows come from two binary searches. Values from a
+  // small range make runs of duplicates sit exactly at most bounds.
   for (const std::size_t n : TailLengths()) {
-    const auto v = RandomU64(n);  // full-range values force u64 wrap-around
-    ASSERT_EQ(scalar_.sum_u64(v.data(), n), simd_.sum_u64(v.data(), n))
-        << "n=" << n;
+    auto v = RandomU32(n, 50);
+    std::sort(v.begin(), v.end());
+    std::vector<std::uint32_t> bounds = {0, 1, 25, 50, 51, kU32Max};
+    bounds.insert(bounds.end(), v.begin(), v.end());
+    for (const std::uint32_t bound : bounds) {
+      const auto linear = static_cast<std::size_t>(
+          std::count_if(v.begin(), v.end(),
+                        [bound](std::uint32_t x) { return x < bound; }));
+      ASSERT_EQ(static_cast<std::size_t>(
+                    std::lower_bound(v.begin(), v.end(), bound) - v.begin()),
+                linear)
+          << "n=" << n << " bound=" << bound;
+    }
   }
 }
 
@@ -114,9 +102,16 @@ TEST_F(KernelsDiffTest, MaskedSumMatchesOnAllMaskDensities) {
     const auto v = RandomU64(n);
     for (const double density : {0.0, 0.03, 0.5, 0.97, 1.0}) {
       const auto mask = RandomMask(n, density);
-      ASSERT_EQ(scalar_.masked_sum_u64(v.data(), mask.data(), n),
-                simd_.masked_sum_u64(v.data(), mask.data(), n))
+      ASSERT_EQ(MaskedSumU64(v.data(), mask.data(), n),
+                RefSum(nullptr, v.data(), mask.data(), n, 0, 0))
           << "n=" << n << " density=" << density;
+      // Unaligned base pointers.
+      for (std::size_t off = 1; off < std::min<std::size_t>(4, n); ++off) {
+        ASSERT_EQ(MaskedSumU64(v.data() + off, mask.data() + off, n - off),
+                  RefSum(nullptr, v.data() + off, mask.data() + off, n - off,
+                         0, 0))
+            << "n=" << n << " off=" << off;
+      }
     }
   }
 }
@@ -131,23 +126,17 @@ TEST_F(KernelsDiffTest, MaskedRangeSumMatchesOnWindowExtremes) {
         {2500, 7500},    {9999, 10001}, {kU32Max, kU32Max}, {10000, 0},
     };
     for (const auto& w : windows) {
-      ASSERT_EQ(
-          scalar_.masked_range_sum_u64(ts.data(), bytes.data(), mask.data(), n,
-                                       w[0], w[1]),
-          simd_.masked_range_sum_u64(ts.data(), bytes.data(), mask.data(), n,
-                                     w[0], w[1]))
+      ASSERT_EQ(MaskedRangeSumU64(ts.data(), bytes.data(), mask.data(), n,
+                                  w[0], w[1]),
+                RefSum(ts.data(), bytes.data(), mask.data(), n, w[0], w[1]))
           << "n=" << n << " window=[" << w[0] << "," << w[1] << ")";
     }
-  }
-}
-
-TEST_F(KernelsDiffTest, CountNonzeroMatches) {
-  for (const std::size_t n : TailLengths()) {
-    for (const double density : {0.0, 0.5, 1.0}) {
-      const auto mask = RandomMask(n, density);
-      ASSERT_EQ(scalar_.count_nonzero_u8(mask.data(), n),
-                simd_.count_nonzero_u8(mask.data(), n))
-          << "n=" << n << " density=" << density;
+    for (std::size_t off = 1; off < std::min<std::size_t>(4, n); ++off) {
+      ASSERT_EQ(MaskedRangeSumU64(ts.data() + off, bytes.data() + off,
+                                  mask.data() + off, n - off, 2500, 7500),
+                RefSum(ts.data() + off, bytes.data() + off, mask.data() + off,
+                       n - off, 2500, 7500))
+          << "n=" << n << " off=" << off;
     }
   }
 }
@@ -160,100 +149,106 @@ TEST_F(KernelsDiffTest, FlagMaskMatchesOnRandomIdsAndLuts) {
       const ByteLut lut(lut_size, [&](std::size_t) { return bit(rng_) != 0; });
       const auto ids =
           RandomU32(n, static_cast<std::uint32_t>(lut_size - 1));
-      std::vector<std::uint8_t> out_scalar(n, 0xAA);
-      std::vector<std::uint8_t> out_simd(n, 0x55);
-      scalar_.flag_mask_u8(ids.data(), n, lut.data(), lut.size(),
-                           out_scalar.data());
-      simd_.flag_mask_u8(ids.data(), n, lut.data(), lut.size(),
-                         out_simd.data());
-      ASSERT_EQ(out_scalar, out_simd) << "n=" << n << " lut=" << lut_size;
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out_scalar[i], lut.data()[ids[i]] != 0 ? 1 : 0) << i;
+      for (std::size_t off = 0; off < std::min<std::size_t>(4, n + 1); ++off) {
+        std::vector<std::uint8_t> out(n - off, 0xAA);
+        FlagMaskU8(ids.data() + off, n - off, lut.data(), out.data());
+        for (std::size_t i = 0; i < n - off; ++i) {
+          ASSERT_EQ(out[i], lut.data()[ids[off + i]] != 0 ? 1 : 0)
+              << "n=" << n << " lut=" << lut_size << " off=" << off
+              << " i=" << i;
+        }
       }
     }
   }
 }
 
 TEST_F(KernelsDiffTest, DaySumsAndMarkDaysMatch) {
-  // These stay scalar in both tables (scatter writes), but the differential
-  // contract covers them anyway: a future vectorization must not change
-  // results, including the drop of out-of-range days.
   constexpr std::uint32_t kDaySeconds = 86400;
   for (const std::size_t n : TailLengths()) {
-    const auto ts = RandomU32(n, 40 * kDaySeconds);  // some beyond num_days
+    // Timestamps run past num_days (and to the u32 maximum) so the drop of
+    // out-of-range days is exercised.
+    auto ts = RandomU32(n, 40 * kDaySeconds);
+    if (n > 0) ts[n - 1] = kU32Max;
     const auto bytes = RandomU64(n);
     const auto mask = RandomMask(n, 0.6);
     for (const std::uint32_t num_days : {0u, 1u, 30u}) {
-      std::vector<std::uint64_t> sums_a(num_days, 0);
-      std::vector<std::uint64_t> sums_b(num_days, 0);
-      scalar_.day_sums_u64(ts.data(), bytes.data(), n, kDaySeconds,
-                           sums_a.data(), num_days);
-      simd_.day_sums_u64(ts.data(), bytes.data(), n, kDaySeconds,
-                         sums_b.data(), num_days);
-      ASSERT_EQ(sums_a, sums_b) << "n=" << n << " days=" << num_days;
+      std::vector<std::uint64_t> want_all(num_days, 0);
+      std::vector<std::uint64_t> want_masked(num_days, 0);
+      std::vector<std::uint8_t> want_days(num_days, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t day = ts[i] / kDaySeconds;
+        if (day >= num_days) continue;
+        want_all[day] += bytes[i];
+        if (mask[i] != 0) want_masked[day] += bytes[i];
+        want_days[day] = 1;
+      }
 
-      std::fill(sums_a.begin(), sums_a.end(), 0);
-      std::fill(sums_b.begin(), sums_b.end(), 0);
-      scalar_.masked_day_sums_u64(ts.data(), bytes.data(), mask.data(), n,
-                                  kDaySeconds, sums_a.data(), num_days);
-      simd_.masked_day_sums_u64(ts.data(), bytes.data(), mask.data(), n,
-                                kDaySeconds, sums_b.data(), num_days);
-      ASSERT_EQ(sums_a, sums_b) << "n=" << n << " days=" << num_days;
+      std::vector<std::uint64_t> sums(num_days, 0);
+      DaySumsU64(ts.data(), bytes.data(), nullptr, n, kDaySeconds, sums.data(),
+                 num_days);
+      ASSERT_EQ(sums, want_all) << "n=" << n << " days=" << num_days;
 
-      std::vector<std::uint8_t> days_a(num_days, 0);
-      std::vector<std::uint8_t> days_b(num_days, 0);
-      scalar_.mark_days_u8(ts.data(), n, kDaySeconds, days_a.data(), num_days);
-      simd_.mark_days_u8(ts.data(), n, kDaySeconds, days_b.data(), num_days);
-      ASSERT_EQ(days_a, days_b) << "n=" << n << " days=" << num_days;
+      std::fill(sums.begin(), sums.end(), 0);
+      DaySumsU64(ts.data(), bytes.data(), mask.data(), n, kDaySeconds,
+                 sums.data(), num_days);
+      ASSERT_EQ(sums, want_masked) << "n=" << n << " days=" << num_days;
+
+      std::vector<std::uint8_t> days(num_days, 0);
+      MarkDaysU8(ts.data(), n, kDaySeconds, days.data(), num_days);
+      ASSERT_EQ(days, want_days) << "n=" << n << " days=" << num_days;
     }
   }
 }
 
-// --- Golden fixtures: absolute expected values against BOTH tables ----------
+// --- Fixtures: hand-computed absolute values --------------------------------
 
 TEST(KernelFixtures, CountLess) {
-  const std::uint32_t v[] = {3, 1, 4, 1, 5, 9, 2, 6};
-  for (const KernelTable* t : {&Scalar(), Simd()}) {
-    if (t == nullptr) continue;
-    EXPECT_EQ(t->count_less_u32(v, 8, 0), 0u);
-    EXPECT_EQ(t->count_less_u32(v, 8, 4), 4u);   // 3,1,1,2
-    EXPECT_EQ(t->count_less_u32(v, 8, 10), 8u);
-    EXPECT_EQ(t->count_less_u32(v, 0, 4), 0u);
-    EXPECT_EQ(t->count_less_u32(nullptr, 0, 4), 0u);
-  }
+  // A device's sorted start slice with a run of duplicates at the bound.
+  const std::vector<std::uint32_t> v = {1, 1, 2, 3, 4, 4, 4, 9};
+  const auto rank = [&v](std::uint32_t bound) {
+    return std::lower_bound(v.begin(), v.end(), bound) - v.begin();
+  };
+  EXPECT_EQ(rank(0), 0);
+  EXPECT_EQ(rank(1), 0);
+  EXPECT_EQ(rank(4), 4);   // 1,1,2,3
+  EXPECT_EQ(rank(5), 7);
+  EXPECT_EQ(rank(10), 8);
+  EXPECT_EQ(rank(kU32Max), 8);
 }
 
 TEST(KernelFixtures, MaskedSums) {
   const std::uint64_t v[] = {10, 20, 30, 40};
   const std::uint8_t mask[] = {1, 0, 255, 0};
   const std::uint32_t ts[] = {5, 15, 25, 35};
-  for (const KernelTable* t : {&Scalar(), Simd()}) {
-    if (t == nullptr) continue;
-    EXPECT_EQ(t->sum_u64(v, 4), 100u);
-    EXPECT_EQ(t->masked_sum_u64(v, mask, 4), 40u);
-    EXPECT_EQ(t->masked_range_sum_u64(ts, v, mask, 4, 0, 26), 40u);
-    EXPECT_EQ(t->masked_range_sum_u64(ts, v, mask, 4, 10, 26), 30u);
-    EXPECT_EQ(t->masked_range_sum_u64(ts, v, mask, 4, 26, 10), 0u);
-    EXPECT_EQ(t->count_nonzero_u8(mask, 4), 2u);
-  }
+  EXPECT_EQ(MaskedSumU64(v, mask, 4), 40u);
+  EXPECT_EQ(MaskedSumU64(nullptr, nullptr, 0), 0u);
+  EXPECT_EQ(MaskedRangeSumU64(ts, v, mask, 4, 0, 26), 40u);
+  EXPECT_EQ(MaskedRangeSumU64(ts, v, mask, 4, 10, 26), 30u);
+  EXPECT_EQ(MaskedRangeSumU64(ts, v, mask, 4, 26, 10), 0u);
+  const std::uint64_t wrap[] = {std::numeric_limits<std::uint64_t>::max(), 2};
+  const std::uint8_t both[] = {1, 1};
+  EXPECT_EQ(MaskedSumU64(wrap, both, 2), 1u);
 }
 
 TEST(KernelFixtures, DayScatter) {
   const std::uint32_t ts[] = {0, 9, 10, 19, 20, 29, 1000};  // day_seconds=10
   const std::uint64_t bytes[] = {1, 2, 4, 8, 16, 32, 64};
-  for (const KernelTable* t : {&Scalar(), Simd()}) {
-    if (t == nullptr) continue;
-    std::uint64_t sums[3] = {0, 0, 0};
-    t->day_sums_u64(ts, bytes, 7, 10, sums, 3);  // ts=1000 -> day 100, dropped
-    EXPECT_EQ(sums[0], 3u);
-    EXPECT_EQ(sums[1], 12u);
-    EXPECT_EQ(sums[2], 48u);
-    std::uint8_t days[3] = {0, 0, 0};
-    t->mark_days_u8(ts + 4, 3, 10, days, 3);  // ts 20,29 -> day 2; 1000 dropped
-    EXPECT_EQ(days[0], 0);
-    EXPECT_EQ(days[1], 0);
-    EXPECT_EQ(days[2], 1);
-  }
+  std::uint64_t sums[3] = {0, 0, 0};
+  DaySumsU64(ts, bytes, nullptr, 7, 10, sums, 3);  // ts=1000 -> day 100, dropped
+  EXPECT_EQ(sums[0], 3u);
+  EXPECT_EQ(sums[1], 12u);
+  EXPECT_EQ(sums[2], 48u);
+  const std::uint8_t mask[] = {0, 1, 1, 0, 0, 7, 1};
+  std::uint64_t masked[3] = {0, 0, 0};
+  DaySumsU64(ts, bytes, mask, 7, 10, masked, 3);
+  EXPECT_EQ(masked[0], 2u);
+  EXPECT_EQ(masked[1], 4u);
+  EXPECT_EQ(masked[2], 32u);
+  std::uint8_t days[3] = {0, 0, 0};
+  MarkDaysU8(ts + 4, 3, 10, days, 3);  // ts 20,29 -> day 2; 1000 dropped
+  EXPECT_EQ(days[0], 0);
+  EXPECT_EQ(days[1], 0);
+  EXPECT_EQ(days[2], 1);
 }
 
 }  // namespace

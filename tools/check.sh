@@ -24,17 +24,10 @@
 #
 # The obs tier exercises the observability surface end-to-end: it runs the
 # CLI with --metrics-out/--trace-out plus an analyze/snapshot flow (so the
-# ingest and store instrumentation actually fires), validates both JSON
-# documents' shapes with python3, and regenerates BENCH_components.json (the
-# per-stage perf breakdown emitted by bench/perf_components through the obs
-# registry).
-#
-# The scalar tier reruns tier-1 with LOCKDOWN_NO_SIMD=1 so every figure and
-# differential test exercises the scalar kernel reference — the fallback
-# path for CPUs without AVX2 must stay exactly as green (and bit-identical)
-# as the SIMD path. The asan tier automatically covers the column-codec
-# fuzz and compressed byte-sweep tests (tests/store/codec_test.cc) since it
-# runs the full suite.
+# ingest and store instrumentation actually fires) and validates both JSON
+# documents' shapes with python3. The asan tier automatically covers the
+# column-codec fuzz and compressed byte-sweep tests
+# (tests/store/codec_test.cc) since it runs the full suite.
 #
 # The crash tier is the kill-at-every-crash-point harness (DESIGN.md §12)
 # run with the allocator instrumented: it builds lockdown_cli and
@@ -56,7 +49,7 @@
 #
 # Usage: tools/check.sh [--default-only | --asan-only | --tsan-only |
 #                        --fault-only | --stream-only | --obs-only |
-#                        --scalar-only | --crash-only | --lint-only | lint]
+#                        --crash-only | --lint-only | lint]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -77,19 +70,6 @@ run_pass() {
 
 if [[ "${mode}" == "all" || "${mode}" == "--default-only" ]]; then
   run_pass "default" build
-fi
-
-if [[ "${mode}" == "all" || "${mode}" == "--scalar-only" ]]; then
-  # Tier-1 with the SIMD kernels disabled: the dispatch test proves the env
-  # var selects the scalar table; this proves everything else stays green
-  # (and the golden/differential figure tests: bit-identical) on it.
-  echo "=== scalar: configure (build) ==="
-  cmake -B build -S . >/dev/null
-  echo "=== scalar: build ==="
-  cmake --build build -j "${jobs}"
-  echo "=== scalar: ctest (LOCKDOWN_NO_SIMD=1) ==="
-  (cd build && LOCKDOWN_NO_SIMD=1 ctest --output-on-failure -j "${jobs}")
-  echo "=== scalar: OK ==="
 fi
 
 if [[ "${mode}" == "all" || "${mode}" == "--asan-only" ]]; then
@@ -198,9 +178,9 @@ if [[ "${mode}" == "all" || "${mode}" == "--fault-only" ]]; then
 fi
 
 if [[ "${mode}" == "all" || "${mode}" == "--obs-only" ]]; then
-  echo "=== obs: build lockdown_cli + perf_components ==="
+  echo "=== obs: build lockdown_cli ==="
   cmake -B build -S . >/dev/null
-  cmake --build build -j "${jobs}" --target lockdown_cli perf_components >/dev/null
+  cmake --build build -j "${jobs}" --target lockdown_cli >/dev/null
   cli=build/tools/lockdown_cli
   obs_work=$(mktemp -d)
   # ${work:-} also covers the fault tier's directory when both tiers run.
@@ -256,16 +236,6 @@ assert max(e["args"]["depth"] for e in events) >= 1, "no nested spans"
 print(f"ok: {len(names(m))} metrics across {sorted(subsystems)}, "
       f"{len(events)} trace events")
 PY
-
-  echo "=== obs: regenerate BENCH_components.json ==="
-  LOCKDOWN_STUDENTS=400 LOCKDOWN_BENCH_JSON=BENCH_components.json \
-    ./build/bench/perf_components --benchmark_filter='NONE' >/dev/null
-  python3 -c "
-import json
-doc = json.load(open('BENCH_components.json'))
-assert doc['bench'] == 'perf_components'
-assert any(m['name'].endswith('_total_ms') for m in doc['metrics'])
-print(f\"ok: {len(doc['metrics'])} component metrics\")"
   echo "=== obs: OK ==="
 fi
 
