@@ -30,17 +30,28 @@ void Dataset::Finalize() {
   if (flows_borrowed()) {
     throw std::logic_error("Dataset::Finalize on borrowed flows (already final)");
   }
-  // stable_sort: ties (same device, same start second) keep insertion order,
-  // giving one canonical flow order regardless of libstdc++ sort internals —
-  // the parallel-equivalence tests compare datasets byte for byte.
-  std::stable_sort(flows_.begin(), flows_.end(), [](const Flow& a, const Flow& b) {
-    if (a.device != b.device) return a.device < b.device;
-    return a.start_offset_s < b.start_offset_s;
-  });
+  // A counting scatter by device keeps insertion order within each device;
+  // a stable sort of each device's slice by start then gives exactly the
+  // global stable (device, start) order: ties (same device, same start
+  // second) keep insertion order, one canonical flow order regardless of
+  // libstdc++ sort internals — the parallel-equivalence tests compare
+  // datasets byte for byte.
   device_offsets_.assign(devices_.size() + 1, 0);
   for (const Flow& f : flows_) ++device_offsets_[f.device + 1];
   for (std::size_t i = 1; i < device_offsets_.size(); ++i) {
     device_offsets_[i] += device_offsets_[i - 1];
+  }
+  std::vector<std::uint64_t> cursor(device_offsets_.begin(), device_offsets_.end() - 1);
+  std::vector<Flow> sorted(flows_.size());
+  for (const Flow& f : flows_) sorted[cursor[f.device]++] = f;
+  flows_ = std::move(sorted);
+  const auto by_start = [](const Flow& a, const Flow& b) {
+    return a.start_offset_s < b.start_offset_s;
+  };
+  for (std::size_t d = 0; d + 1 < device_offsets_.size(); ++d) {
+    const auto first = flows_.begin() + static_cast<std::ptrdiff_t>(device_offsets_[d]);
+    const auto last = flows_.begin() + static_cast<std::ptrdiff_t>(device_offsets_[d + 1]);
+    if (!std::is_sorted(first, last, by_start)) std::stable_sort(first, last, by_start);
   }
   finalized_ = true;
   RebuildDayRuns();

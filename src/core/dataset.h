@@ -99,12 +99,14 @@ class Dataset {
   // --- Construction (used by the pipeline) --------------------------------
   DomainId InternDomain(std::string_view domain);
   DeviceIndex AddDevice(privacy::DeviceId id);
+  /// Reserves room for `n` flows; call before a run of AddFlow.
+  void ReserveFlows(std::size_t n) { flows_.reserve(n); }
   void AddFlow(const Flow& flow) { flows_.push_back(flow); }
   [[nodiscard]] DeviceEntry& device_mutable(DeviceIndex i) {
     return devices_[i];
   }
-  /// Sorts flows by (device, start) and builds the per-device index. Call
-  /// once after the last AddFlow.
+  /// Orders flows by (device, start), ties in insertion order, and builds
+  /// the per-device index. Call once after the last AddFlow.
   void Finalize();
 
   // --- Snapshot restore (used by store::LoadSnapshot) ----------------------

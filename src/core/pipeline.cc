@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -25,13 +24,10 @@ namespace {
 // chunk-ordered merges below give byte-identical results at any parallelism.
 constexpr std::size_t kFlowGrain = 16384;
 
-// Per-flow outcome of the retention/mapping pass (pass 2).
-enum Disposition : std::uint8_t {
-  kDrop = 0,        // no covering DHCP lease
-  kVisitor = 1,     // attributed, but the device failed the 14-day filter
-  kKeep = 2,        // retained, server IP never resolved in the DNS log
-  kKeepDomain = 3,  // retained, with an attributed domain
-};
+// A flow or UA record no DHCP lease covers.
+constexpr std::uint32_t kNoSlot = dhcp::IpToMacNormalizer::kNoSlot;
+// Per-slot marker for "no dataset device / domain assigned yet".
+constexpr std::uint32_t kUnassigned = UINT32_MAX;
 
 // Counters summarizing a finished Process call; values mirror the
 // CollectionStats the caller already gets, so --metrics-out sees them too.
@@ -70,110 +66,132 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
   stats.raw_flows = n;
 
   // --- Attribution indexes ---------------------------------------------------
+  // The normalizer numbers each distinct MAC with a dense slot. Every
+  // per-flow table below is keyed by that slot, so the SipHash pseudonym is
+  // computed once per MAC. `device_slot` folds MACs whose pseudonyms collide
+  // onto the first such slot, keeping one device per pseudonym.
   const dhcp::IpToMacNormalizer normalizer(inputs.dhcp_log);
   const dns::IpToDomainMapper mapper(inputs.dns_log);
+  const std::size_t num_macs = normalizer.num_macs();
+  std::vector<privacy::DeviceId> device_ids(num_macs);
+  std::vector<std::uint32_t> device_slot(num_macs);
+  {
+    std::unordered_map<privacy::DeviceId, std::uint32_t, privacy::DeviceIdHash> first;
+    for (std::uint32_t s = 0; s < num_macs; ++s) {
+      device_ids[s] = anonymizer.AnonymizeMac(normalizer.mac(s));
+      device_slot[s] = first.try_emplace(device_ids[s], s).first->second;
+    }
+  }
+  const auto attribute = [&](net::Ipv4Address ip, util::Timestamp ts) {
+    const std::uint32_t s = normalizer.LookupSlot(ip, ts);
+    return s == kNoSlot ? s : device_slot[s];
+  };
 
   const util::ThreadPool pool(util::ResolveThreadCount(threads));
   const std::size_t num_chunks = util::ThreadPool::NumChunks(n, kFlowGrain);
 
   // --- Pass 1 (sharded): device attribution + visitor observation -------------
-  // Each chunk runs its DHCP lookups and accumulates into thread-local shards
-  // (a VisitorFilter and an unattributed counter); per-flow results land in
-  // disjoint slots of the shared arrays. Shards merge in chunk order below —
-  // day sets union order-independently, so the merged filter reproduces the
-  // serial scan exactly.
-  std::vector<std::uint64_t> record_macs(n, 0);
-  std::vector<privacy::DeviceId> device_ids(n);
-  std::vector<privacy::VisitorFilter> shard_visitors(
-      num_chunks, privacy::VisitorFilter(visitor_min_days));
+  // Each chunk writes its flows' device slots into disjoint entries of
+  // `slots` and emits one (slot, start) mark each time a device's day
+  // changes within the chunk. The marks feed one VisitorFilter in chunk
+  // order; day sets are sets, so it reproduces the serial scan exactly.
+  std::vector<std::uint32_t> slots(n);
+  std::vector<std::vector<std::pair<std::uint32_t, util::Timestamp>>> marks(num_chunks);
   std::vector<std::uint64_t> shard_unattributed(num_chunks, 0);
   privacy::VisitorFilter visitors(visitor_min_days);
+  std::vector<std::uint8_t> retained(num_macs, 0);
   {
     OBS_SPAN("pipeline/pass1_attribution");
     pool.ParallelFor(n, kFlowGrain,
                      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                       privacy::VisitorFilter& shard = shard_visitors[chunk];
+                       std::vector<std::int64_t> last_day(num_macs, -1);
                        for (std::size_t i = begin; i < end; ++i) {
                          const flow::FlowRecord& rec = inputs.flows[i];
-                         const auto mac = normalizer.Lookup(rec.client_ip, rec.start);
-                         if (!mac) {
+                         const std::uint32_t s = attribute(rec.client_ip, rec.start);
+                         slots[i] = s;
+                         if (s == kNoSlot) {
                            ++shard_unattributed[chunk];
                            continue;
                          }
-                         record_macs[i] = mac->value();
-                         device_ids[i] = anonymizer.AnonymizeMac(*mac);
-                         shard.Observe(device_ids[i], rec.start);
+                         const std::int64_t day = util::DayIndexOf(rec.start);
+                         if (last_day[s] != day) {
+                           last_day[s] = day;
+                           marks[chunk].emplace_back(s, rec.start);
+                         }
                        }
                      });
     for (std::size_t c = 0; c < num_chunks; ++c) {
       stats.unattributed += shard_unattributed[c];
-      visitors.Merge(shard_visitors[c]);
+      for (const auto& [s, ts] : marks[c]) visitors.Observe(device_ids[s], ts);
     }
-    shard_visitors.clear();
+    marks.clear();
+    for (std::size_t s = 0; s < num_macs; ++s) {
+      retained[s] = visitors.Retained(device_ids[s]) ? 1 : 0;
+    }
   }
   stats.devices_observed = visitors.num_observed();
   stats.devices_retained = visitors.num_retained();
 
   // --- Pass 2 (sharded): retention check + DNS mapping -------------------------
-  // Reads the now-frozen visitor filter; writes disjoint per-flow slots. The
-  // domain views point into inputs.dns_log, which outlives this function's
-  // use of them.
-  std::vector<std::uint8_t> disposition(n, kDrop);
-  std::vector<std::string_view> domains(n);
+  // Reads the frozen per-slot retention table; writes each retained flow's
+  // mapper name id (kNoName for raw-IP traffic) into disjoint slots.
+  std::vector<std::uint32_t> names(n);
+  std::vector<std::uint64_t> shard_visitor(num_chunks, 0);
   {
     OBS_SPAN("pipeline/pass2_retention_dns");
     pool.ParallelFor(n, kFlowGrain,
-                     [&](std::size_t, std::size_t begin, std::size_t end) {
+                     [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                        for (std::size_t i = begin; i < end; ++i) {
-                         if (record_macs[i] == 0) continue;
-                         if (!visitors.Retained(device_ids[i])) {
-                           disposition[i] = kVisitor;
+                         const std::uint32_t s = slots[i];
+                         if (s == kNoSlot) continue;
+                         if (retained[s] == 0) {
+                           ++shard_visitor[chunk];
                            continue;
                          }
                          const flow::FlowRecord& rec = inputs.flows[i];
-                         const auto domain = mapper.Lookup(rec.server_ip, rec.start);
-                         if (domain) {
-                           disposition[i] = kKeepDomain;
-                           domains[i] = *domain;
-                         } else {
-                           disposition[i] = kKeep;
-                         }
+                         names[i] = mapper.LookupId(rec.server_ip, rec.start);
                        }
                      });
+    for (const std::uint64_t v : shard_visitor) stats.visitor_flows += v;
   }
 
   // --- Pass 3 (serial merge): assemble the dataset in flow order ---------------
   // Device indices and interned-domain ids are assigned in first-appearance
   // order over the original flow sequence — the merge order is the chunk
   // order, which is the input order, so the dataset is byte-identical to a
-  // serial build.
+  // serial build. Each device and each name is set up once, at its first
+  // kept flow.
   Dataset& ds = result.dataset;
-  std::unordered_map<privacy::DeviceId, DeviceIndex, privacy::DeviceIdHash> index;
+  std::vector<DeviceIndex> device_index(num_macs, kUnassigned);
+  std::vector<DomainId> domain_of(mapper.num_names(), kUnassigned);
   const util::Timestamp study_start = util::StudyCalendar::StartTs();
   {
     OBS_SPAN("pipeline/pass3_assemble");
+    ds.ReserveFlows(n - stats.unattributed - stats.visitor_flows);
     for (std::size_t i = 0; i < n; ++i) {
-      if (disposition[i] == kDrop) continue;
-      if (disposition[i] == kVisitor) {
-        ++stats.visitor_flows;
-        continue;
-      }
-      const net::MacAddress mac(record_macs[i]);
-      const flow::FlowRecord& rec = inputs.flows[i];
-      auto [it, inserted] = index.try_emplace(device_ids[i], 0);
-      if (inserted) {
-        it->second = ds.AddDevice(device_ids[i]);
-        classify::DeviceObservations& obs = ds.device_mutable(it->second).observations;
+      const std::uint32_t s = slots[i];
+      if (s == kNoSlot || retained[s] == 0) continue;
+      DeviceIndex& dev = device_index[s];
+      if (dev == kUnassigned) {
+        dev = ds.AddDevice(device_ids[s]);
+        const net::MacAddress mac = normalizer.mac(s);
+        classify::DeviceObservations& obs = ds.device_mutable(dev).observations;
         obs.oui = mac.oui();
         obs.locally_administered = world::OuiDatabase::IsLocallyAdministered(mac);
       }
-      const DeviceIndex dev = it->second;
+      DomainId domain = kNoDomain;
+      if (names[i] != dns::IpToDomainMapper::kNoName) {
+        DomainId& interned = domain_of[names[i]];
+        if (interned == kUnassigned) interned = ds.InternDomain(mapper.name(names[i]));
+        domain = interned;
+      }
 
+      const flow::FlowRecord& rec = inputs.flows[i];
       Flow f;
       f.start_offset_s = static_cast<std::uint32_t>(rec.start - study_start);
       f.duration_s = static_cast<float>(rec.duration_s);
       f.device = dev;
-      f.domain = disposition[i] == kKeepDomain ? ds.InternDomain(domains[i]) : kNoDomain;
+      f.domain = domain;
       f.server_ip = rec.server_ip;
       f.server_port = rec.server_port;
       f.proto = static_cast<std::uint8_t>(rec.proto);
@@ -182,39 +200,30 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
       ds.AddFlow(f);
     }
   }
+  // The raw flows and per-flow tables are done; free them before Finalize
+  // sorts a second copy of the dataset's flows.
+  std::vector<flow::FlowRecord>().swap(inputs.flows);
+  std::vector<std::uint32_t>().swap(slots);
+  std::vector<std::uint32_t>().swap(names);
 
   // --- User-Agent sightings ----------------------------------------------------
-  // The lookups (DHCP scan + SipHash) shard like pass 1; the accounting fold
-  // stays serial so AddUserAgent's first-seen dedup matches log order. Every
-  // record lands in exactly one counter: sightings, unattributed (no covering
-  // lease), or visitor_dropped (attributed to a device the filter discarded).
+  // Serial, so AddUserAgent's first-seen dedup matches log order. Every
+  // record lands in exactly one counter: sightings, unattributed (no
+  // covering lease), or visitor_dropped (attributed to a device the dataset
+  // does not hold).
   {
     OBS_SPAN("pipeline/ua_sightings");
-    const std::size_t num_ua = inputs.ua_log.size();
-    std::vector<privacy::DeviceId> ua_ids(num_ua);
-    std::vector<std::uint8_t> ua_attributed(num_ua, 0);
-    pool.ParallelFor(num_ua, kFlowGrain,
-                     [&](std::size_t, std::size_t begin, std::size_t end) {
-                       for (std::size_t i = begin; i < end; ++i) {
-                         const logs::UaRecord& ua = inputs.ua_log[i];
-                         const auto mac = normalizer.Lookup(ua.client_ip, ua.ts);
-                         if (!mac) continue;
-                         ua_attributed[i] = 1;
-                         ua_ids[i] = anonymizer.AnonymizeMac(*mac);
-                       }
-                     });
-    for (std::size_t i = 0; i < num_ua; ++i) {
-      if (!ua_attributed[i]) {
+    for (const logs::UaRecord& ua : inputs.ua_log) {
+      const std::uint32_t s = attribute(ua.client_ip, ua.ts);
+      if (s == kNoSlot) {
         ++stats.ua_unattributed;
         continue;
       }
-      const auto it = index.find(ua_ids[i]);
-      if (it == index.end()) {
+      if (device_index[s] == kUnassigned) {
         ++stats.ua_visitor_dropped;
         continue;
       }
-      ds.device_mutable(it->second).observations.AddUserAgent(
-          inputs.ua_log[i].user_agent);
+      ds.device_mutable(device_index[s]).observations.AddUserAgent(ua.user_agent);
       ++stats.ua_sightings;
     }
   }

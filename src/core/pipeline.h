@@ -87,10 +87,10 @@ class MeasurementPipeline {
   /// filtering) over pre-collected inputs. `stats.raw_flows` and
   /// `stats.tap_excluded` reflect the inputs as given.
   ///
-  /// `threads` shards the attribution, retention/DNS-mapping, and UA lookup
-  /// passes across a thread pool (0 = LOCKDOWN_THREADS/hardware; see
+  /// `threads` shards the attribution and retention/DNS-mapping passes
+  /// across a thread pool (0 = LOCKDOWN_THREADS/hardware; see
   /// util::ResolveThreadCount). The dataset is assembled by merging the
-  /// per-thread shards in chunk order, so device indices, interned-domain
+  /// per-chunk results in chunk order, so device indices, interned-domain
   /// ids, flow order, and every CollectionStats counter are byte-identical
   /// for any thread count.
   [[nodiscard]] static CollectionResult Process(RawInputs inputs,

@@ -12,20 +12,6 @@ void VisitorFilter::Observe(DeviceId device, util::Timestamp ts) {
   st.last_day = day;
 }
 
-void VisitorFilter::Merge(const VisitorFilter& other) {
-  // Set union with a commutative count: visit order cannot change the
-  // result, only which insert "wins" a duplicate (identical either way).
-  // lockdown-lint: allow(LD002)
-  for (const auto& [id, st] : other.days_) {
-    State& dst = days_[id];
-    // lockdown-lint: allow(LD002) same union argument, inner set
-    for (const std::int64_t day : st.days) {
-      if (dst.days.insert(day).second) ++dst.distinct_days;
-    }
-    dst.last_day = -1;  // invalidate the fast path; the sets are authoritative
-  }
-}
-
 bool VisitorFilter::Retained(DeviceId device) const noexcept {
   const auto it = days_.find(device);
   return it != days_.end() && it->second.distinct_days >= min_days_;

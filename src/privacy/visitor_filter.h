@@ -26,13 +26,6 @@ class VisitorFilter {
   /// Records that `device` was active at `ts`.
   void Observe(DeviceId device, util::Timestamp ts);
 
-  /// Folds another filter's observations into this one (set union of each
-  /// device's active days). Because day sets are sets, merging per-shard
-  /// filters in any order yields the same retention decisions as observing
-  /// the whole stream serially — this is what lets the pipeline shard its
-  /// attribution pass across threads.
-  void Merge(const VisitorFilter& other);
-
   /// True if the device met the retention threshold.
   [[nodiscard]] bool Retained(DeviceId device) const noexcept;
 

@@ -162,6 +162,7 @@ class Reader::Impl {
         }
       } else {
         detail::Decoder dec(flow_bytes, "flows");
+        ds.ReserveFlows(static_cast<std::size_t>(info_.num_flows));
         for (std::uint64_t i = 0; i < info_.num_flows; ++i) {
           core::Flow f;
           f.start_offset_s = dec.U32();
@@ -193,6 +194,7 @@ class Reader::Impl {
           Section(SectionKind::kColDomains), info_.num_flows);
       const detail::RestColumns rest = detail::DecodeRestColumn(
           Section(SectionKind::kColRest), info_.num_flows);
+      ds.ReserveFlows(static_cast<std::size_t>(info_.num_flows));
       for (std::uint64_t i = 0; i < info_.num_flows; ++i) {
         core::Flow f;
         f.start_offset_s = ts[i];
@@ -541,8 +543,11 @@ class Reader::Impl {
       Fail("incompatible flow stride " + std::to_string(info_.flow_stride) +
            " (this build uses " + std::to_string(kFlowStride) + ")");
     }
+    // Divide rather than multiply: a hostile count must not wrap into a
+    // match, since the loads view or reserve num_flows rows up front.
     if (has_flows &&
-        Section(SectionKind::kFlows).size() != info_.num_flows * kFlowStride) {
+        (Section(SectionKind::kFlows).size() % kFlowStride != 0 ||
+         Section(SectionKind::kFlows).size() / kFlowStride != info_.num_flows)) {
       Fail("flows section size disagrees with flow count");
     }
     if (Section(SectionKind::kDeviceOffsets).size() !=

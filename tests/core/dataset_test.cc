@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace lockdown::core {
 namespace {
 
@@ -57,6 +62,53 @@ TEST(Dataset, FlowsOfDeviceAfterFinalize) {
   EXPECT_EQ(ds.FlowsOfDevice(b).size(), 2u);
   EXPECT_TRUE(ds.FlowsOfDevice(c).empty());
   EXPECT_EQ(ds.num_flows(), 4u);
+}
+
+// Finalize must produce exactly the order of one global stable sort by
+// (device, start): ties on both keys keep insertion order. Flows carry their
+// insertion rank in bytes_up so any reordering of ties shows.
+TEST(Dataset, FinalizeMatchesGlobalStableSortReference) {
+  constexpr DeviceIndex kDevices = 9;  // device 4 never gets a flow
+  util::Pcg32 rng(2020);
+  std::vector<Flow> base;
+  for (int i = 0; i < 3000; ++i) {
+    DeviceIndex dev = rng.NextBounded(kDevices);
+    if (dev == 4) dev = 5;
+    base.push_back(MakeFlow(dev, rng.NextBounded(24)));  // many start ties
+  }
+  const auto by_device_start = [](const Flow& a, const Flow& b) {
+    if (a.device != b.device) return a.device < b.device;
+    return a.start_offset_s < b.start_offset_s;
+  };
+  std::vector<std::vector<Flow>> orders = {base, base, base, base};
+  std::stable_sort(orders[1].begin(), orders[1].end(), by_device_start);
+  std::reverse(orders[2].begin(), orders[2].end());
+  std::stable_sort(orders[3].begin(), orders[3].end(),
+                   [](const Flow& a, const Flow& b) { return a.device > b.device; });
+  for (std::size_t o = 0; o < orders.size(); ++o) {
+    std::vector<Flow>& order = orders[o];
+    for (std::size_t i = 0; i < order.size(); ++i) order[i].bytes_up = i;
+    Dataset ds;
+    for (DeviceIndex d = 0; d < kDevices; ++d) ds.AddDevice(privacy::DeviceId{d});
+    ds.ReserveFlows(order.size());
+    for (const Flow& f : order) ds.AddFlow(f);
+    ds.Finalize();
+
+    std::vector<Flow> want = order;
+    std::stable_sort(want.begin(), want.end(), by_device_start);
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), ds.flows().begin(),
+                           ds.flows().end()))
+        << "insertion order " << o;
+    std::size_t at = 0;
+    for (DeviceIndex d = 0; d < kDevices; ++d) {
+      const auto slice = ds.FlowsOfDevice(d);
+      EXPECT_EQ(slice.data(), ds.flows().data() + at) << "device " << d;
+      for (const Flow& f : slice) EXPECT_EQ(f.device, d);
+      at += slice.size();
+    }
+    EXPECT_TRUE(ds.FlowsOfDevice(4).empty());
+    EXPECT_EQ(at, ds.num_flows());
+  }
 }
 
 TEST(Dataset, FlowsOfDeviceThrowsBeforeFinalize) {

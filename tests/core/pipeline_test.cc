@@ -185,6 +185,56 @@ TEST(PipelineUaAccounting, EveryUaRecordLandsInExactlyOneCounter) {
   EXPECT_EQ(obs.user_agents[0], "Mozilla/5.0 resident");
 }
 
+// MacAddress::Parse accepts 00:00:00:00:00:00, so a lease may name MAC 0.
+// Its device is an ordinary device: every raw flow lands in exactly one of
+// kept / visitor / unattributed, and every retained device reaches the
+// dataset.
+TEST(PipelineFunnel, ZeroMacLeaseIsAttributedLikeAnyOther) {
+  const util::Timestamp t0 = util::StudyCalendar::StartTs();
+  const net::MacAddress zero_mac = net::MacAddress::Parse("00:00:00:00:00:00").value();
+  const net::MacAddress visitor_mac(0x0017F2000002ULL);
+  const net::Ipv4Address zero_ip(10, 16, 0, 1);
+  const net::Ipv4Address visitor_ip(10, 16, 0, 2);
+  const net::Ipv4Address unleased_ip(10, 16, 0, 3);
+
+  RawInputs inputs;
+  const util::Timestamp lease_end = t0 + 40 * util::kSecondsPerDay;
+  inputs.dhcp_log.push_back(dhcp::Lease{zero_mac, zero_ip, t0, lease_end});
+  inputs.dhcp_log.push_back(dhcp::Lease{visitor_mac, visitor_ip, t0, lease_end});
+  auto flow_at = [&](net::Ipv4Address client, int day) {
+    flow::FlowRecord rec;
+    rec.start = t0 + day * util::kSecondsPerDay + 3600;
+    rec.duration_s = 10.0;
+    rec.client_ip = client;
+    rec.server_ip = net::Ipv4Address(198, 51, 100, 7);
+    rec.server_port = 443;
+    rec.bytes_up = 1000;
+    rec.bytes_down = 20000;
+    return rec;
+  };
+  const int min_days = 14;
+  for (int day = 0; day < min_days + 2; ++day) {
+    inputs.flows.push_back(flow_at(zero_ip, day));
+    if (day < 2) inputs.flows.push_back(flow_at(visitor_ip, day));
+  }
+  inputs.flows.push_back(flow_at(unleased_ip, 0));
+
+  const privacy::Anonymizer anon(util::SipHashKey{11, 22});
+  const auto result = MeasurementPipeline::Process(std::move(inputs), anon, min_days);
+  const CollectionStats& st = result.stats;
+
+  EXPECT_EQ(st.raw_flows, 19u);
+  EXPECT_EQ(result.dataset.num_flows(), 16u);
+  EXPECT_EQ(st.visitor_flows, 2u);
+  EXPECT_EQ(st.unattributed, 1u);
+  EXPECT_EQ(st.raw_flows,
+            result.dataset.num_flows() + st.visitor_flows + st.unattributed);
+  EXPECT_EQ(st.devices_observed, 2u);
+  EXPECT_EQ(st.devices_retained, 1u);
+  ASSERT_EQ(result.dataset.num_devices(), st.devices_retained);
+  EXPECT_EQ(result.dataset.device(0).id, anon.AnonymizeMac(zero_mac));
+}
+
 // The full simulated collection must satisfy the same partition invariant;
 // any attributed-or-not miscount would break the equality.
 TEST_F(PipelineTest, UaCountersPartitionTheLog) {

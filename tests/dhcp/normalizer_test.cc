@@ -84,9 +84,40 @@ TEST(IpToMacNormalizer, MatchesLinearReferenceOnChurnedLog) {
     const net::Ipv4Address ip(10, 0, 0,
                               static_cast<std::uint8_t>(qrng.NextBounded(128)));
     const util::Timestamp ts = qrng.UniformInt(0, 20 * 24 * kSecondsPerHour);
-    EXPECT_EQ(n.Lookup(ip, ts), IpToMacNormalizer::LookupLinear(server.log(), ip, ts))
+    const auto mac = n.Lookup(ip, ts);
+    EXPECT_EQ(mac, IpToMacNormalizer::LookupLinear(server.log(), ip, ts))
         << ip.ToString() << " @ " << ts;
+    // The slot lookup is the same search: it names the same MAC, or misses.
+    const std::uint32_t slot = n.LookupSlot(ip, ts);
+    if (mac) {
+      ASSERT_LT(slot, n.num_macs());
+      EXPECT_EQ(n.mac(slot), *mac) << ip.ToString() << " @ " << ts;
+    } else {
+      EXPECT_EQ(slot, IpToMacNormalizer::kNoSlot) << ip.ToString() << " @ " << ts;
+    }
   }
+}
+
+TEST(IpToMacNormalizer, SlotsNumberMacsInFirstAppearanceOrder) {
+  const net::Ipv4Address a(10, 0, 0, 1);
+  const net::Ipv4Address b(10, 0, 0, 2);
+  const std::vector<Lease> log = {
+      {net::MacAddress(0xB), a, 500, 600},
+      {net::MacAddress(0xA), b, 0, 100},
+      {net::MacAddress(0xB), b, 200, 300},  // a MAC moving to another IP
+      {net::MacAddress(0), a, 0, 100},      // the all-zero MAC is a MAC
+  };
+  IpToMacNormalizer n(log);
+  ASSERT_EQ(n.num_macs(), 3u);
+  EXPECT_EQ(n.mac(0), net::MacAddress(0xB));
+  EXPECT_EQ(n.mac(1), net::MacAddress(0xA));
+  EXPECT_EQ(n.mac(2), net::MacAddress(0));
+  EXPECT_EQ(n.LookupSlot(a, 550), 0u);
+  EXPECT_EQ(n.LookupSlot(b, 250), 0u);
+  EXPECT_EQ(n.LookupSlot(b, 50), 1u);
+  EXPECT_EQ(n.LookupSlot(a, 50), 2u);
+  EXPECT_EQ(n.Lookup(a, 50), net::MacAddress(0));
+  EXPECT_EQ(n.LookupSlot(a, 300), IpToMacNormalizer::kNoSlot);
 }
 
 }  // namespace

@@ -9,11 +9,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <string>
 #include <unistd.h>
 
 #include "core/study.h"
 #include "store/format.h"
+#include "util/crc32c.h"
 
 #include "../core/dataset_equal.h"
 #include "../core/figure_render.h"
@@ -225,6 +228,44 @@ TEST(SnapshotCorruption, HeaderTableTamperRejected) {
   const fs::path p = ScratchCopy("table.lds");
   PatchByte(p, kHeaderSize + 20, 0xAB);
   ExpectLoadError(p, "checksum");
+  fs::remove(p);
+}
+
+TEST(SnapshotCorruption, WrappedFlowCountRejected) {
+  // A flow count of n + 2^61 times the 40-byte stride wraps to the true
+  // section size in u64 arithmetic. Reseal the meta CRC and the table CRC so
+  // only the count check stands between the file and a load that would
+  // reserve (or mmap-view) 2^61 flows.
+  const SnapshotInfo info = InspectSnapshot(Campus().file);
+  const fs::path p = ScratchCopy("wrapped_count.lds");
+  std::string bytes;
+  {
+    std::ifstream in(p, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const auto put_u32 = [&](std::size_t at, std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) bytes[at + b] = static_cast<char>(v >> (8 * b));
+  };
+  const auto crc = [&](std::size_t at, std::size_t len) {
+    return util::Crc32c(std::as_bytes(std::span<const char>(bytes.data() + at, len)));
+  };
+  bool patched = false;
+  for (std::size_t i = 0; i < info.sections.size(); ++i) {
+    const SectionInfo& section = info.sections[i];
+    if (section.name != "meta") continue;
+    // num_flows is the first little-endian u64 of meta; add 2^61.
+    bytes[section.offset + 7] = static_cast<char>(bytes[section.offset + 7] ^ 0x20);
+    put_u32(kHeaderSize + i * kSectionDescSize + 24, crc(section.offset, section.size));
+    patched = true;
+  }
+  ASSERT_TRUE(patched);
+  const std::size_t table_end = kHeaderSize + info.sections.size() * kSectionDescSize;
+  put_u32(bytes.size() - kTrailerSize + 8, crc(0, table_end));
+  {
+    std::ofstream out(p, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  ExpectLoadError(p, "flows section size disagrees with flow count");
   fs::remove(p);
 }
 

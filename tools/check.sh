@@ -223,6 +223,18 @@ assert not missing, f"metrics missing subsystems: {missing} (got {subsystems})"
 
 ing = json.load(open(ingest_path))
 assert any(n.startswith("ingest/") for n in names(ing)), "no ingest metrics"
+
+# The paper's data funnel: every raw flow lands in exactly one of kept,
+# visitor-filtered and unattributed, and retention only removes devices.
+for path, doc in ((m_path, m), (ingest_path, ing)):
+    c = {e["name"]: e["value"] for e in doc["counters"]
+         if e["name"].startswith("pipeline/")}
+    assert c["pipeline/raw_flows"] == (c["pipeline/kept_flows"]
+                                       + c["pipeline/visitor_flows"]
+                                       + c["pipeline/unattributed_flows"]), \
+        f"{path}: flow funnel does not add up: {c}"
+    assert c["pipeline/devices_retained"] <= c["pipeline/devices_observed"], \
+        f"{path}: more devices retained than observed: {c}"
 st = json.load(open(store_path))
 assert any(n.startswith("store/") for n in names(st)), "no store metrics"
 
