@@ -17,17 +17,6 @@ namespace lockdown::core {
 
 namespace {
 
-std::string ReadFileOrThrow(const std::filesystem::path& path) {
-  try {
-    // The shim keeps ENOENT/EACCES/EIO distinct, so callers and exit codes
-    // can still tell a missing export from a failing disk; transient
-    // EINTR/EAGAIN storms are absorbed before anything is thrown.
-    return io::ReadFileToString(path);
-  } catch (const io::IoError& e) {
-    throw ingest::IoError(e.path(), e.op().c_str(), e.error_code());
-  }
-}
-
 /// Writes one log through `body` into an io::File-backed stream: formatting
 /// stays streaming (bounded FileStreamBuf buffer), the write path gets the
 /// shim's fault injection and retry, and a full disk throws instead of
@@ -46,20 +35,17 @@ void WriteLogOrThrow(const std::filesystem::path& path, Body&& body) {
   }
 }
 
-/// Runs one tolerant/strict read and converts a whole-document rejection
-/// into the error-budget exception the CLI maps to its own exit code.
-template <typename ReadFn>
-auto IngestLog(const std::filesystem::path& path,
-               const ingest::IngestOptions& options, ingest::IngestReport& report,
-               ReadFn&& read) {
+/// Runs one tolerant/strict file read (bounded chunks through the io::File
+/// shim) and converts a whole-document rejection into the error-budget
+/// exception the CLI maps to its own exit code.
+template <typename Format>
+std::vector<typename Format::Record> IngestLog(const std::filesystem::path& path,
+                                               const ingest::IngestOptions& options,
+                                               ingest::IngestReport& report) {
   obs::ScopedSpan span("ingest/" + path.filename().string());
   ingest::IngestOptions per_file = options;
   per_file.source = path.filename().string();
-  std::string text = ReadFileOrThrow(path);
-  if (obs::MetricsEnabled()) {
-    obs::GetCounter("ingest/bytes_read", "bytes").Add(text.size());
-  }
-  auto records = read(std::move(text), per_file, report);
+  auto records = ingest::ReadLogFile<Format>(path, per_file, report);
   ingest::RecordReport(report);  // error-path reads still count
   if (!records) {
     std::string why = report.Summary();
@@ -123,26 +109,13 @@ RawInputs ReadRawInputs(const std::filesystem::path& dir,
   s = IngestSummary{};
 
   RawInputs inputs;
-  inputs.flows = IngestLog(
-      dir / LogFiles::kConn, options, s.conn,
-      [](std::string text, const ingest::IngestOptions& o, ingest::IngestReport& r) {
-        return flow::ReadConnLog(text, o, r);
-      });
-  inputs.dhcp_log = IngestLog(
-      dir / LogFiles::kDhcp, options, s.dhcp,
-      [](std::string text, const ingest::IngestOptions& o, ingest::IngestReport& r) {
-        return logs::ReadDhcpLog(text, o, r);
-      });
-  inputs.dns_log = IngestLog(
-      dir / LogFiles::kDns, options, s.dns,
-      [](std::string text, const ingest::IngestOptions& o, ingest::IngestReport& r) {
-        return logs::ReadDnsLog(text, o, r);
-      });
-  inputs.ua_log = IngestLog(
-      dir / LogFiles::kUa, options, s.ua,
-      [](std::string text, const ingest::IngestOptions& o, ingest::IngestReport& r) {
-        return logs::ReadUaLog(text, o, r);
-      });
+  inputs.flows =
+      IngestLog<flow::ConnLogFormat>(dir / LogFiles::kConn, options, s.conn);
+  inputs.dhcp_log =
+      IngestLog<logs::DhcpLogFormat>(dir / LogFiles::kDhcp, options, s.dhcp);
+  inputs.dns_log =
+      IngestLog<logs::DnsLogFormat>(dir / LogFiles::kDns, options, s.dns);
+  inputs.ua_log = IngestLog<logs::UaLogFormat>(dir / LogFiles::kUa, options, s.ua);
   return inputs;
 }
 

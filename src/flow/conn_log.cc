@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <ostream>
 
 #include "util/csv.h"
@@ -11,38 +10,28 @@
 namespace lockdown::flow {
 
 namespace {
-constexpr std::string_view kHeader =
-    "ts\tduration\tid.orig_h\tid.resp_h\tid.resp_p\tproto\torig_bytes\tresp_bytes";
-
 template <typename T>
 bool ParseNum(std::string_view s, T& out) {
   const auto* end = s.data() + s.size();
   const auto res = std::from_chars(s.data(), end, out);
   return res.ec == std::errc() && res.ptr == end;
 }
+}  // namespace
 
-bool ParseDouble(std::string_view s, double& out) {
-  // from_chars for double is unreliable pre-GCC11 in some configs; strtod via
-  // a bounded buffer keeps this dependency-free.
-  char buf[64];
-  if (s.size() >= sizeof(buf)) return false;
-  s.copy(buf, s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  out = std::strtod(buf, &end);
-  return end == buf + s.size();
-}
-
-/// Parses one data row; nullopt on success. The acceptance set is the
-/// historical ReadConnLog's minus non-finite and negative durations
-/// (kBadValue): strtod accepts "nan", "inf" and "-1", and the figures cast
-/// the duration to an integer timestamp, which is undefined for NaN/inf.
-std::optional<ingest::ErrorClass> ParseRow(std::string_view raw, FlowRecord& r) {
-  const std::string_view line = util::Trim(raw);
-  const auto fields = util::Split(line, '\t');
-  if (fields.size() != 8) return ingest::ErrorClass::kFieldCount;
+/// The acceptance set is the historical ReadConnLog's minus non-finite and
+/// negative durations (kBadValue): strtod accepts "nan", "inf" and "-1", and
+/// the figures cast the duration to an integer timestamp, which is undefined
+/// for NaN/inf.
+std::optional<ingest::ErrorClass> ConnLogFormat::ParseRow(std::string_view line,
+                                                          FlowRecord& r) {
+  std::string_view fields[8];
+  if (!util::SplitExact(util::Trim(line), '\t', fields)) {
+    return ingest::ErrorClass::kFieldCount;
+  }
   if (!ParseNum(fields[0], r.start)) return ingest::ErrorClass::kBadTimestamp;
-  if (!ParseDouble(fields[1], r.duration_s)) return ingest::ErrorClass::kBadNumber;
+  if (!util::ParseDouble(fields[1], r.duration_s)) {
+    return ingest::ErrorClass::kBadNumber;
+  }
   if (!std::isfinite(r.duration_s) || r.duration_s < 0.0) {
     return ingest::ErrorClass::kBadValue;
   }
@@ -68,10 +57,9 @@ std::optional<ingest::ErrorClass> ParseRow(std::string_view raw, FlowRecord& r) 
   r.server_port = static_cast<net::Port>(port);
   return std::nullopt;
 }
-}  // namespace
 
 void WriteConnLog(std::ostream& out, const std::vector<FlowRecord>& records) {
-  out << kHeader << '\n';
+  out << ConnLogFormat::kHeader << '\n';
   for (const FlowRecord& r : records) {
     out << r.start << '\t' << r.duration_s << '\t' << r.client_ip.ToString()
         << '\t' << r.server_ip.ToString() << '\t' << r.server_port << '\t'
@@ -83,7 +71,7 @@ void WriteConnLog(std::ostream& out, const std::vector<FlowRecord>& records) {
 std::optional<std::vector<FlowRecord>> ReadConnLog(
     std::string_view text, const ingest::IngestOptions& options,
     ingest::IngestReport& report) {
-  return ingest::ParseLog<FlowRecord>(text, kHeader, options, report, ParseRow);
+  return ingest::ReadLog<ConnLogFormat>(text, options, report);
 }
 
 std::optional<std::vector<FlowRecord>> ReadConnLog(std::string_view text) {

@@ -2,6 +2,7 @@
 // layout: ts, duration, orig/resp endpoints, byte counts).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <optional>
 #include <string_view>
@@ -11,6 +12,19 @@
 #include "ingest/ingest.h"
 
 namespace lockdown::flow {
+
+/// conn.log schema for the ingest line driver (ingest::LogReader).
+struct ConnLogFormat {
+  using Record = FlowRecord;
+  static constexpr std::string_view kHeader =
+      "ts\tduration\tid.orig_h\tid.resp_h\tid.resp_p\tproto\torig_bytes\t"
+      "resp_bytes";
+  /// Shortest row ParseRow accepts ("0\t\t0.0.0.0\t0.0.0.0\t0\ttcp\t0\t0").
+  static constexpr std::size_t kMinRowBytes = 28;
+  /// Parses one data row; nullopt on success, else the rejection's class.
+  static std::optional<ingest::ErrorClass> ParseRow(std::string_view line,
+                                                    FlowRecord& r);
+};
 
 /// Writes records as a TSV document with a header line.
 void WriteConnLog(std::ostream& out, const std::vector<FlowRecord>& records);

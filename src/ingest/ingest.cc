@@ -1,6 +1,8 @@
 #include "ingest/ingest.h"
 
 #include <cerrno>
+#include <memory>
+#include <span>
 #include <sstream>
 
 #include "io/io.h"
@@ -87,6 +89,55 @@ void RecordReport(const IngestReport& report) {
 }
 
 namespace detail {
+namespace {
+
+// Ingest callers (and the CLI's exit-code mapping) speak ingest::IoError;
+// re-badge the shim's exception at the boundary.
+[[noreturn]] void Rebadge(const io::IoError& e) {
+  throw IoError(e.path(), e.op().c_str(), e.error_code());
+}
+
+}  // namespace
+
+ChunkReader::ChunkReader(const std::filesystem::path& path)
+    : buf_(std::make_unique<char[]>(kChunkBytes)) {
+  try {
+    file_ = io::File::OpenRead(path);
+  } catch (const io::IoError& e) {
+    Rebadge(e);
+  }
+}
+
+std::uint64_t ChunkReader::Size() {
+  try {
+    return file_.Size();
+  } catch (const io::IoError& e) {
+    Rebadge(e);
+  }
+}
+
+std::string_view ChunkReader::Next() {
+  std::size_t n = 0;
+  try {
+    n = file_.ReadSome(
+        std::as_writable_bytes(std::span<char>(buf_.get(), kChunkBytes)));
+  } catch (const io::IoError& e) {
+    Rebadge(e);
+  }
+  if (obs::MetricsEnabled()) {
+    static obs::Counter& bytes_read = obs::GetCounter("ingest/bytes_read", "bytes");
+    bytes_read.Add(n);
+  }
+  return {buf_.get(), n};
+}
+
+void ChunkReader::Close() {
+  try {
+    file_.Close();
+  } catch (const io::IoError& e) {
+    Rebadge(e);
+  }
+}
 
 struct QuarantineWriter::State {
   io::File out;
@@ -111,9 +162,7 @@ void QuarantineWriter::Add(std::string_view line) {
     }
     state_->out.WriteAll(std::string(line) + '\n');
   } catch (const io::IoError& e) {
-    // Ingest callers (and the CLI's exit-code mapping) speak
-    // ingest::IoError; re-badge the shim's exception at the boundary.
-    throw IoError(e.path(), e.op().c_str(), e.error_code());
+    Rebadge(e);
   }
 }
 
@@ -122,7 +171,7 @@ void QuarantineWriter::Finish(IngestReport& report) {
   try {
     state_->out.Close();
   } catch (const io::IoError& e) {
-    throw IoError(e.path(), e.op().c_str(), e.error_code());
+    Rebadge(e);
   }
   report.quarantine_file = target_;
 }

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -25,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/io.h"
 #include "util/strings.h"
 
 namespace lockdown::ingest {
@@ -151,82 +153,177 @@ inline constexpr std::size_t kSampleClamp = 200;  // bytes kept per sample line
 
 }  // namespace detail
 
-/// Shared line-recovery driver behind all four log readers. Splits `text`,
-/// validates the header, and runs `parse(line, record)` — which returns
-/// nullopt on success or the rejection's ErrorClass — over every non-blank
-/// line, enforcing the accounting contract above.
+/// Bytes per read of a log file. The ingest text buffer is one chunk plus
+/// the partial line carried into the next one, whatever the file's size.
+inline constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+
+/// Streaming line driver behind all four log readers. `Format` supplies the
+/// reader's schema:
 ///
-/// Returns nullopt when the document is rejected as a whole: any malformed
-/// row (or missing header) in strict mode, or a rejection rate above
-/// `options.max_error_rate` in tolerant mode. `report` is always filled with
-/// what happened, including why a nullopt came back.
-template <typename Record, typename ParseFn>
-std::optional<std::vector<Record>> ParseLog(std::string_view text,
-                                            std::string_view header,
-                                            const IngestOptions& options,
-                                            IngestReport& report,
-                                            ParseFn&& parse) {
-  report = IngestReport{};
-  report.source = options.source;
+///   struct Format {
+///     using Record = ...;
+///     static constexpr std::string_view kHeader = ...;
+///     static constexpr std::size_t kMinRowBytes = ...;  // shortest kept row
+///     static std::optional<ErrorClass> ParseRow(std::string_view, Record&);
+///   };
+///
+/// Feed() takes the document in pieces of any size (lines may straddle
+/// them); Finish() ends it. Lines are numbered from 1; line 1 must be the
+/// header; every other non-blank line goes through `ParseRow` (nullopt on
+/// success, else the rejection's class), enforcing the accounting contract
+/// above. A failing row that is the unterminated final segment of the
+/// document is a `kTruncatedLine`. The result does not depend on how the
+/// document was cut into pieces.
+template <typename Format>
+class LogReader {
+ public:
+  using Record = typename Format::Record;
 
-  const auto lines = util::Split(text, '\n');
-  const bool ends_with_newline = !text.empty() && text.back() == '\n';
-  // Index of the last non-blank line: a parse failure there on a document
-  // with no trailing newline is a cut-off tail, not ordinary garbage.
-  std::size_t last_content = lines.size();
-  for (std::size_t i = lines.size(); i-- > 0;) {
-    if (!util::Trim(lines[i]).empty()) {
-      last_content = i;
-      break;
-    }
+  /// `size_hint` is the document's size in bytes when known: it bounds the
+  /// kept-row count, so the record vector is allocated once and never grows.
+  LogReader(IngestOptions options, IngestReport& report,
+            std::uint64_t size_hint = 0)
+      : options_(std::move(options)), report_(report), quarantine_(options_) {
+    report_ = IngestReport{};
+    report_.source = options_.source;
+    records_.reserve(
+        static_cast<std::size_t>(size_hint / (Format::kMinRowBytes + 1) + 1));
   }
-  const bool has_content = last_content != lines.size();
-  const bool have_header =
-      has_content && !lines.empty() && util::Trim(lines[0]) == header;
-  report.header_ok = have_header;
-  if (!have_header && options.mode == Mode::kStrict) return std::nullopt;
 
-  detail::QuarantineWriter quarantine(options);
-  std::vector<Record> out;
-  for (std::size_t i = have_header ? 1 : 0; i < lines.size(); ++i) {
-    const std::string_view line = lines[i];
-    if (util::Trim(line).empty()) continue;
-    ++report.lines_total;
+  /// Feeds the next piece of the document. Returns false once the document
+  /// is rejected outright (strict mode); later pieces are ignored.
+  bool Feed(std::string_view chunk) {
+    if (failed_) return false;
+    if (!carry_.empty()) {
+      const std::size_t nl = chunk.find('\n');
+      if (nl == std::string_view::npos) {
+        carry_.append(chunk);
+        return true;
+      }
+      carry_.append(chunk.substr(0, nl));
+      Line(carry_, true);
+      carry_.clear();
+      chunk.remove_prefix(nl + 1);
+    }
+    while (!failed_) {
+      const std::size_t nl = chunk.find('\n');
+      if (nl == std::string_view::npos) {
+        carry_.assign(chunk);
+        break;
+      }
+      Line(chunk.substr(0, nl), true);
+      chunk.remove_prefix(nl + 1);
+    }
+    return !failed_;
+  }
 
-    Record rec;
-    std::optional<ErrorClass> err =
-        i == 0 && !have_header ? std::optional<ErrorClass>(ErrorClass::kBadHeader)
-                               : parse(line, rec);
-    if (err && *err != ErrorClass::kBadHeader && i == last_content &&
-        !ends_with_newline) {
-      err = ErrorClass::kTruncatedLine;
-    }
-    if (!err) {
-      ++report.kept;
-      out.push_back(std::move(rec));
-      continue;
-    }
-
-    ++report.rejected;
-    ++report.by_class[static_cast<int>(*err)];
-    if (report.samples.size() < options.max_samples) {
-      report.samples.push_back(RejectedLine{
-          static_cast<std::uint64_t>(i) + 1, *err,
-          std::string(line.substr(0, detail::kSampleClamp))});
-    }
-    quarantine.Add(line);
-    if (options.mode == Mode::kStrict) {
-      quarantine.Finish(report);
+  /// Ends the document; call once. Returns nullopt when the document is
+  /// rejected as a whole: any malformed row (or missing header) in strict
+  /// mode, or a rejection rate above `max_error_rate` in tolerant mode.
+  /// The report always says what happened, including why nullopt came back.
+  std::optional<std::vector<Record>> Finish() {
+    if (!failed_) Line(carry_, false);
+    quarantine_.Finish(report_);
+    if (failed_ || (options_.mode == Mode::kTolerant &&
+                    report_.error_rate() > options_.max_error_rate)) {
       return std::nullopt;
     }
+    return std::move(records_);
   }
-  quarantine.Finish(report);
 
-  if (options.mode == Mode::kTolerant &&
-      report.error_rate() > options.max_error_rate) {
-    return std::nullopt;  // over budget; the report says how far
+ private:
+  void Line(std::string_view line, bool terminated) {
+    ++line_no_;
+    if (line_no_ == 1) {
+      report_.header_ok = util::Trim(line) == Format::kHeader;
+      if (report_.header_ok) return;
+      if (options_.mode == Mode::kStrict) {
+        failed_ = true;
+        return;
+      }
+    }
+    if (util::Trim(line).empty()) return;
+    ++report_.lines_total;
+    if (line_no_ == 1) {
+      Reject(line, ErrorClass::kBadHeader);
+      return;
+    }
+    Record& record = records_.emplace_back();
+    const std::optional<ErrorClass> err = Format::ParseRow(line, record);
+    if (!err) {
+      ++report_.kept;
+      return;
+    }
+    records_.pop_back();
+    Reject(line, terminated ? *err : ErrorClass::kTruncatedLine);
   }
-  return out;
+
+  void Reject(std::string_view line, ErrorClass err) {
+    ++report_.rejected;
+    ++report_.by_class[static_cast<int>(err)];
+    if (report_.samples.size() < options_.max_samples) {
+      report_.samples.push_back(RejectedLine{
+          line_no_, err, std::string(line.substr(0, detail::kSampleClamp))});
+    }
+    quarantine_.Add(line);
+    if (options_.mode == Mode::kStrict) failed_ = true;
+  }
+
+  IngestOptions options_;
+  IngestReport& report_;
+  detail::QuarantineWriter quarantine_;
+  std::vector<Record> records_;
+  std::string carry_;  // the current line so far when it straddles pieces
+  std::uint64_t line_no_ = 0;
+  bool failed_ = false;
+};
+
+/// Reads a whole in-memory document: the line driver fed one piece.
+template <typename Format>
+std::optional<std::vector<typename Format::Record>> ReadLog(
+    std::string_view text, const IngestOptions& options, IngestReport& report) {
+  LogReader<Format> reader(options, report, text.size());
+  reader.Feed(text);
+  return reader.Finish();
+}
+
+namespace detail {
+
+/// Reads a file front to back through io::File (so the shim's fault
+/// injection and retry apply) in pieces of at most kChunkBytes, counting
+/// ingest/bytes_read. Throws ingest::IoError.
+class ChunkReader {
+ public:
+  explicit ChunkReader(const std::filesystem::path& path);
+
+  /// File size from fstat.
+  [[nodiscard]] std::uint64_t Size();
+  /// The next piece, valid until the next call; empty at end of file.
+  [[nodiscard]] std::string_view Next();
+  /// Checked close.
+  void Close();
+
+ private:
+  io::File file_;
+  std::unique_ptr<char[]> buf_;
+};
+
+}  // namespace detail
+
+/// Reads a log file in kChunkBytes pieces through the line driver; the same
+/// rules and results as ReadLog over the file's contents. A strict read
+/// stops reading at the first rejected line. Throws IoError.
+template <typename Format>
+std::optional<std::vector<typename Format::Record>> ReadLogFile(
+    const std::filesystem::path& path, const IngestOptions& options,
+    IngestReport& report) {
+  detail::ChunkReader in(path);
+  LogReader<Format> reader(options, report, in.Size());
+  for (std::string_view chunk = in.Next(); !chunk.empty() && reader.Feed(chunk);
+       chunk = in.Next()) {
+  }
+  in.Close();
+  return reader.Finish();
 }
 
 }  // namespace lockdown::ingest

@@ -8,8 +8,6 @@
 namespace lockdown::logs {
 
 namespace {
-constexpr std::string_view kHeader = "start\tend\tmac\tip";
-
 template <typename T>
 bool ParseNum(std::string_view s, T& out) {
   const auto* end = s.data() + s.size();
@@ -17,10 +15,14 @@ bool ParseNum(std::string_view s, T& out) {
   return res.ec == std::errc() && res.ptr == end;
 }
 
-std::optional<ingest::ErrorClass> ParseRow(std::string_view raw, dhcp::Lease& lease) {
-  const std::string_view line = util::Trim(raw);
-  const auto fields = util::Split(line, '\t');
-  if (fields.size() != 4) return ingest::ErrorClass::kFieldCount;
+}  // namespace
+
+std::optional<ingest::ErrorClass> DhcpLogFormat::ParseRow(std::string_view line,
+                                                          dhcp::Lease& lease) {
+  std::string_view fields[4];
+  if (!util::SplitExact(util::Trim(line), '\t', fields)) {
+    return ingest::ErrorClass::kFieldCount;
+  }
   if (!ParseNum(fields[0], lease.start)) return ingest::ErrorClass::kBadTimestamp;
   if (!ParseNum(fields[1], lease.end)) return ingest::ErrorClass::kBadTimestamp;
   const auto mac = net::MacAddress::Parse(fields[2]);
@@ -31,10 +33,9 @@ std::optional<ingest::ErrorClass> ParseRow(std::string_view raw, dhcp::Lease& le
   lease.ip = *ip;
   return std::nullopt;
 }
-}  // namespace
 
 void WriteDhcpLog(std::ostream& out, std::span<const dhcp::Lease> leases) {
-  out << kHeader << '\n';
+  out << DhcpLogFormat::kHeader << '\n';
   for (const dhcp::Lease& lease : leases) {
     out << lease.start << '\t' << lease.end << '\t' << lease.mac.ToString()
         << '\t' << lease.ip.ToString() << '\n';
@@ -44,7 +45,7 @@ void WriteDhcpLog(std::ostream& out, std::span<const dhcp::Lease> leases) {
 std::optional<std::vector<dhcp::Lease>> ReadDhcpLog(
     std::string_view text, const ingest::IngestOptions& options,
     ingest::IngestReport& report) {
-  return ingest::ParseLog<dhcp::Lease>(text, kHeader, options, report, ParseRow);
+  return ingest::ReadLog<DhcpLogFormat>(text, options, report);
 }
 
 std::optional<std::vector<dhcp::Lease>> ReadDhcpLog(std::string_view text) {

@@ -3,6 +3,7 @@
 // al.'s infrastructure.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <optional>
 #include <span>
@@ -13,6 +14,17 @@
 #include "ingest/ingest.h"
 
 namespace lockdown::logs {
+
+/// dhcp.log schema for the ingest line driver (ingest::LogReader).
+struct DhcpLogFormat {
+  using Record = dhcp::Lease;
+  static constexpr std::string_view kHeader = "start\tend\tmac\tip";
+  /// Shortest row ParseRow accepts ("0\t0\t00:00:00:00:00:00\t0.0.0.0").
+  static constexpr std::size_t kMinRowBytes = 29;
+  /// Parses one data row; nullopt on success, else the rejection's class.
+  static std::optional<ingest::ErrorClass> ParseRow(std::string_view line,
+                                                    dhcp::Lease& lease);
+};
 
 /// Writes leases as "start\tend\tmac\tip" rows under a header.
 void WriteDhcpLog(std::ostream& out, std::span<const dhcp::Lease> leases);

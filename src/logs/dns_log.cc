@@ -8,8 +8,6 @@
 namespace lockdown::logs {
 
 namespace {
-constexpr std::string_view kHeader = "ts\tclient\tqname\tanswer\tttl";
-
 template <typename T>
 bool ParseNum(std::string_view s, T& out) {
   const auto* end = s.data() + s.size();
@@ -17,10 +15,14 @@ bool ParseNum(std::string_view s, T& out) {
   return res.ec == std::errc() && res.ptr == end;
 }
 
-std::optional<ingest::ErrorClass> ParseRow(std::string_view raw, dns::Resolution& r) {
-  const std::string_view line = util::Trim(raw);
-  const auto fields = util::Split(line, '\t');
-  if (fields.size() != 5) return ingest::ErrorClass::kFieldCount;
+}  // namespace
+
+std::optional<ingest::ErrorClass> DnsLogFormat::ParseRow(std::string_view line,
+                                                         dns::Resolution& r) {
+  std::string_view fields[5];
+  if (!util::SplitExact(util::Trim(line), '\t', fields)) {
+    return ingest::ErrorClass::kFieldCount;
+  }
   if (!ParseNum(fields[0], r.ts)) return ingest::ErrorClass::kBadTimestamp;
   const auto mac = net::MacAddress::Parse(fields[1]);
   if (!mac) return ingest::ErrorClass::kBadMac;
@@ -33,10 +35,9 @@ std::optional<ingest::ErrorClass> ParseRow(std::string_view raw, dns::Resolution
   r.answer = *ip;
   return std::nullopt;
 }
-}  // namespace
 
 void WriteDnsLog(std::ostream& out, std::span<const dns::Resolution> resolutions) {
-  out << kHeader << '\n';
+  out << DnsLogFormat::kHeader << '\n';
   for (const dns::Resolution& r : resolutions) {
     out << r.ts << '\t' << r.client.ToString() << '\t' << r.qname << '\t'
         << r.answer.ToString() << '\t' << r.ttl << '\n';
@@ -46,7 +47,7 @@ void WriteDnsLog(std::ostream& out, std::span<const dns::Resolution> resolutions
 std::optional<std::vector<dns::Resolution>> ReadDnsLog(
     std::string_view text, const ingest::IngestOptions& options,
     ingest::IngestReport& report) {
-  return ingest::ParseLog<dns::Resolution>(text, kHeader, options, report, ParseRow);
+  return ingest::ReadLog<DnsLogFormat>(text, options, report);
 }
 
 std::optional<std::vector<dns::Resolution>> ReadDnsLog(std::string_view text) {

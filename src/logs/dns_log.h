@@ -1,6 +1,7 @@
 // On-disk DNS resolution log (TSV with header).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <optional>
 #include <span>
@@ -11,6 +12,17 @@
 #include "ingest/ingest.h"
 
 namespace lockdown::logs {
+
+/// dns.log schema for the ingest line driver (ingest::LogReader).
+struct DnsLogFormat {
+  using Record = dns::Resolution;
+  static constexpr std::string_view kHeader = "ts\tclient\tqname\tanswer\tttl";
+  /// Shortest row ParseRow accepts ("0\t00:00:00:00:00:00\tx\t0.0.0.0\t0").
+  static constexpr std::size_t kMinRowBytes = 31;
+  /// Parses one data row; nullopt on success, else the rejection's class.
+  static std::optional<ingest::ErrorClass> ParseRow(std::string_view line,
+                                                    dns::Resolution& r);
+};
 
 /// Writes resolutions as "ts\tclient\tqname\tanswer\tttl" rows.
 void WriteDnsLog(std::ostream& out, std::span<const dns::Resolution> resolutions);

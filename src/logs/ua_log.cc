@@ -7,14 +7,14 @@
 
 namespace lockdown::logs {
 
-namespace {
-constexpr std::string_view kHeader = "ts\tclient\tuser_agent";
-
-std::optional<ingest::ErrorClass> ParseRow(std::string_view raw, UaRecord& r) {
+std::optional<ingest::ErrorClass> UaLogFormat::ParseRow(std::string_view line,
+                                                        UaRecord& r) {
   // The UA field may contain any byte except tab/newline, so the raw line is
   // split untrimmed (the agent text is trimmed on its own at the end).
-  const auto fields = util::Split(raw, '\t');
-  if (fields.size() != 3) return ingest::ErrorClass::kFieldCount;
+  std::string_view fields[3];
+  if (!util::SplitExact(line, '\t', fields)) {
+    return ingest::ErrorClass::kFieldCount;
+  }
   const auto* end = fields[0].data() + fields[0].size();
   const auto res = std::from_chars(fields[0].data(), end, r.ts);
   // ec catches overflow: an out-of-range ts consumes every digit (ptr ==
@@ -29,10 +29,9 @@ std::optional<ingest::ErrorClass> ParseRow(std::string_view raw, UaRecord& r) {
   r.user_agent = std::string(util::Trim(fields[2]));
   return std::nullopt;
 }
-}  // namespace
 
 void WriteUaLog(std::ostream& out, const std::vector<UaRecord>& records) {
-  out << kHeader << '\n';
+  out << UaLogFormat::kHeader << '\n';
   for (const UaRecord& r : records) {
     out << r.ts << '\t' << r.client_ip.ToString() << '\t';
     for (char c : r.user_agent) {
@@ -45,7 +44,7 @@ void WriteUaLog(std::ostream& out, const std::vector<UaRecord>& records) {
 std::optional<std::vector<UaRecord>> ReadUaLog(
     std::string_view text, const ingest::IngestOptions& options,
     ingest::IngestReport& report) {
-  return ingest::ParseLog<UaRecord>(text, kHeader, options, report, ParseRow);
+  return ingest::ReadLog<UaLogFormat>(text, options, report);
 }
 
 std::optional<std::vector<UaRecord>> ReadUaLog(std::string_view text) {

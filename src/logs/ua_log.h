@@ -2,6 +2,7 @@
 // anything except tab/newline, which the writer rejects by substitution.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -20,6 +21,17 @@ struct UaRecord {
   util::Timestamp ts = 0;
   net::Ipv4Address client_ip;
   std::string user_agent;
+};
+
+/// ua.log schema for the ingest line driver (ingest::LogReader).
+struct UaLogFormat {
+  using Record = UaRecord;
+  static constexpr std::string_view kHeader = "ts\tclient\tuser_agent";
+  /// Shortest row ParseRow accepts ("0\t0.0.0.0\tx").
+  static constexpr std::size_t kMinRowBytes = 11;
+  /// Parses one data row; nullopt on success, else the rejection's class.
+  static std::optional<ingest::ErrorClass> ParseRow(std::string_view line,
+                                                    UaRecord& r);
 };
 
 /// Writes sightings as "ts\tclient\tuser_agent" rows.

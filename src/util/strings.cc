@@ -3,7 +3,11 @@
 #include <string.h>  // strerror_r (POSIX; <cstring> need not declare it)
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 namespace lockdown::util {
 
@@ -17,6 +21,39 @@ std::vector<std::string_view> Split(std::string_view s, char sep) {
     }
   }
   return out;
+}
+
+bool SplitExact(std::string_view s, char sep,
+                std::span<std::string_view> out) noexcept {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  for (std::string_view& field : out) {
+    const auto* hit = p == end ? nullptr
+                               : static_cast<const char*>(std::memchr(
+                                     p, sep, static_cast<std::size_t>(end - p)));
+    if (hit == nullptr) {
+      field = std::string_view(p, static_cast<std::size_t>(end - p));
+      return &field == &out.back();
+    }
+    field = std::string_view(p, static_cast<std::size_t>(hit - p));
+    p = hit + 1;
+  }
+  return false;  // a separator past the last field: too many fields
+}
+
+bool ParseDouble(std::string_view s, double& out) noexcept {
+  char buf[64];
+  if (s.size() >= sizeof(buf)) return false;
+  const char* const end = s.data() + s.size();
+  // from_chars agrees with strtod wherever it consumes the whole field; NaN
+  // goes to strtod too, which keeps a "nan(...)" payload.
+  const auto res = std::from_chars(s.data(), end, out);
+  if (res.ec == std::errc() && res.ptr == end && !std::isnan(out)) return true;
+  s.copy(buf, s.size());
+  buf[s.size()] = '\0';
+  char* parsed = nullptr;
+  out = std::strtod(buf, &parsed);
+  return parsed == buf + s.size();
 }
 
 std::string Join(const std::vector<std::string>& pieces, std::string_view sep) {

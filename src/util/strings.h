@@ -2,6 +2,7 @@
 // suffix matching used by every application signature.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -10,6 +11,19 @@ namespace lockdown::util {
 
 /// Splits on a single separator character. Empty fields are preserved.
 [[nodiscard]] std::vector<std::string_view> Split(std::string_view s, char sep);
+
+/// Splits `s` on `sep` into exactly `out.size()` fields without allocating.
+/// Returns false when the field count differs (`out` is then unspecified).
+/// Empty fields are preserved, as in Split.
+[[nodiscard]] bool SplitExact(std::string_view s, char sep,
+                              std::span<std::string_view> out) noexcept;
+
+/// Parses all of `s` as a double, accepting exactly what strtod accepts
+/// (leading whitespace, '+', hex floats, inf/nan, out-of-range values as
+/// +-HUGE_VAL or 0; an empty field reads as 0) with strtod's values. Fields
+/// of 64 bytes or more are rejected. std::from_chars takes the common case;
+/// whatever it does not fully consume goes to strtod.
+[[nodiscard]] bool ParseDouble(std::string_view s, double& out) noexcept;
 
 /// Joins pieces with the separator.
 [[nodiscard]] std::string Join(const std::vector<std::string>& pieces,

@@ -139,6 +139,26 @@ TEST(TolerantIngest, TruncatedTailIsReclassified) {
   EXPECT_EQ(ClassCount(complete, ingest::ErrorClass::kFieldCount), 1u);
 }
 
+TEST(TolerantIngest, BlankUnterminatedTailDoesNotTruncateTheRowBeforeIt) {
+  // Only the unterminated final segment can be a cut-off write. Here that
+  // segment is whitespace; the complete malformed row before it keeps its
+  // own class.
+  const std::string doc =
+      DnsDoc({"1\taa:bb:cc:dd:ee:ff\tzoom.us\t1.2.3.4\t60",
+              "1\tnot-a-mac\tx.com\t1.2.3.4\t60"}) +
+      "   ";
+  ingest::IngestReport report;
+  const auto parsed = logs::ReadDnsLog(doc, Tolerant(), report);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->size(), 1u);
+  EXPECT_EQ(report.lines_total, 2u);
+  EXPECT_EQ(ClassCount(report, ingest::ErrorClass::kBadMac), 1u);
+  EXPECT_EQ(ClassCount(report, ingest::ErrorClass::kTruncatedLine), 0u);
+  ASSERT_EQ(report.samples.size(), 1u);
+  EXPECT_EQ(report.samples[0].line, 3u);
+  EXPECT_EQ(report.samples[0].error, ingest::ErrorClass::kBadMac);
+}
+
 TEST(TolerantIngest, QuarantineWritesRejectedLinesVerbatim) {
   const auto dir = std::filesystem::temp_directory_path() /
                    "lockdown_ingest_quarantine_test";

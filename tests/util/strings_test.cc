@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cerrno>
+#include <cstdint>
+#include <cstdlib>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,6 +35,82 @@ TEST(Split, EmptyString) {
   const auto parts = Split("", ',');
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(parts[0], "");
+}
+
+TEST(SplitExact, MatchesSplitWhenTheCountFits) {
+  for (const std::string_view s : {"a\tb\tc", "\t\t", "a\t\tc", "\tb\t"}) {
+    std::string_view fields[3];
+    ASSERT_TRUE(SplitExact(s, '\t', fields)) << s;
+    const auto parts = Split(s, '\t');
+    ASSERT_EQ(parts.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(fields[i], parts[i]) << s;
+  }
+}
+
+TEST(SplitExact, FailsOnAnyOtherCount) {
+  std::string_view fields[3];
+  for (const std::string_view s : {"", "a", "a\tb", "a\tb\tc\t", "a\tb\tc\td"}) {
+    EXPECT_FALSE(SplitExact(s, '\t', fields)) << s;
+  }
+  std::string_view one[1];
+  ASSERT_TRUE(SplitExact("", '\t', one));
+  EXPECT_EQ(one[0], "");
+}
+
+/// ParseDouble's historical definition: strtod over a NUL-terminated copy,
+/// accepted only when it consumes every byte of a field under 64 bytes.
+bool BareStrtod(std::string_view s, double& out) {
+  char buf[64];
+  if (s.size() >= sizeof(buf)) return false;
+  s.copy(buf, s.size());
+  buf[s.size()] = '\0';
+  char* end = nullptr;
+  out = std::strtod(buf, &end);
+  return end == buf + s.size();
+}
+
+void ExpectStrtodParity(std::string_view s) {
+  double want = 0.0;
+  double got = 0.0;
+  const bool want_ok = BareStrtod(s, want);
+  const bool got_ok = ParseDouble(s, got);
+  ASSERT_EQ(got_ok, want_ok) << '"' << s << '"';
+  if (want_ok) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << '"' << s << '"';
+  }
+}
+
+TEST(ParseDouble, StrtodParityOnEdgeStrings) {
+  const std::string digits63 = "1." + std::string(61, '5');
+  const std::string digits64 = "1." + std::string(62, '5');
+  ASSERT_EQ(digits63.size(), 63u);
+  ASSERT_EQ(digits64.size(), 64u);
+  const std::vector<std::string> edges = {
+      "+1", " 1", "0x1p3", "1e400", "-1e400", "1e-310", "1e-400", "nan", "-nan",
+      "nan(123)", "NaN", "inf", "-inf", "infinity", "-0", "1.", ".5", "", " ",
+      "1 ", "1e", "1e+", "0x", "--1", "1.5", "12.375", "4.9e-324", "1,5",
+      digits63, digits64};
+  for (const std::string& s : edges) {
+    ExpectStrtodParity(s);
+  }
+  double v = 0.0;
+  EXPECT_TRUE(ParseDouble(digits63, v));
+  EXPECT_FALSE(ParseDouble(digits64, v));
+  EXPECT_TRUE(ParseDouble("0x1p3", v));
+  EXPECT_EQ(v, 8.0);
+  EXPECT_TRUE(ParseDouble("", v));  // strtod consumes nothing of nothing
+  EXPECT_EQ(v, 0.0);
+}
+
+TEST(ParseDouble, StrtodParityOnRandomFields) {
+  static constexpr char kAlphabet[] = "0123456789.eE+-xXpPinfaINFA ";
+  std::mt19937_64 rng(2020);
+  for (int trial = 0; trial < 200'000; ++trial) {
+    std::string s(rng() % 12, '0');
+    for (char& c : s) c = kAlphabet[rng() % (sizeof kAlphabet - 1)];
+    ExpectStrtodParity(s);
+  }
 }
 
 TEST(Join, RoundTrip) {

@@ -200,9 +200,9 @@ if [[ "${mode}" == "all" || "${mode}" == "--obs-only" ]]; then
 
   echo "=== obs: validate JSON shapes ==="
   python3 - "${obs_work}/m.json" "${obs_work}/t.json" "${obs_work}/m_ingest.json" \
-    "${obs_work}/m_store.json" <<'PY'
-import json, sys
-m_path, t_path, ingest_path, store_path = sys.argv[1:5]
+    "${obs_work}/m_store.json" "${obs_work}/logs" <<'PY'
+import json, os, sys
+m_path, t_path, ingest_path, store_path, logs_dir = sys.argv[1:6]
 
 def names(doc):
     return {entry["name"]
@@ -223,6 +223,22 @@ assert not missing, f"metrics missing subsystems: {missing} (got {subsystems})"
 
 ing = json.load(open(ingest_path))
 assert any(n.startswith("ingest/") for n in names(ing)), "no ingest metrics"
+
+# The ingest counters against the files themselves: every byte of the four
+# logs read exactly once, and every data row (non-blank, header excluded)
+# kept by the strict read.
+logs = [os.path.join(logs_dir, f)
+        for f in ("conn.log", "dhcp.log", "dns.log", "ua.log")]
+ic = {e["name"]: e["value"] for e in ing["counters"] if e["name"].startswith("ingest/")}
+want_bytes = sum(os.path.getsize(f) for f in logs)
+assert ic["ingest/bytes_read"] == want_bytes, \
+    f"ingest/bytes_read {ic['ingest/bytes_read']} != {want_bytes} bytes of logs"
+want_rows = 0
+for f in logs:
+    with open(f, "rb") as fh:
+        want_rows += sum(1 for line in fh if line.strip()) - 1
+assert ic["ingest/lines_kept"] == want_rows, \
+    f"ingest/lines_kept {ic['ingest/lines_kept']} != {want_rows} data rows"
 
 # The paper's data funnel: every raw flow lands in exactly one of kept,
 # visitor-filtered and unattributed, and retention only removes devices.
