@@ -41,11 +41,4 @@ std::optional<AppId> SignatureRegistry::Match(std::string_view host) const {
   }
 }
 
-std::optional<AppId> SignatureRegistry::MatchLinear(std::string_view host) const {
-  for (AppId id = 0; id < sigs_.size(); ++id) {
-    if (sigs_[id].Matches(host)) return id;
-  }
-  return std::nullopt;
-}
-
 }  // namespace lockdown::apps

@@ -5,8 +5,7 @@
 //  customer support recommends whitelisting", §5.3.1). A signature matches a
 // hostname if it equals or is a subdomain of any signature domain. The
 // registry indexes many signatures for single-pass matching; lookup walks
-// the host's label boundaries, so it is O(#labels), not O(#signatures) — the
-// perf bench compares this against the naive scan.
+// the host's label boundaries, so it is O(#labels), not O(#signatures).
 #pragma once
 
 #include <cstdint>
@@ -51,10 +50,6 @@ class SignatureRegistry {
 
   /// Indexed match: id of the signature owning `host`, if any.
   [[nodiscard]] std::optional<AppId> Match(std::string_view host) const;
-
-  /// Reference linear scan over all signatures (baseline for the perf bench
-  /// and a validation oracle in tests).
-  [[nodiscard]] std::optional<AppId> MatchLinear(std::string_view host) const;
 
  private:
   std::vector<DomainSignature> sigs_;

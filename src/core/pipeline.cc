@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -13,6 +14,7 @@
 #include "privacy/visitor_filter.h"
 #include "sim/generator.h"
 #include "util/hash.h"
+#include "util/table.h"
 #include "util/thread_pool.h"
 #include "world/oui_db.h"
 
@@ -47,6 +49,20 @@ void RecordPipelineStats(const CollectionStats& stats,
 
 }  // namespace
 
+void PrintFunnel(const CollectionStats& stats, std::ostream& out) {
+  const std::uint64_t kept = stats.raw_flows - stats.unattributed - stats.visitor_flows;
+  util::TablePrinter table({"data funnel", "count"});
+  table.AddRow({"tap-excluded events", std::to_string(stats.tap_excluded)});
+  table.AddRow({"raw flows", std::to_string(stats.raw_flows)});
+  table.AddRow({"  - unattributed (no DHCP lease)", std::to_string(stats.unattributed)});
+  table.AddRow({"  - visitor-filtered", std::to_string(stats.visitor_flows)});
+  table.AddRow({"  = kept flows", std::to_string(kept)});
+  table.AddRow({"devices observed", std::to_string(stats.devices_observed)});
+  table.AddRow({"  = kept devices", std::to_string(stats.devices_retained)});
+  table.AddRow({"user-agent sightings kept", std::to_string(stats.ua_sightings)});
+  table.Print(out);
+}
+
 privacy::Anonymizer MeasurementPipeline::MakeAnonymizer(const StudyConfig& config) {
   // Per-run key derived from the seed so runs are reproducible; a deployment
   // would draw this from a CSPRNG and destroy it after processing.
@@ -64,6 +80,7 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
   CollectionStats& stats = result.stats;
   const std::size_t n = inputs.flows.size();
   stats.raw_flows = n;
+  stats.tap_excluded = inputs.tap_excluded;
 
   // --- Attribution indexes ---------------------------------------------------
   // The normalizer numbers each distinct MAC with a dense slot. Every
@@ -254,14 +271,13 @@ CapturedFlows CaptureFlows(sim::TrafficGenerator& generator,
   return captured;
 }
 
-CollectionResult MeasurementPipeline::Collect(const StudyConfig& config,
-                                              const world::ServiceCatalog& catalog) {
-  OBS_SPAN("pipeline/collect");
-  // --- Stage 1: tap capture + flow extraction ---------------------------------
+RawInputs MeasurementPipeline::Capture(const StudyConfig& config,
+                                      const world::ServiceCatalog& catalog) {
   sim::TrafficGenerator generator(config.generator, catalog);
   CapturedFlows captured = CaptureFlows(generator, catalog);
   RawInputs inputs;
   inputs.flows = std::move(captured.flows);
+  inputs.tap_excluded = captured.tap_excluded;
   inputs.dhcp_log = generator.dhcp_log();
   inputs.dns_log = generator.dns_log();
   inputs.ua_log.reserve(generator.ua_sightings().size());
@@ -272,12 +288,14 @@ CollectionResult MeasurementPipeline::Collect(const StudyConfig& config,
   if (obs::MetricsEnabled()) {
     obs::GetCounter("sim/tap_excluded", "events").Add(captured.tap_excluded);
   }
+  return inputs;
+}
 
-  // --- Stages 2-5 --------------------------------------------------------------
-  CollectionResult result = Process(std::move(inputs), MakeAnonymizer(config),
-                                    config.visitor_min_days, config.threads);
-  result.stats.tap_excluded = captured.tap_excluded;
-  return result;
+CollectionResult MeasurementPipeline::Collect(const StudyConfig& config,
+                                              const world::ServiceCatalog& catalog) {
+  OBS_SPAN("pipeline/collect");
+  return Process(Capture(config, catalog), MakeAnonymizer(config),
+                 config.visitor_min_days, config.threads);
 }
 
 }  // namespace lockdown::core

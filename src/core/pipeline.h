@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <vector>
 
 #include "core/config.h"
@@ -49,6 +50,12 @@ struct CollectionStats {
   friend bool operator==(const CollectionStats&, const CollectionStats&) = default;
 };
 
+/// Prints the paper's data funnel (§3) as one table: tap-excluded events,
+/// then raw flows -> unattributed -> visitor-filtered -> kept, then devices
+/// observed -> kept. Kept flows follow from the funnel identity
+/// raw = kept + visitor-filtered + unattributed.
+void PrintFunnel(const CollectionStats& stats, std::ostream& out);
+
 struct CollectionResult {
   Dataset dataset;
   CollectionStats stats;
@@ -61,6 +68,7 @@ struct RawInputs {
   std::vector<dhcp::Lease> dhcp_log;
   std::vector<dns::Resolution> dns_log;
   std::vector<logs::UaRecord> ua_log;
+  std::uint64_t tap_excluded = 0;  ///< tap events dropped before `flows`
 };
 
 /// The flow records the simulated tap yields, plus how many tap events the
@@ -78,8 +86,15 @@ struct CapturedFlows {
 
 class MeasurementPipeline {
  public:
-  /// Runs generation + the full processing pipeline.
+  /// Runs generation + the full processing pipeline: Process(Capture(...)).
   [[nodiscard]] static CollectionResult Collect(
+      const StudyConfig& config,
+      const world::ServiceCatalog& catalog = world::ServiceCatalog::Default());
+
+  /// The collection stage alone: simulates the campus through the tap into
+  /// the flow records and the three logs, so one capture can be processed
+  /// under several settings.
+  [[nodiscard]] static RawInputs Capture(
       const StudyConfig& config,
       const world::ServiceCatalog& catalog = world::ServiceCatalog::Default());
 

@@ -39,18 +39,4 @@ std::optional<net::MacAddress> IpToMacNormalizer::Lookup(
   return macs_[slot];
 }
 
-std::optional<net::MacAddress> IpToMacNormalizer::LookupLinear(
-    std::span<const Lease> log, net::Ipv4Address ip, util::Timestamp ts) noexcept {
-  std::optional<net::MacAddress> best;
-  util::Timestamp best_start = 0;
-  for (const Lease& lease : log) {
-    if (lease.ip == ip && lease.start <= ts && ts < lease.end &&
-        (!best || lease.start >= best_start)) {
-      best = lease.mac;
-      best_start = lease.start;
-    }
-  }
-  return best;
-}
-
 }  // namespace lockdown::dhcp

@@ -7,10 +7,9 @@
 // The normalizer builds an interval index over the DHCP log: per client IP, a
 // time-sorted vector of lease intervals, looked up with binary search. This
 // makes each lookup O(log k) in the number of leases the address went
-// through, versus a full log scan; the perf_components bench quantifies the
-// gap. Each distinct MAC gets a dense slot (its first-appearance rank in the
-// log), so per-flow callers can key flat tables by slot instead of hashing
-// the MAC.
+// through, versus a full log scan. Each distinct MAC gets a dense slot (its
+// first-appearance rank in the log), so per-flow callers can key flat tables
+// by slot instead of hashing the MAC.
 #pragma once
 
 #include <cstddef>
@@ -44,11 +43,6 @@ class IpToMacNormalizer {
   /// MAC holding `ip` at time `ts`, or nullopt if no lease covers the instant.
   [[nodiscard]] std::optional<net::MacAddress> Lookup(net::Ipv4Address ip,
                                                       util::Timestamp ts) const noexcept;
-
-  /// Reference implementation: linear scan over the whole log. Used by tests
-  /// to validate the index and by perf_components as the naive baseline.
-  [[nodiscard]] static std::optional<net::MacAddress> LookupLinear(
-      std::span<const Lease> log, net::Ipv4Address ip, util::Timestamp ts) noexcept;
 
   /// The MAC numbered `slot` (< num_macs()).
   [[nodiscard]] net::MacAddress mac(std::uint32_t slot) const { return macs_[slot]; }

@@ -1,7 +1,6 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <iomanip>
 
 namespace lockdown::util {
 
@@ -20,12 +19,17 @@ void TablePrinter::Print(std::ostream& out) const {
       widths[i] = std::max(widths[i], row[i].size());
     }
   }
+  // Lines carry no trailing blanks, so a table pasted into a text file
+  // survives editors that strip them.
   auto emit = [&](const std::vector<std::string>& row) {
+    std::string line;
     for (std::size_t i = 0; i < widths.size(); ++i) {
       const std::string& cell = i < row.size() ? row[i] : std::string();
-      out << std::left << std::setw(static_cast<int>(widths[i]) + 2) << cell;
+      line += cell;
+      line.append(widths[i] + 2 - cell.size(), ' ');
     }
-    out << '\n';
+    line.erase(line.find_last_not_of(' ') + 1);
+    out << line << '\n';
   };
   emit(header_);
   std::size_t total = 0;

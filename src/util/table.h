@@ -1,5 +1,5 @@
-// Aligned console tables. Every bench binary prints the series behind its
-// figure as a readable table (the "rows the paper reports").
+// Aligned console tables, for the series behind each figure in the
+// experiments binary (the "rows the paper reports") and the CLI summaries.
 #pragma once
 
 #include <ostream>

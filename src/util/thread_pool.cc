@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <charconv>
@@ -57,18 +58,18 @@ void RecordJobStats(const std::array<std::uint64_t, kMaxObsLanes>& busy_ns,
 }  // namespace
 
 int ResolveThreadCount(int requested) noexcept {
-  if (requested > 0) return requested;
+  if (requested > 0) return std::min(requested, kMaxThreads);
   if (const char* env = std::getenv("LOCKDOWN_THREADS");
       env != nullptr && *env != '\0') {
     int value = 0;
     const char* end = env + std::strlen(env);
     const auto [ptr, ec] = std::from_chars(env, end, value);
     if (ec == std::errc() && ptr == end && value >= 0) {
-      return value <= 1 ? 1 : value;
+      return std::clamp(value, 1, kMaxThreads);
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return std::clamp(static_cast<int>(hw), 1, kMaxThreads);
 }
 
 struct ThreadPool::Job {

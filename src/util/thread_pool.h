@@ -22,12 +22,16 @@
 
 namespace lockdown::util {
 
+/// Upper bound on any resolved thread count: a typo such as
+/// LOCKDOWN_THREADS=100000 must not ask the OS for 100k threads.
+inline constexpr int kMaxThreads = 256;
+
 /// Effective thread count for a requested value:
 ///   requested >  0  -> requested
 ///   requested == 0  -> LOCKDOWN_THREADS if set (0 or 1 => serial),
 ///                      else std::thread::hardware_concurrency().
-/// The result is always >= 1 (1 means "run everything on the caller").
-/// A malformed LOCKDOWN_THREADS value is treated as unset.
+/// The result is always in [1, kMaxThreads] (1 means "run everything on the
+/// caller"). A malformed LOCKDOWN_THREADS value is treated as unset.
 [[nodiscard]] int ResolveThreadCount(int requested = 0) noexcept;
 
 class ThreadPool {

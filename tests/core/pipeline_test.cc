@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include "sim/generator.h"
 #include "world/oui_db.h"
+
+#include "dataset_equal.h"
 
 namespace lockdown::core {
 namespace {
@@ -55,6 +59,37 @@ TEST_F(PipelineTest, TapExclusionDropsTraffic) {
 TEST_F(PipelineTest, VisitorFilterApplied) {
   EXPECT_LE(result_->stats.devices_retained, result_->stats.devices_observed);
   EXPECT_EQ(result_->dataset.num_devices(), result_->stats.devices_retained);
+}
+
+// Collect is Process over Capture; the tap-exclusion count rides along in
+// RawInputs, so processing one capture twice reproduces it exactly.
+TEST_F(PipelineTest, CollectIsProcessOfCapture) {
+  const RawInputs raw = MeasurementPipeline::Capture(*config_);
+  EXPECT_EQ(raw.tap_excluded, result_->stats.tap_excluded);
+  const privacy::Anonymizer anon = MeasurementPipeline::MakeAnonymizer(*config_);
+  for (int pass = 0; pass < 2; ++pass) {
+    testing::ExpectSameCollection(
+        MeasurementPipeline::Process(raw, anon, config_->visitor_min_days), *result_);
+  }
+}
+
+// One row per funnel stage, and the kept rows are the dataset's sizes.
+TEST_F(PipelineTest, FunnelTableMatchesTheDataset) {
+  std::ostringstream out;
+  PrintFunnel(result_->stats, out);
+  const std::string text = out.str();
+  const auto row = [&text](const std::string& label, std::uint64_t value) {
+    return text.find(label) != std::string::npos &&
+           text.find(std::to_string(value), text.find(label)) != std::string::npos;
+  };
+  const CollectionStats& st = result_->stats;
+  EXPECT_TRUE(row("tap-excluded events", st.tap_excluded)) << text;
+  EXPECT_TRUE(row("raw flows", st.raw_flows)) << text;
+  EXPECT_TRUE(row("unattributed", st.unattributed)) << text;
+  EXPECT_TRUE(row("visitor-filtered", st.visitor_flows)) << text;
+  EXPECT_TRUE(row("kept flows", result_->dataset.num_flows())) << text;
+  EXPECT_TRUE(row("devices observed", st.devices_observed)) << text;
+  EXPECT_TRUE(row("kept devices", result_->dataset.num_devices())) << text;
 }
 
 TEST_F(PipelineTest, MostFlowsAttributedAndMapped) {

@@ -10,6 +10,22 @@ namespace {
 
 using util::kSecondsPerHour;
 
+// The oracle for the interval index: a scan of the whole log for the latest
+// lease covering `ts`.
+std::optional<net::MacAddress> LookupLinear(std::span<const Lease> log,
+                                            net::Ipv4Address ip, util::Timestamp ts) {
+  std::optional<net::MacAddress> best;
+  util::Timestamp best_start = 0;
+  for (const Lease& lease : log) {
+    if (lease.ip == ip && lease.start <= ts && ts < lease.end &&
+        (!best || lease.start >= best_start)) {
+      best = lease.mac;
+      best_start = lease.start;
+    }
+  }
+  return best;
+}
+
 TEST(IpToMacNormalizer, BasicLookup) {
   const net::Ipv4Address ip(10, 0, 0, 5);
   const std::vector<Lease> log = {
@@ -85,7 +101,7 @@ TEST(IpToMacNormalizer, MatchesLinearReferenceOnChurnedLog) {
                               static_cast<std::uint8_t>(qrng.NextBounded(128)));
     const util::Timestamp ts = qrng.UniformInt(0, 20 * 24 * kSecondsPerHour);
     const auto mac = n.Lookup(ip, ts);
-    EXPECT_EQ(mac, IpToMacNormalizer::LookupLinear(server.log(), ip, ts))
+    EXPECT_EQ(mac, LookupLinear(server.log(), ip, ts))
         << ip.ToString() << " @ " << ts;
     // The slot lookup is the same search: it names the same MAC, or misses.
     const std::uint32_t slot = n.LookupSlot(ip, ts);

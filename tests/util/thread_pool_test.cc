@@ -105,6 +105,7 @@ TEST(ThreadPool, ZeroItemsIsANoOp) {
 TEST(ResolveThreadCount, ExplicitRequestWins) {
   EXPECT_EQ(ResolveThreadCount(5), 5);
   EXPECT_EQ(ResolveThreadCount(1), 1);
+  EXPECT_EQ(ResolveThreadCount(100000), kMaxThreads);
 }
 
 TEST(ResolveThreadCount, EnvOverride) {
@@ -112,6 +113,8 @@ TEST(ResolveThreadCount, EnvOverride) {
   EXPECT_EQ(ResolveThreadCount(0), 3);
   ASSERT_EQ(setenv("LOCKDOWN_THREADS", "0", 1), 0);
   EXPECT_EQ(ResolveThreadCount(0), 1);  // 0 => serial fallback
+  ASSERT_EQ(setenv("LOCKDOWN_THREADS", "100000", 1), 0);
+  EXPECT_EQ(ResolveThreadCount(0), kMaxThreads);
   ASSERT_EQ(setenv("LOCKDOWN_THREADS", "garbage", 1), 0);
   EXPECT_GE(ResolveThreadCount(0), 1);  // malformed => hardware default
   ASSERT_EQ(unsetenv("LOCKDOWN_THREADS"), 0);

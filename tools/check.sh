@@ -7,13 +7,17 @@
 # so the sharded passes actually run multi-threaded (this box may be
 # single-core, where the pool would otherwise fall back to serial) and runs
 # the thread-pool, pipeline, and differential parallel-equivalence tests.
+# After its ctest run, the default pass diffs EXPERIMENTS.md's
+# ```experiments blocks against the stdout of build/bench/experiments, so
+# every measured number in the document is the one the code prints.
 #
 # A fourth, CLI-level fault tier exercises the ingest robustness surface
 # end-to-end: it exports a small campus, corrupts the snapshot and the TSV
 # logs with the deterministic FaultInjector (seeds {1,2,3} x rates
 # {0.1%, 1%}), and asserts tolerant ingest completes (exit 0) where strict
 # ingest fails with the documented exit codes (3 = over error budget,
-# 4 = corrupt snapshot without fallback).
+# 4 = corrupt snapshot without fallback). Malformed numeric flag values
+# (NaN rates, trailing garbage, an over-cap --threads) must exit 1.
 #
 # The stream tier runs the streaming-vs-batch differential convergence suite
 # (tests/stream) under ASan+UBSan — including its FaultInjector leg, which
@@ -70,13 +74,22 @@ run_pass() {
 
 if [[ "${mode}" == "all" || "${mode}" == "--default-only" ]]; then
   run_pass "default" build
+  # EXPERIMENTS.md's ```experiments blocks, concatenated in order, are the
+  # experiments binary's stdout byte for byte.
+  echo "=== default: EXPERIMENTS.md vs build/bench/experiments ==="
+  if ! diff <(awk '/^```experiments$/ {on = 1; next} /^```$/ {on = 0} on' EXPERIMENTS.md) \
+            <(build/bench/experiments); then
+    echo "FAIL: EXPERIMENTS.md is stale; paste build/bench/experiments output" \
+         "into its experiments blocks" >&2
+    exit 1
+  fi
+  echo "=== default: EXPERIMENTS.md OK ==="
 fi
 
 if [[ "${mode}" == "all" || "${mode}" == "--asan-only" ]]; then
   run_pass "asan+ubsan" build-asan \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
-    -DLOCKDOWN_BUILD_BENCH=OFF
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 fi
 
 if [[ "${mode}" == "all" || "${mode}" == "--stream-only" ]]; then
@@ -87,8 +100,7 @@ if [[ "${mode}" == "all" || "${mode}" == "--stream-only" ]]; then
   echo "=== stream: configure (${dir}) ==="
   cmake -B "${dir}" -S . \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
-    -DLOCKDOWN_BUILD_BENCH=OFF >/dev/null
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
   echo "=== stream: build ==="
   cmake --build "${dir}" -j "${jobs}" --target stream_test
   echo "=== stream: differential suite (asan+ubsan) ==="
@@ -103,8 +115,7 @@ if [[ "${mode}" == "all" || "${mode}" == "--tsan-only" ]]; then
   echo "=== tsan: configure (${dir}) ==="
   cmake -B "${dir}" -S . \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
-    -DLOCKDOWN_BUILD_BENCH=OFF
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   echo "=== tsan: build ==="
   cmake --build "${dir}" -j "${jobs}" --target util_test core_test stream_test obs_test
   echo "=== tsan: parallel tests (LOCKDOWN_THREADS=8) ==="
@@ -174,6 +185,17 @@ if [[ "${mode}" == "all" || "${mode}" == "--fault-only" ]]; then
       }
     done
   done
+
+  echo "=== fault: malformed numeric flags exit 1 ==="
+  # catalog builds no thread pool, so even the over-cap --threads value is
+  # rejected without asking the OS for a thread.
+  for bad in "--threads 100000" "--threads 4x" "--seed abc" "--students 20x" \
+             "--rate nan"; do
+    # shellcheck disable=SC2086  # split "--flag value" into two words
+    expect_exit 1 "${cli}" catalog ${bad}
+  done
+  expect_exit 1 "${cli}" analyze --logs "${work}/dirty-1-0.01" --students 60 \
+    --seed 11 --ingest-mode tolerant --max-error-rate nan
   echo "=== fault: OK ==="
 fi
 
@@ -276,8 +298,7 @@ if [[ "${mode}" == "all" || "${mode}" == "--crash-only" ]]; then
   echo "=== crash: configure (${dir}) ==="
   cmake -B "${dir}" -S . \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
-    -DLOCKDOWN_BUILD_BENCH=OFF >/dev/null
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
   echo "=== crash: build ==="
   cmake --build "${dir}" -j "${jobs}" --target lockdown_cli crash_harness_test
   echo "=== crash: kill-at-every-crash-point harness (asan+ubsan) ==="
@@ -320,8 +341,7 @@ if [[ "${mode}" == "all" || "${mode}" == "--lint-only" || "${mode}" == "lint" ]]
 
   if command -v clang++ >/dev/null 2>&1; then
     echo "=== lint: clang -Wthread-safety build (build-tsa) ==="
-    cmake -B build-tsa -S . -DCMAKE_CXX_COMPILER=clang++ \
-      -DLOCKDOWN_BUILD_BENCH=OFF >/dev/null
+    cmake -B build-tsa -S . -DCMAKE_CXX_COMPILER=clang++ >/dev/null
     cmake --build build-tsa -j "${jobs}"
   else
     echo "=== lint: WARNING: clang++ not found; skipping the" \

@@ -61,13 +61,17 @@
 // Exit codes: 0 success; 1 usage error; 2 I/O error (missing file, failed
 // read/write); 3 malformed input beyond the error budget; 4 corrupt
 // dataset.lds with no TSV fallback available.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/offline.h"
 #include "core/study.h"
@@ -81,6 +85,7 @@
 #include "util/memstats.h"
 #include "util/strings.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -116,6 +121,24 @@ struct Options {
 
 void Usage() { std::cerr << cli::kUsageText; }
 
+/// The whole of `text` as a T: a partial parse ("20x"), overflow or an empty
+/// value is nullopt, where atoi/atof would have guessed.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// A rate flag's value: finite and in [0, 1].
+std::optional<double> ParseRate(std::string_view text) {
+  const std::optional<double> rate = ParseNumber<double>(text);
+  if (!rate || !std::isfinite(*rate) || *rate < 0 || *rate > 1) return std::nullopt;
+  return rate;
+}
+
 bool ParseArgs(int argc, char** argv, Options& opts) {
   if (argc < 2) return false;
   opts.command = argv[1];
@@ -135,6 +158,10 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    const auto bad_value = [&arg](const char* v, std::string_view want) {
+      std::cerr << arg << " wants " << want << ", got: " << v << "\n";
+      return false;
+    };
     if (arg == "--out") {
       const char* v = next();
       if (!v) return false;
@@ -148,17 +175,24 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
     } else if (arg == "--students") {
       const char* v = next();
       if (!v) return false;
-      opts.students = std::atoi(v);
-      if (opts.students <= 0) return false;
+      const auto students = ParseNumber<int>(v);
+      if (!students || *students <= 0) return bad_value(v, "a positive integer");
+      opts.students = *students;
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) return false;
-      opts.seed = static_cast<std::uint64_t>(std::atoll(v));
+      const auto seed = ParseNumber<std::uint64_t>(v);
+      if (!seed) return bad_value(v, "an unsigned 64-bit integer");
+      opts.seed = *seed;
     } else if (arg == "--threads") {
       const char* v = next();
       if (!v) return false;
-      opts.threads = std::atoi(v);
-      if (opts.threads < 0) return false;
+      const auto threads = ParseNumber<int>(v);
+      if (!threads || *threads < 0 || *threads > util::kMaxThreads) {
+        return bad_value(v, "an integer in [0, " +
+                                std::to_string(util::kMaxThreads) + "]");
+      }
+      opts.threads = *threads;
     } else if (arg == "--ingest-mode") {
       const char* v = next();
       if (!v) return false;
@@ -171,10 +205,9 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
     } else if (arg == "--max-error-rate") {
       const char* v = next();
       if (!v) return false;
-      opts.ingest.max_error_rate = std::atof(v);
-      if (opts.ingest.max_error_rate < 0 || opts.ingest.max_error_rate > 1) {
-        return false;
-      }
+      const auto rate = ParseRate(v);
+      if (!rate) return bad_value(v, "a number in [0, 1]");
+      opts.ingest.max_error_rate = *rate;
     } else if (arg == "--quarantine-dir") {
       const char* v = next();
       if (!v) return false;
@@ -182,8 +215,9 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
     } else if (arg == "--rate") {
       const char* v = next();
       if (!v) return false;
-      opts.fault_rate = std::atof(v);
-      if (opts.fault_rate < 0 || opts.fault_rate > 1) return false;
+      const auto rate = ParseRate(v);
+      if (!rate) return bad_value(v, "a number in [0, 1]");
+      opts.fault_rate = *rate;
     } else if (arg == "--kind") {
       const char* v = next();
       if (!v) return false;
@@ -235,12 +269,13 @@ core::StudyConfig ConfigFrom(const Options& opts) {
   return cfg;
 }
 
-void PrintHeadlineTable(const core::Dataset& dataset,
+/// The data funnel, then the headline statistics.
+void PrintHeadlineTable(const core::CollectionStats& stats,
                         const core::LockdownStudy::Headline& h,
                         const core::LockdownStudy::SwitchCounts& sw) {
+  core::PrintFunnel(stats, std::cout);
+  std::cout << "\n";
   util::TablePrinter table({"statistic", "value"});
-  table.AddRow({"flows", std::to_string(dataset.num_flows())});
-  table.AddRow({"devices", std::to_string(dataset.num_devices())});
   table.AddRow({"peak active devices", std::to_string(h.peak_active_devices)});
   table.AddRow({"trough active devices", std::to_string(h.trough_active_devices)});
   table.AddRow({"post-shutdown users", std::to_string(h.post_shutdown_users)});
@@ -266,8 +301,7 @@ void PrintPeakRss() {
 void PrintHeadline(const core::CollectionResult& collection, int threads) {
   const core::LockdownStudy study(collection.dataset,
                                   world::ServiceCatalog::Default(), threads);
-  PrintHeadlineTable(collection.dataset, study.HeadlineStats(),
-                     study.CountSwitches());
+  PrintHeadlineTable(collection.stats, study.HeadlineStats(), study.CountSwitches());
 }
 
 /// The streaming counterpart of PrintHeadline: same figure table, produced
@@ -280,8 +314,7 @@ void PrintStreamingStudy(const core::CollectionResult& collection,
   const stream::StreamingStudy study(collection.dataset,
                                      world::ServiceCatalog::Default(),
                                      streaming);
-  PrintHeadlineTable(collection.dataset, study.HeadlineStats(),
-                     study.CountSwitches());
+  PrintHeadlineTable(collection.stats, study.HeadlineStats(), study.CountSwitches());
   const stream::StreamingStudy::AccuracyReport report = study.Accuracy();
   std::cout << "\n";
   util::TablePrinter table({"accuracy", "value"});

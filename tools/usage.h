@@ -55,8 +55,9 @@ flags:
   --logs DIR            input directory holding the collection logs
   --students N          simulated student count (default 400)
   --seed S              simulation / anonymization / fault seed (default 2020)
-  --threads T           worker threads; 0 (default) defers to LOCKDOWN_THREADS,
-                        then the hardware. Results are identical at any count.
+  --threads T           worker threads in [0,256]; 0 (default) defers to
+                        LOCKDOWN_THREADS, then the hardware (both capped at
+                        256). Results are identical at any count.
   --ingest-mode M       strict (default) rejects a log on the first malformed
                         row; tolerant skips and accounts malformed rows
   --max-error-rate R    tolerant-mode rejection budget in [0,1] (default 0.01)
