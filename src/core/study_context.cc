@@ -122,6 +122,7 @@ bool StudyContext::IsZoomFlow(const Flow& f) const noexcept {
 }
 
 void StudyContext::ComputeSplit(util::ThreadPool& pool) {
+  OBS_SPAN("study/split");
   // §4.2: February traffic of post-shutdown users, bytes-weighted midpoint,
   // CDNs excluded (handled inside the classifier via the geo database).
   // Devices shard by chunk, so the per-shard classifiers hold disjoint keys

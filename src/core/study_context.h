@@ -1,13 +1,11 @@
 // StudyContext: the shared census every analysis starts from.
 //
-// Both the batch LockdownStudy and the streaming engine (src/stream) answer
-// the paper's questions against the same preconditions: every device
+// The figure engine (core/study.h) answers the paper's questions against
+// these preconditions, under either aggregator policy: every device
 // classified, every interned domain tagged with application flags, the
 // post-shutdown cohort identified, and the international/domestic split
 // derived from February traffic. This class owns exactly that state — O(num
-// devices + num domains), independent of flow count — so the streaming
-// engine can reuse it without inheriting the batch study's per-figure
-// materialisations.
+// devices + num domains), independent of flow count.
 //
 // Determinism: construction shards across the caller's thread pool using the
 // fixed-chunk decomposition of util/thread_pool.h, with slot-disjoint writes
@@ -29,20 +27,18 @@
 
 namespace lockdown::core {
 
-// Chunk grains for the sharded passes, shared by the batch study and the
-// streaming engine. Chunk boundaries depend only on the problem size
-// (util/thread_pool.h), so every reduction — always folded in chunk order —
-// produces the same bits at any thread count.
+// Chunk grains for the sharded passes of the census and the figure engine.
+// Chunk boundaries depend only on the problem size (util/thread_pool.h), so
+// every reduction — always folded in chunk order — produces the same bits
+// at any thread count.
 inline constexpr std::size_t kDeviceGrain = 64;   // per-device loops (CSR-disjoint)
-inline constexpr std::size_t kDayGrain = 8;       // per-day aggregation rows
-inline constexpr std::size_t kHourGrain = 24;     // hour-of-week median columns
-inline constexpr std::size_t kSessionGrain = 32;  // per-device session merging
+inline constexpr std::size_t kCellGrain = 8;      // per-cell medians
 inline constexpr std::size_t kFlowGrain = 16384;  // flat flow scans
 
 /// Figure 3 only medians devices with substantive hourly traffic. The floor
 /// keeps heartbeat-only devices (IoT pings, idle gadgets) from swamping the
 /// median — their per-hour kilobytes say nothing about user behaviour, which
-/// is what Fig. 3 tracks. Shared by the batch and streaming engines.
+/// is what Fig. 3 tracks.
 inline constexpr double kMinHourBytes = 1e6;
 
 /// Figure-1 reporting classes (consoles are folded into IoT there).

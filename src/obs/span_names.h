@@ -17,7 +17,7 @@
 
 namespace lockdown::obs {
 
-inline constexpr std::array<std::string_view, 38> kRegisteredSpanNames = {
+inline constexpr std::array<std::string_view, 17> kRegisteredSpanNames = {
     "ingest/export",
     "pipeline/collect",
     "pipeline/pass1_attribution",
@@ -25,37 +25,16 @@ inline constexpr std::array<std::string_view, 38> kRegisteredSpanNames = {
     "pipeline/pass3_assemble",
     "pipeline/process",
     "pipeline/ua_sightings",
-    "query/build_columns",
     "sim/generate",
     "store/load",
     "store/open",
     "store/save",
     "store/verify_checksums",
-    "stream/categories",
-    "stream/diurnal",
-    "stream/fig1_active_devices",
-    "stream/fig2_bytes_per_device",
-    "stream/fig3_hour_of_week",
-    "stream/fig4_population_split",
-    "stream/fig6_social",
-    "stream/fig7_steam",
-    "stream/fig8_switch_counts",
-    "stream/headline",
     "stream/pass",
-    "study/build_masks",
-    "study/categories",
     "study/census",
     "study/diurnal",
-    "study/fig1_active_devices",
-    "study/fig2_bytes_per_device",
-    "study/fig3_hour_of_week",
-    "study/fig4_population_split",
-    "study/fig5_zoom_daily",
-    "study/fig6_social",
-    "study/fig7_steam",
-    "study/fig8_switch_counts",
-    "study/fig8_switch_daily",
-    "study/headline",
+    "study/pass",
+    "study/split",
 };
 
 }  // namespace lockdown::obs

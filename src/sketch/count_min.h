@@ -1,8 +1,7 @@
 // Count-min sketch (Cormode & Muthukrishnan 2005) over uint64 counters.
 //
-// The streaming study uses it for per-domain and per-category byte volumes:
-// the batch study keeps an exact counter per interned domain, which grows
-// with the vocabulary; the sketch answers point queries in width*depth fixed
+// The streaming study uses it for per-domain byte volumes: an exact counter
+// per interned domain grows with the vocabulary; the sketch answers point queries in width*depth fixed
 // cells with a one-sided guarantee — estimates never undercount, and
 // overshoot by more than epsilon * total with probability at most delta.
 //

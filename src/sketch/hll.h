@@ -1,9 +1,8 @@
 // HyperLogLog cardinality estimator (Flajolet et al. 2007).
 //
 // Used by the streaming study for active-device counts (Figure 1) and the
-// distinct-sites headline statistic — the quantities the batch study answers
-// with per-day bitmaps and unordered_sets whose size grows with the
-// population. A HyperLogLog with 2^p single-byte registers answers the same
+// distinct-sites headline statistic — the quantities the exact study counts
+// from per-device key lists whose total grows with the population. A HyperLogLog with 2^p single-byte registers answers the same
 // question in fixed space with relative standard error ~1.04/sqrt(2^p).
 //
 // Determinism: items are hashed with SipHash-2-4 under a key derived from an

@@ -50,8 +50,8 @@ class ReservoirSample {
   /// Throws MergeError on mismatch.
   void Merge(const ReservoirSample& other);
 
-  /// Sampled values sorted by ascending item key — the same order the batch
-  /// study visits devices in, so exact samples reproduce batch statistics
+  /// Sampled values sorted by ascending item key — the same order the exact
+  /// study keeps devices in, so exact samples reproduce its statistics
   /// bit-for-bit even where downstream code is summation-order-sensitive.
   [[nodiscard]] std::vector<double> Values() const;
 

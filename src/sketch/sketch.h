@@ -7,10 +7,10 @@
 //   * mergeable: Merge(other) folds another sketch built with the *same*
 //     parameters and seed, and every merge is associative and commutative
 //     (proved by tests/sketch/*), so the ParallelFor chunk-ordered merge
-//     discipline of the batch study carries over unchanged — and, stronger,
-//     the merged state does not depend on merge order at all;
-//   * accountable: MemoryBytes() reports the heap footprint so the streaming
-//     engine can enforce a hard memory budget instead of asserting one.
+//     discipline of the figure engine carries over unchanged — and,
+//     stronger, the merged state does not depend on merge order at all;
+//   * accountable: MemoryBytes() reports the heap footprint so the sketched
+//     study can enforce a hard memory budget instead of asserting one.
 #pragma once
 
 #include <cstdint>

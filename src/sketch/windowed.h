@@ -1,18 +1,16 @@
 // Fixed-bin windowed aggregator.
 //
-// The diurnal and hour-of-week figures are sums over a fixed, known-ahead
-// grid (24 five-minute-free bins, 168 hours, 121 days), so "sketching" them
-// needs no approximation at all — just a dense vector of doubles with
-// elementwise merge. The class exists so the streaming engine can treat
-// these curves uniformly with the probabilistic sketches: seeded-free,
-// mergeable, memory-accountable.
+// A curve over a fixed, known-ahead grid (24 hours, 168 hours of week, 121
+// days) needs no approximation at all — just a dense vector of doubles with
+// elementwise merge, seeded-free, mergeable and memory-accountable like the
+// probabilistic sketches. No figure uses it today: the figure engine
+// (core/study.h) keeps its fixed grids as per-chunk integer arrays.
 //
 // Exactness: when every Add is integer-valued (byte counts) the accumulated
 // sums stay below 2^53 and double addition is exact, hence associative and
-// commutative — streaming equals batch bit-for-bit regardless of order.
-// Fractional adds (the diurnal spread) are reproduced bit-identically by
-// preserving the batch summation order, which the engine does by folding
-// per-chunk grids in chunk order.
+// commutative — bit-identical regardless of order. Fractional adds are
+// reproduced bit-identically only in a fixed summation order, e.g. per-chunk
+// grids folded in chunk order.
 #pragma once
 
 #include <cstddef>

@@ -4,12 +4,12 @@
 // streaming_study.h documents the full list): 487 HyperLogLogs (121 days x 4
 // reporting classes for Figure 1 plus three distinct-site estimators), 1680
 // reservoir samples (Figures 2, 3, 4, 6 and 7), one count-min sketch for
-// per-domain byte volumes, and a handful of fixed dense grids. Given a
+// per-domain byte volumes, and the engine's exact integer grids. Given a
 // budget, the plan splits it
 //   ~1/4 to the HyperLogLogs      -> precision p (2^p bytes each)
 //   ~1/2 to the reservoirs        -> capacity k (k entries, 24 bytes + slack)
 //   ~1/16 to the count-min sketch -> width (depth fixed at 4)
-// with the remainder absorbing the fixed grids and per-chunk scratch. Every
+// with the remainder absorbing the integer grids (one per pass chunk). Every
 // dial has a floor (the sketches stop being useful below it), so budgets
 // under ~1.5 MiB are rejected rather than silently degraded.
 #pragma once

@@ -1,275 +1,91 @@
 #include "stream/streaming_study.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "apps/sessionizer.h"
 #include "obs/obs.h"
-#include "world/catalog.h"
 
 namespace lockdown::stream {
 
-using core::Dataset;
-using core::DeviceIndex;
-using core::Flow;
-using core::kNumReportClasses;
-using core::ReportClass;
-using core::StudyContext;
-using util::StudyCalendar;
-using util::Timestamp;
+using core::FigureEngine;
+
+static_assert(MemoryPlan::kNumHlls == FigureEngine::kNumCounters);
+static_assert(MemoryPlan::kNumReservoirs == FigureEngine::kNumPopulations);
 
 namespace {
 
 // Every sketch instance hashes under its own stream id so no two share hash
-// functions; bases are spaced far beyond any per-figure index.
-constexpr std::uint64_t kFig1StreamBase = 0;
+// functions; family bases are spaced far beyond any family's size.
 constexpr std::uint64_t kSiteStreamBase = 1000;
-constexpr std::uint64_t kFig2StreamBase = 2000;
-constexpr std::uint64_t kFig3StreamBase = 3000;
-constexpr std::uint64_t kFig4StreamBase = 4000;
-constexpr std::uint64_t kFig6StreamBase = 6000;
-constexpr std::uint64_t kFig7StreamBase = 7000;
 constexpr std::uint64_t kCmsStream = 8000;
 
-constexpr std::size_t kNumCategories = 7;
-constexpr std::size_t kNumMonths = 4;  // February..May
-constexpr int kFebDays = 29;           // 2020 is a leap year
-
-// The four fig-6/7 study months, as [start, end) timestamps.
-struct MonthBounds {
-  std::array<Timestamp, kNumMonths + 1> edges;
-  [[nodiscard]] int MonthOf(Timestamp ts) const noexcept {
-    for (int m = static_cast<int>(kNumMonths) - 1; m >= 0; --m) {
-      if (ts >= edges[static_cast<std::size_t>(m)]) {
-        return ts < edges[kNumMonths] ? m : -1;
-      }
-    }
-    return -1;
-  }
-};
-
-// Calendar day boundaries the flush conditions reuse (identical expressions
-// to the batch figure methods).
-struct CalendarDays {
-  int feb_end = StudyCalendar::DayIndex(util::CivilDate{2020, 3, 1});
-  int apr_start = StudyCalendar::DayIndex(util::CivilDate{2020, 4, 1});
-  int may_start = StudyCalendar::DayIndex(util::CivilDate{2020, 5, 1});
-  int num_days = StudyCalendar::NumDays();
-};
-
-const CalendarDays& Cal() {
-  static const CalendarDays cal;
-  return cal;
+std::uint64_t HllStream(std::size_t counter) {
+  return counter < FigureEngine::kSiteCounters
+             ? counter
+             : kSiteStreamBase + (counter - FigureEngine::kSiteCounters);
 }
 
-// Chunk grain for the streaming pass: at least the batch device grain, but
-// never more than ~32 chunks total so the per-chunk diurnal scratch stays a
-// bounded fraction of any realistic budget.
-std::size_t StreamGrain(std::size_t num_devices) {
-  return std::max(core::kDeviceGrain, (num_devices + 31) / 32);
-}
-
-// Appends `v` to the (day, value) run list, extending the last run when the
-// day repeats. Valid because per-device flows are time-sorted, so days are
-// non-decreasing; per-day sums accumulate in flow order — the batch order.
-void AccumRun(std::vector<std::pair<int, double>>& runs, int day, double v) {
-  if (!runs.empty() && runs.back().first == day) {
-    runs.back().second += v;
-  } else {
-    runs.emplace_back(day, v);
+std::uint64_t ReservoirStream(std::size_t cell) {
+  constexpr std::array<std::pair<std::size_t, std::uint64_t>, 5> kFamilies = {{
+      {FigureEngine::kFig7Cells, 7000},
+      {FigureEngine::kFig6Cells, 6000},
+      {FigureEngine::kFig4Cells, 4000},
+      {FigureEngine::kFig3Cells, 3000},
+      {FigureEngine::kFig2Cells, 2000},
+  }};
+  for (const auto& [first, base] : kFamilies) {
+    if (cell >= first) return base + (cell - first);
   }
-}
-
-// Maps a flow's service onto the CategoryVolumeRow column, replicating the
-// batch CategoryVolumes() switch.
-int CategoryIndexOf(const world::ServiceCatalog& catalog, net::Ipv4Address ip) {
-  const auto svc = catalog.FindByIp(ip);
-  if (!svc) return 6;
-  switch (catalog.Get(*svc).category) {
-    case world::Category::kEducation:
-    case world::Category::kEmailCloud:
-      return 0;
-    case world::Category::kVideoConferencing:
-      return 1;
-    case world::Category::kStreaming:
-    case world::Category::kMusic:
-      return 2;
-    case world::Category::kSocialMedia:
-      return 3;
-    case world::Category::kGamingPc:
-    case world::Category::kGamingConsole:
-      return 4;
-    case world::Category::kMessaging:
-      return 5;
-    default:
-      return 6;
-  }
+  return 0;
 }
 
 }  // namespace
 
-// Per-device accumulation filled by ProcessDevice (no locking) and drained
-// into the global sketches by FlushDevice (under the mutex). Reused across
-// the devices of a chunk; Reset() keeps the vector capacity.
-struct StreamingStudy::DeviceScratch {
-  bool has_flows = false;
-  bool post_shutdown = false;
-  bool mobile_cohort = false;
-  bool is_switch = false;
-  bool switch_in_feb = false;
-  bool switch_in_may = false;
-  bool switch_post = false;
-  int first_day = 0;
-
-  // Headline byte sums over raw (unclamped) days, matching the batch study's
-  // period conditions exactly — including flows past the study window.
-  double feb_bytes = 0.0;
-  double apr_may_bytes = 0.0;
-
-  // (day, value) runs over the study window; days strictly increasing.
-  std::vector<std::pair<int, double>> day_bytes;    // all flows (figs 1, 2)
-  std::vector<std::pair<int, double>> day_nonzoom;  // cohort, ex-Zoom (fig 4)
-  std::vector<std::pair<int, double>> day_zoom;     // cohort Zoom (fig 5)
-  std::vector<std::pair<int, double>> day_switch;   // gameplay bytes (fig 8)
-  std::vector<std::pair<int, std::array<double, kNumCategories>>> day_category;
-
-  // Fig 3: per-(week, hour-of-week) spread volume.
-  std::array<std::array<double, analysis::HourOfWeekSeries::kHours>, 4>
-      week_volume{};
-
-  // Figs 6/7 per-month accumulation.
-  std::array<std::vector<apps::FlowInterval>, kNumMonths> fb_intervals;
-  std::array<std::vector<apps::FlowInterval>, kNumMonths> tiktok_intervals;
-  std::array<double, kNumMonths> fb_hours{};
-  std::array<double, kNumMonths> ig_hours{};
-  std::array<double, kNumMonths> tiktok_hours{};
-  std::array<double, kNumMonths> steam_bytes{};
-  std::array<double, kNumMonths> steam_conns{};
-
-  // Headline distinct-sites keys: (period 0=feb/1=apr/2=may, device<<32|domain).
-  std::vector<std::pair<std::uint8_t, std::uint64_t>> site_keys;
-  // Per-domain byte adds for the count-min sketch (adjacent runs merged).
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> domain_adds;
-
-  void Reset() {
-    has_flows = post_shutdown = mobile_cohort = is_switch = false;
-    switch_in_feb = switch_in_may = switch_post = false;
-    first_day = 0;
-    feb_bytes = apr_may_bytes = 0.0;
-    day_bytes.clear();
-    day_nonzoom.clear();
-    day_zoom.clear();
-    day_switch.clear();
-    day_category.clear();
-    for (auto& week : week_volume) week.fill(0.0);
-    for (auto& v : fb_intervals) v.clear();
-    for (auto& v : tiktok_intervals) v.clear();
-    fb_hours.fill(0.0);
-    ig_hours.fill(0.0);
-    tiktok_hours.fill(0.0);
-    steam_bytes.fill(0.0);
-    steam_conns.fill(0.0);
-    site_keys.clear();
-    domain_adds.clear();
-  }
-};
-
 StreamingStudy::StreamingStudy(const core::Dataset& dataset,
                                const world::ServiceCatalog& catalog,
                                const StreamingOptions& options)
-    : pool_(util::ResolveThreadCount(options.threads)),
-      ctx_(dataset, catalog, pool_),
+    : FigureEngine(dataset, catalog, options.threads),
       plan_(MemoryPlan::ForBudget(options.memory_budget_bytes)),
-      category_grid_(static_cast<std::size_t>(StudyCalendar::NumDays()) *
-                     kNumCategories),
-      diurnal_grid_(static_cast<std::size_t>(StudyCalendar::NumDays()) * 24),
       domain_bytes_(plan_.cms_width, plan_.cms_depth, options.sketch_seed,
                     kCmsStream) {
-  const auto seed = options.sketch_seed;
-  const auto days = static_cast<std::size_t>(StudyCalendar::NumDays());
-  const std::size_t day_class = days * kNumReportClasses;
-
-  fig1_hll_.reserve(day_class);
-  for (std::size_t i = 0; i < day_class; ++i) {
-    fig1_hll_.push_back(sketch::HyperLogLog::Seeded(plan_.hll_precision, seed,
-                                                    kFig1StreamBase + i));
+  const std::uint64_t seed = options.sketch_seed;
+  hlls_.reserve(kNumCounters);
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    hlls_.push_back(
+        sketch::HyperLogLog::Seeded(plan_.hll_precision, seed, HllStream(i)));
   }
-  site_hll_.reserve(3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    site_hll_.push_back(sketch::HyperLogLog::Seeded(plan_.hll_precision, seed,
-                                                    kSiteStreamBase + i));
+  reservoirs_.reserve(kNumPopulations);
+  for (std::size_t cell = 0; cell < kNumPopulations; ++cell) {
+    reservoirs_.push_back(sketch::ReservoirSample::Seeded(
+        plan_.reservoir_capacity, seed, ReservoirStream(cell)));
   }
-
-  fig2_sum_.assign(day_class, 0.0);
-  fig2_count_.assign(day_class, 0);
-  const std::size_t k = plan_.reservoir_capacity;
-  fig2_res_.reserve(day_class);
-  for (std::size_t i = 0; i < day_class; ++i) {
-    fig2_res_.push_back(
-        sketch::ReservoirSample::Seeded(k, seed, kFig2StreamBase + i));
+  {
+    OBS_SPAN("stream/pass");
+    // At least the exact policy's grain, but never more than ~32 chunks, so
+    // the per-chunk integer grids stay a bounded fraction of any budget.
+    RunPass(std::max(core::kDeviceGrain, (dataset.num_devices() + 31) / 32));
   }
-  constexpr std::size_t kFig3Count =
-      4 * static_cast<std::size_t>(analysis::HourOfWeekSeries::kHours);
-  fig3_res_.reserve(kFig3Count);
-  for (std::size_t i = 0; i < kFig3Count; ++i) {
-    fig3_res_.push_back(
-        sketch::ReservoirSample::Seeded(k, seed, kFig3StreamBase + i));
-  }
-  fig4_res_.reserve(day_class);
-  for (std::size_t i = 0; i < day_class; ++i) {
-    fig4_res_.push_back(
-        sketch::ReservoirSample::Seeded(k, seed, kFig4StreamBase + i));
-  }
-  constexpr std::size_t kFig6Count = 3 * kNumMonths * 2;
-  fig6_res_.reserve(kFig6Count);
-  for (std::size_t i = 0; i < kFig6Count; ++i) {
-    fig6_res_.push_back(
-        sketch::ReservoirSample::Seeded(k, seed, kFig6StreamBase + i));
-  }
-  constexpr std::size_t kFig7Count = kNumMonths * 2 * 2;
-  fig7_res_.reserve(kFig7Count);
-  for (std::size_t i = 0; i < kFig7Count; ++i) {
-    fig7_res_.push_back(
-        sketch::ReservoirSample::Seeded(k, seed, kFig7StreamBase + i));
-  }
-
-  RunPass();
   RecordObsGauges();
 }
 
-void StreamingStudy::RunPass() {
-  OBS_SPAN("stream/pass");
-  const Dataset& ds = ctx_.dataset();
-  const std::size_t n = ds.num_devices();
-  const auto days = static_cast<std::size_t>(Cal().num_days);
-  const std::size_t grain = StreamGrain(n);
-  const std::size_t num_chunks = util::ThreadPool::NumChunks(n, grain);
-  // The only order-sensitive global state: fractional diurnal spreading.
-  // Accumulated per chunk, folded in chunk order below.
-  std::vector<sketch::WindowedAggregator> chunk_diurnal(
-      num_chunks, sketch::WindowedAggregator(days * 24));
-  pool_.ParallelFor(
-      n, grain, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        DeviceScratch scratch;
-        for (std::size_t dev = begin; dev < end; ++dev) {
-          scratch.Reset();
-          ProcessDevice(static_cast<DeviceIndex>(dev), scratch,
-                        chunk_diurnal[chunk]);
-          if (scratch.has_flows) {
-            FlushDevice(static_cast<DeviceIndex>(dev), scratch);
-          }
-        }
-      });
-  for (const sketch::WindowedAggregator& grid : chunk_diurnal) {
-    diurnal_grid_.Merge(grid);
+void StreamingStudy::Absorb(std::size_t /*chunk*/, const DeviceOffers& offers) {
+  // Per-domain byte volume over every flow of the device, adjacent runs
+  // merged before taking the lock.
+  std::vector<std::pair<core::DomainId, std::uint64_t>> domain_adds;
+  for (const core::Flow& f : dataset().FlowsOfDevice(offers.device)) {
+    if (f.domain == core::kNoDomain) continue;
+    if (!domain_adds.empty() && domain_adds.back().first == f.domain) {
+      domain_adds.back().second += f.total_bytes();
+    } else {
+      domain_adds.emplace_back(f.domain, f.total_bytes());
+    }
   }
-  if (obs::MetricsEnabled()) {
-    obs::GetCounter("sketch/diurnal_merges", "merges").Add(num_chunks);
+  const util::MutexLock lock(mutex_);
+  for (const auto& [cell, value] : offers.values) {
+    reservoirs_[cell].Add(offers.device, value);
   }
-  diurnal_scratch_high_water_ =
-      num_chunks * (days * 24 * sizeof(double) +
-                    sizeof(sketch::WindowedAggregator));
+  for (const auto& [counter, key] : offers.keys) hlls_[counter].Add(key);
+  for (const auto& [domain, bytes] : domain_adds) domain_bytes_.Add(domain, bytes);
 }
 
 void StreamingStudy::RecordObsGauges() const {
@@ -283,39 +99,18 @@ void StreamingStudy::RecordObsGauges() const {
       .Set(budget > state ? budget - state : 0.0);
 
   double hll_fill = 0.0;
-  std::size_t hll_count = 0;
-  for (const sketch::HyperLogLog& h : fig1_hll_) {
-    hll_fill += h.FillRatio();
-    ++hll_count;
-  }
-  for (const sketch::HyperLogLog& h : site_hll_) {
-    hll_fill += h.FillRatio();
-    ++hll_count;
-  }
-  if (hll_count != 0) {
-    obs::GetGauge("sketch/hll_fill_ratio", "ratio")
-        .Set(hll_fill / static_cast<double>(hll_count));
-  }
+  for (const sketch::HyperLogLog& h : hlls_) hll_fill += h.FillRatio();
+  obs::GetGauge("sketch/hll_fill_ratio", "ratio")
+      .Set(hll_fill / static_cast<double>(hlls_.size()));
 
   double res_fill = 0.0;
-  std::size_t res_count = 0;
   std::uint64_t overflow_offers = 0;
-  const auto fold = [&](const std::vector<sketch::ReservoirSample>& family) {
-    for (const sketch::ReservoirSample& r : family) {
-      res_fill += r.FillRatio();
-      ++res_count;
-      if (r.seen() > r.capacity()) overflow_offers += r.seen() - r.capacity();
-    }
-  };
-  fold(fig2_res_);
-  fold(fig3_res_);
-  fold(fig4_res_);
-  fold(fig6_res_);
-  fold(fig7_res_);
-  if (res_count != 0) {
-    obs::GetGauge("sketch/reservoir_fill_ratio", "ratio")
-        .Set(res_fill / static_cast<double>(res_count));
+  for (const sketch::ReservoirSample& r : reservoirs_) {
+    res_fill += r.FillRatio();
+    if (r.seen() > r.capacity()) overflow_offers += r.seen() - r.capacity();
   }
+  obs::GetGauge("sketch/reservoir_fill_ratio", "ratio")
+      .Set(res_fill / static_cast<double>(reservoirs_.size()));
   obs::GetCounter("sketch/reservoir_overflow_offers", "offers")
       .Add(overflow_offers);
 
@@ -323,455 +118,18 @@ void StreamingStudy::RecordObsGauges() const {
       .Set(domain_bytes_.FillRatio());
 }
 
-void StreamingStudy::ProcessDevice(DeviceIndex dev, DeviceScratch& s,
-                                   sketch::WindowedAggregator& chunk_diurnal) {
-  const Dataset& ds = ctx_.dataset();
-  const auto flows = ds.FlowsOfDevice(dev);
-  if (flows.empty()) return;
-  const CalendarDays& cal = Cal();
-  s.has_flows = true;
-  s.post_shutdown = ctx_.IsPostShutdown(dev);
-  s.mobile_cohort =
-      s.post_shutdown && ctx_.report_class(dev) == ReportClass::kMobile;
-  s.is_switch = ctx_.IsSwitchDevice(dev);
-  s.first_day = cal.num_days;
-
-  std::array<Timestamp, 4> week_anchors;
-  for (std::size_t w = 0; w < 4; ++w) {
-    week_anchors[w] = util::TimestampOf(StudyCalendar::kFig3Weeks[w]);
-  }
-  MonthBounds months;
-  for (std::size_t m = 0; m <= kNumMonths; ++m) {
-    months.edges[m] =
-        util::TimestampOf(util::CivilDate{2020, static_cast<int>(2 + m), 1});
-  }
-
-  for (const Flow& f : flows) {
-    const int day = Dataset::DayOf(f);
-    const Timestamp start = Dataset::StartOf(f);
-    const double bytes = static_cast<double>(f.total_bytes());
-    s.first_day = std::min(s.first_day, day);
-
-    // Figure 3 + diurnal: spread the flow's bytes over the hours it spans.
-    StudyContext::SpreadOverHours(f, [&](Timestamp t, double b) {
-      for (std::size_t w = 0; w < 4; ++w) {
-        const auto bin = analysis::HourOfWeekSeries::BinOf(t, week_anchors[w]);
-        if (bin) s.week_volume[w][static_cast<std::size_t>(*bin)] += b;
-      }
-      if (day >= 0 && day < cal.num_days) {
-        chunk_diurnal.Add(
-            static_cast<std::size_t>(day) * 24 +
-                static_cast<std::size_t>(util::HourOf(t)),
-            b);
-      }
-    });
-
-    if (s.post_shutdown) {
-      if (day >= 0 && day < cal.feb_end) {
-        s.feb_bytes += bytes;
-      } else if (day >= cal.apr_start) {
-        s.apr_may_bytes += bytes;
-      }
-    }
-
-    if (day >= 0 && day < cal.num_days) {
-      AccumRun(s.day_bytes, day, bytes);
-      if (s.post_shutdown) {
-        if (ctx_.IsZoomFlow(f)) {
-          AccumRun(s.day_zoom, day, bytes);
-        } else {
-          AccumRun(s.day_nonzoom, day, bytes);
-        }
-        const int cat = CategoryIndexOf(ctx_.catalog(), f.server_ip);
-        if (s.day_category.empty() || s.day_category.back().first != day) {
-          s.day_category.emplace_back(day, std::array<double, kNumCategories>{});
-        }
-        s.day_category.back().second[static_cast<std::size_t>(cat)] += bytes;
-      }
-    }
-
-    // Figure 8 activity spans use raw (unclamped) days, as the batch scans do.
-    if (s.is_switch) {
-      s.switch_in_feb |= day < cal.feb_end;
-      s.switch_in_may |= day >= cal.may_start;
-      s.switch_post |= day >= ctx_.post_shutdown_day();
-      if (f.domain != core::kNoDomain &&
-          ctx_.domain_flags(f.domain).nintendo_gameplay && day >= 0 &&
-          day < cal.num_days) {
-        AccumRun(s.day_switch, day, bytes);
-      }
-    }
-
-    if (f.domain != core::kNoDomain) {
-      // Headline distinct sites (post-shutdown cohort, raw-day periods).
-      if (s.post_shutdown) {
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(dev) << 32) | f.domain;
-        if (day < kFebDays) {
-          s.site_keys.emplace_back(std::uint8_t{0}, key);
-        } else if (day >= cal.may_start) {
-          s.site_keys.emplace_back(std::uint8_t{2}, key);
-        } else if (day >= cal.apr_start) {
-          s.site_keys.emplace_back(std::uint8_t{1}, key);
-        }
-      }
-      // Per-domain byte volume (all devices).
-      if (!s.domain_adds.empty() && s.domain_adds.back().first == f.domain) {
-        s.domain_adds.back().second += f.total_bytes();
-      } else {
-        s.domain_adds.emplace_back(f.domain, f.total_bytes());
-      }
-      // Figures 6/7: month-bucketed app traffic.
-      const int m = months.MonthOf(start);
-      if (m >= 0) {
-        const auto mi = static_cast<std::size_t>(m);
-        const StudyContext::DomainFlags& flags = ctx_.domain_flags(f.domain);
-        if (s.post_shutdown && flags.steam) {
-          s.steam_bytes[mi] += bytes;
-          s.steam_conns[mi] += 1.0;
-        }
-        if (s.mobile_cohort && (flags.fb_family || flags.tiktok)) {
-          const apps::FlowInterval iv{
-              start,
-              start + std::max<Timestamp>(
-                          static_cast<Timestamp>(f.duration_s), 1),
-              f.domain, f.total_bytes()};
-          if (flags.fb_family) s.fb_intervals[mi].push_back(iv);
-          if (flags.tiktok) s.tiktok_intervals[mi].push_back(iv);
-        }
-      }
-    }
-  }
-
-  // Figure 6: merge sessions per month. One pass over the Facebook-family
-  // sessions resolves each to FB or IG and accumulates both tallies in
-  // session order — the same per-accumulator order as the batch study's
-  // separate per-app passes.
-  if (s.mobile_cohort) {
-    const auto host_of = [&ds](std::uint32_t tag) { return ds.DomainName(tag); };
-    for (std::size_t m = 0; m < kNumMonths; ++m) {
-      for (const apps::Session& session : apps::MergeSessions(s.fb_intervals[m])) {
-        const double hours = session.duration_s() / 3600.0;
-        if (ctx_.social().ClassifySession(session, host_of) ==
-            apps::SocialApp::kInstagram) {
-          s.ig_hours[m] += hours;
-        } else {
-          s.fb_hours[m] += hours;
-        }
-      }
-      for (const apps::Session& session :
-           apps::MergeSessions(s.tiktok_intervals[m])) {
-        s.tiktok_hours[m] += session.duration_s() / 3600.0;
-      }
-    }
-  }
-}
-
-void StreamingStudy::FlushDevice(DeviceIndex dev, const DeviceScratch& s) {
-  const CalendarDays& cal = Cal();
-  const ReportClass rc = ctx_.report_class(dev);
-  const auto rci = static_cast<std::size_t>(rc);
-  const bool intl = ctx_.split().international[dev];
-  const auto dkey = static_cast<std::uint64_t>(dev);
-  constexpr auto kH =
-      static_cast<std::size_t>(analysis::HourOfWeekSeries::kHours);
-
-  const util::MutexLock lock(mutex_);
-
-  for (const auto& [day, bytes] : s.day_bytes) {
-    fig1_hll_[Fig1Index(day, rc)].Add(dkey);
-    if (bytes > 0.0) {
-      const std::size_t idx =
-          static_cast<std::size_t>(day) * kNumReportClasses + rci;
-      fig2_sum_[idx] += bytes;
-      ++fig2_count_[idx];
-      fig2_res_[idx].Add(dkey, bytes);
-    }
-  }
-  feb_bytes_ += s.feb_bytes;
-  apr_may_bytes_ += s.apr_may_bytes;
-
-  for (std::size_t w = 0; w < 4; ++w) {
-    for (std::size_t h = 0; h < kH; ++h) {
-      const double v = s.week_volume[w][h];
-      if (v >= core::kMinHourBytes) {
-        fig3_res_[w * kH + h].Add(dkey, v);
-      }
-    }
-  }
-
-  if (s.post_shutdown) {
-    int group = -1;
-    if (rc == ReportClass::kMobile || rc == ReportClass::kLaptopDesktop) {
-      group = intl ? 0 : 1;
-    } else if (rc == ReportClass::kUnclassified) {
-      group = intl ? 2 : 3;
-    }
-    if (group >= 0) {
-      for (const auto& [day, bytes] : s.day_nonzoom) {
-        if (bytes > 0.0) {
-          fig4_res_[static_cast<std::size_t>(day) * 4 +
-                    static_cast<std::size_t>(group)]
-              .Add(dkey, bytes);
-        }
-      }
-    }
-    for (const auto& [day, bytes] : s.day_zoom) {
-      zoom_daily_.AddDay(day, bytes);
-    }
-    for (const auto& [day, by_cat] : s.day_category) {
-      for (std::size_t c = 0; c < kNumCategories; ++c) {
-        if (by_cat[c] != 0.0) {
-          category_grid_.Add(
-              static_cast<std::size_t>(day) * kNumCategories + c, by_cat[c]);
-        }
-      }
-    }
-    for (const auto& [period, key] : s.site_keys) {
-      site_hll_[period].Add(key);
-    }
-    for (std::size_t m = 0; m < kNumMonths; ++m) {
-      if (s.steam_conns[m] > 0.0) {
-        const std::size_t base = (m * 2 + (intl ? 1 : 0)) * 2;
-        fig7_res_[base].Add(dkey, s.steam_bytes[m]);
-        fig7_res_[base + 1].Add(dkey, s.steam_conns[m]);
-      }
-    }
-  }
-
-  if (s.mobile_cohort) {
-    const std::size_t bucket = intl ? 1 : 0;
-    for (std::size_t m = 0; m < kNumMonths; ++m) {
-      const std::array<double, 3> hours = {s.fb_hours[m], s.ig_hours[m],
-                                           s.tiktok_hours[m]};
-      for (std::size_t app = 0; app < 3; ++app) {
-        if (hours[app] > 0.0) {
-          fig6_res_[(app * kNumMonths + m) * 2 + bucket].Add(dkey, hours[app]);
-        }
-      }
-    }
-  }
-
-  if (s.is_switch) {
-    switch_counts_.active_february += s.switch_in_feb ? 1 : 0;
-    switch_counts_.active_post_shutdown += s.switch_post ? 1 : 0;
-    switch_counts_.new_in_april_may += s.first_day >= cal.apr_start ? 1 : 0;
-    if (s.switch_in_feb && s.switch_in_may) {
-      for (const auto& [day, bytes] : s.day_switch) {
-        switch_daily_.AddDay(day, bytes);
-      }
-    }
-  }
-
-  for (const auto& [domain, bytes] : s.domain_adds) {
-    domain_bytes_.Add(domain, bytes);
-  }
-}
-
 std::vector<StreamingStudy::ActiveDevicesRow>
 StreamingStudy::ActiveDevicesPerDay() const {
-  OBS_SPAN("stream/fig1_active_devices");
-  const int days = Cal().num_days;
-  std::vector<ActiveDevicesRow> rows(static_cast<std::size_t>(days));
-  for (int day = 0; day < days; ++day) {
-    ActiveDevicesRow& row = rows[static_cast<std::size_t>(day)];
-    row.day = day;
-    for (int c = 0; c < kNumReportClasses; ++c) {
-      const double est =
-          fig1_hll_[Fig1Index(day, static_cast<ReportClass>(c))].Estimate();
-      row.by_class[static_cast<std::size_t>(c)] = est;
-      row.total += est;
+  std::vector<ActiveDevicesRow> rows(kDays);
+  for (std::size_t day = 0; day < kDays; ++day) {
+    ActiveDevicesRow& row = rows[day];
+    row.day = static_cast<int>(day);
+    for (std::size_t c = 0; c < core::kNumReportClasses; ++c) {
+      row.by_class[c] = ActiveDevices(row.day, static_cast<core::ReportClass>(c));
+      row.total += row.by_class[c];
     }
   }
   return rows;
-}
-
-std::vector<core::LockdownStudy::BytesPerDeviceRow>
-StreamingStudy::BytesPerDevicePerDay() const {
-  OBS_SPAN("stream/fig2_bytes_per_device");
-  const int days = Cal().num_days;
-  std::vector<core::LockdownStudy::BytesPerDeviceRow> rows(
-      static_cast<std::size_t>(days));
-  for (int day = 0; day < days; ++day) {
-    auto& row = rows[static_cast<std::size_t>(day)];
-    row.day = day;
-    for (std::size_t c = 0; c < static_cast<std::size_t>(kNumReportClasses);
-         ++c) {
-      const std::size_t idx =
-          static_cast<std::size_t>(day) * kNumReportClasses + c;
-      row.mean[c] = fig2_count_[idx] == 0
-                        ? 0.0
-                        : fig2_sum_[idx] /
-                              static_cast<double>(fig2_count_[idx]);
-      std::vector<double> values = fig2_res_[idx].Values();
-      row.median[c] = analysis::PercentileInPlace(values, 50.0);
-    }
-  }
-  return rows;
-}
-
-core::LockdownStudy::HourOfWeekResult StreamingStudy::HourOfWeekVolume() const {
-  OBS_SPAN("stream/fig3_hour_of_week");
-  core::LockdownStudy::HourOfWeekResult result;
-  constexpr int kH = analysis::HourOfWeekSeries::kHours;
-  for (std::size_t w = 0; w < 4; ++w) {
-    for (int h = 0; h < kH; ++h) {
-      std::vector<double> column =
-          fig3_res_[w * kH + static_cast<std::size_t>(h)].Values();
-      result.weeks[w].AddBin(h, analysis::PercentileInPlace(column, 50.0));
-    }
-  }
-  double min_positive = 0.0;
-  for (const auto& week : result.weeks) {
-    const double m = week.MinPositive();
-    if (m > 0.0 && (min_positive == 0.0 || m < min_positive)) min_positive = m;
-  }
-  result.normalization = min_positive;
-  for (auto& week : result.weeks) week.Scale(min_positive);
-  return result;
-}
-
-std::vector<core::LockdownStudy::Fig4Row>
-StreamingStudy::MedianBytesExcludingZoom() const {
-  OBS_SPAN("stream/fig4_population_split");
-  const int days = Cal().num_days;
-  std::vector<core::LockdownStudy::Fig4Row> rows(
-      static_cast<std::size_t>(days));
-  for (int day = 0; day < days; ++day) {
-    auto& row = rows[static_cast<std::size_t>(day)];
-    row.day = day;
-    std::array<double, 4> medians{};
-    for (std::size_t g = 0; g < 4; ++g) {
-      std::vector<double> values =
-          fig4_res_[static_cast<std::size_t>(day) * 4 + g].Values();
-      medians[g] = analysis::PercentileInPlace(values, 50.0);
-    }
-    row.intl_mobile_desktop = medians[0];
-    row.dom_mobile_desktop = medians[1];
-    row.intl_unclassified = medians[2];
-    row.dom_unclassified = medians[3];
-  }
-  return rows;
-}
-
-analysis::DailySeries StreamingStudy::ZoomDailyBytes() const {
-  return zoom_daily_;
-}
-
-core::LockdownStudy::SocialBox StreamingStudy::SocialDurations(
-    apps::SocialApp app, int month) const {
-  OBS_SPAN("stream/fig6_social");
-  const int m = month - 2;
-  if (m < 0 || m >= static_cast<int>(kNumMonths)) return {};
-  const auto base =
-      (static_cast<std::size_t>(app) * kNumMonths + static_cast<std::size_t>(m)) *
-      2;
-  return core::LockdownStudy::SocialBox{
-      analysis::ComputeBoxStats(fig6_res_[base].Values()),
-      analysis::ComputeBoxStats(fig6_res_[base + 1].Values())};
-}
-
-core::LockdownStudy::SteamBox StreamingStudy::SteamUsage(int month) const {
-  OBS_SPAN("stream/fig7_steam");
-  const int m = month - 2;
-  if (m < 0 || m >= static_cast<int>(kNumMonths)) return {};
-  const auto dom = static_cast<std::size_t>(m) * 2 * 2;
-  const std::size_t intl = dom + 2;
-  return core::LockdownStudy::SteamBox{
-      analysis::ComputeBoxStats(fig7_res_[dom].Values()),
-      analysis::ComputeBoxStats(fig7_res_[intl].Values()),
-      analysis::ComputeBoxStats(fig7_res_[dom + 1].Values()),
-      analysis::ComputeBoxStats(fig7_res_[intl + 1].Values())};
-}
-
-analysis::DailySeries StreamingStudy::SwitchGameplayDaily(int ma_window) const {
-  return switch_daily_.MovingAverage(ma_window);
-}
-
-core::LockdownStudy::SwitchCounts StreamingStudy::CountSwitches() const {
-  OBS_SPAN("stream/fig8_switch_counts");
-  return switch_counts_;
-}
-
-std::vector<core::LockdownStudy::CategoryVolumeRow>
-StreamingStudy::CategoryVolumes() const {
-  OBS_SPAN("stream/categories");
-  const int days = Cal().num_days;
-  std::vector<core::LockdownStudy::CategoryVolumeRow> rows(
-      static_cast<std::size_t>(days));
-  for (int day = 0; day < days; ++day) {
-    auto& row = rows[static_cast<std::size_t>(day)];
-    row.day = day;
-    const std::size_t base = static_cast<std::size_t>(day) * kNumCategories;
-    row.education = category_grid_.at(base + 0);
-    row.video_conferencing = category_grid_.at(base + 1);
-    row.streaming = category_grid_.at(base + 2);
-    row.social_media = category_grid_.at(base + 3);
-    row.gaming = category_grid_.at(base + 4);
-    row.messaging = category_grid_.at(base + 5);
-    row.other = category_grid_.at(base + 6);
-  }
-  return rows;
-}
-
-core::LockdownStudy::DiurnalShapeResult StreamingStudy::DiurnalShape(
-    int first_day, int last_day) const {
-  OBS_SPAN("stream/diurnal");
-  core::LockdownStudy::DiurnalShapeResult result;
-  const int days = Cal().num_days;
-  const int lo = std::max(first_day, 0);
-  const int hi = std::min(last_day, days - 1);
-  for (int day = lo; day <= hi; ++day) {
-    const bool weekend =
-        util::IsWeekend(util::WeekdayOf(StudyCalendar::DateAt(day)));
-    auto& profile = weekend ? result.weekend : result.weekday;
-    const std::size_t base = static_cast<std::size_t>(day) * 24;
-    for (std::size_t h = 0; h < 24; ++h) {
-      profile[h] += diurnal_grid_.at(base + h);
-    }
-  }
-  for (auto* profile : {&result.weekday, &result.weekend}) {
-    double sum = 0.0;
-    for (double v : *profile) sum += v;
-    if (sum > 0.0) {
-      for (double& v : *profile) v /= sum;
-    }
-  }
-  return result;
-}
-
-core::LockdownStudy::Headline StreamingStudy::HeadlineStats() const {
-  OBS_SPAN("stream/headline");
-  core::LockdownStudy::Headline h;
-  double peak = 0.0;
-  double trough = 0.0;
-  for (const ActiveDevicesRow& row : ActiveDevicesPerDay()) {
-    peak = std::max(peak, row.total);
-    if (row.day >= ctx_.shutdown_day() &&
-        (trough == 0.0 || row.total < trough)) {
-      trough = row.total;
-    }
-  }
-  h.peak_active_devices = static_cast<int>(std::llround(peak));
-  h.trough_active_devices = static_cast<int>(std::llround(trough));
-  h.post_shutdown_users = ctx_.post_shutdown().size();
-  h.international_devices = ctx_.split().num_international;
-  h.international_share =
-      ctx_.post_shutdown().empty()
-          ? 0.0
-          : static_cast<double>(ctx_.split().num_international) /
-                static_cast<double>(ctx_.post_shutdown().size());
-
-  const double feb_daily = feb_bytes_ / kFebDays;
-  const double apr_may_daily = apr_may_bytes_ / 61.0;
-  h.traffic_increase = feb_daily > 0.0 ? apr_may_daily / feb_daily - 1.0 : 0.0;
-
-  const double sites_feb = site_hll_[0].Estimate();
-  const double sites_apr_may =
-      (site_hll_[1].Estimate() + site_hll_[2].Estimate()) / 2.0;
-  h.distinct_sites_increase =
-      sites_feb > 0.0 ? sites_apr_may / sites_feb - 1.0 : 0.0;
-  return h;
 }
 
 std::uint64_t StreamingStudy::EstimateDomainBytes(core::DomainId domain) const {
@@ -786,35 +144,18 @@ StreamingStudy::AccuracyReport StreamingStudy::Accuracy() const {
   report.cms_delta = domain_bytes_.delta();
   report.cms_total_bytes = domain_bytes_.total();
   report.reservoir_capacity = plan_.reservoir_capacity;
-  for (const auto* family :
-       {&fig2_res_, &fig3_res_, &fig4_res_, &fig6_res_, &fig7_res_}) {
-    for (const sketch::ReservoirSample& res : *family) {
-      report.reservoirs_exact = report.reservoirs_exact && res.exact();
-    }
-  }
+  report.reservoirs_exact =
+      std::all_of(reservoirs_.begin(), reservoirs_.end(),
+                  [](const sketch::ReservoirSample& r) { return r.exact(); });
   report.state_bytes = TrackedStateBytes();
   report.budget_bytes = plan_.budget_bytes;
   return report;
 }
 
 std::size_t StreamingStudy::TrackedStateBytes() const noexcept {
-  std::size_t total = 0;
-  for (const sketch::HyperLogLog& hll : fig1_hll_) total += hll.MemoryBytes();
-  for (const sketch::HyperLogLog& hll : site_hll_) total += hll.MemoryBytes();
-  for (const auto* family :
-       {&fig2_res_, &fig3_res_, &fig4_res_, &fig6_res_, &fig7_res_}) {
-    for (const sketch::ReservoirSample& res : *family) {
-      total += res.MemoryBytes();
-    }
-  }
-  total += fig2_sum_.capacity() * sizeof(double);
-  total += fig2_count_.capacity() * sizeof(std::uint64_t);
-  total += static_cast<std::size_t>(zoom_daily_.num_days()) * sizeof(double);
-  total += static_cast<std::size_t>(switch_daily_.num_days()) * sizeof(double);
-  total += category_grid_.MemoryBytes();
-  total += diurnal_grid_.MemoryBytes();
-  total += domain_bytes_.MemoryBytes();
-  total += diurnal_scratch_high_water_;
+  std::size_t total = grid_bytes() + domain_bytes_.MemoryBytes();
+  for (const sketch::HyperLogLog& hll : hlls_) total += hll.MemoryBytes();
+  for (const sketch::ReservoirSample& res : reservoirs_) total += res.MemoryBytes();
   return total;
 }
 

@@ -1,64 +1,52 @@
-// StreamingStudy: the paper's figures from one bounded-memory pass.
+// StreamingStudy: the sketched policy of the figure engine (core/study.h).
 //
-// The batch LockdownStudy materialises per-(day, device) matrices — O(days x
-// devices) memory per figure. This engine answers the same questions from a
-// single pass over the flows (TSV-ingested or mmap'd LDS, in the dataset's
-// CSR order: device-clustered, time-sorted per device) while holding only
-// sketch state sized by an explicit byte budget (stream/budget.h):
+// The per-device pass is the same one LockdownStudy runs; what differs is
+// what the pass's offers are folded into. The exact policy keeps every
+// population value and counts distinct keys exactly, so its state grows
+// with the number of devices. This policy holds a fixed bank of sketches
+// sized by an explicit byte budget (stream/budget.h), for a deployment that
+// must analyse months of tap logs in bounded memory:
 //
-//   Figure 1  active devices/day/class   487 HyperLogLogs (121 days x 4 + 3
-//                                        distinct-site estimators)
-//   Figure 2  bytes/device/day           exact sum+count grids (means) + 484
-//                                        reservoirs (medians)
-//   Figure 3  hour-of-week medians       672 reservoirs (4 weeks x 168 hours)
-//   Figure 4  non-Zoom medians           484 reservoirs
-//   Figure 5  Zoom daily bytes           exact 121-bin series
-//   Figure 6  social-media durations     24 reservoirs (3 apps x 4 months x 2)
-//   Figure 7  Steam usage                16 reservoirs (4 months x 2 x 2)
-//   Figure 8  Switch gameplay            exact 121-bin series + counters
-//   categories / diurnal / headline      exact dense grids + the site HLLs
-//   per-domain byte volume               one count-min sketch
+//   Figure 1 + distinct sites   487 HyperLogLogs (121 days x 4 classes + 3
+//                               site periods)
+//   Figures 2, 3, 4, 6, 7       1680 reservoir samples, one per population
+//                               cell (FigureEngine::kNumPopulations)
+//   per-domain byte volume      one count-min sketch (EstimateDomainBytes)
 //
-// Accuracy taxonomy (proved by tests/stream/differential_test.cc):
-//   * exact, bit-identical to batch: every integer-byte aggregate (Figures
-//     2 means, 5, 7 inputs, 8, categories, headline byte sums) — integer
-//     sums below 2^53 are exact in double, hence order-independent;
-//   * exact while the population fits the reservoir capacity: the median/
-//     box figures (2, 3, 4, 6, 7). Reservoirs are bottom-k by hashed
+// The integer aggregates (Figure 2 means, 5, 8, categories, headline byte
+// sums) are the engine's exact grids under both policies, and DiurnalShape
+// is the engine's exact query-time scan.
+//
+// Accuracy taxonomy (tests/stream/figures_differential_test.cc and
+// tests/stream/differential_test.cc):
+//   * exact, bit-identical to LockdownStudy: the integer aggregates and the
+//     diurnal shape, always;
+//   * exact while no reservoir evicts (Accuracy().reservoirs_exact): the
+//     median/box figures (2, 3, 4, 6, 7). Reservoirs are bottom-k by hashed
 //     priority, so a non-evicting reservoir IS the population, emitted in
-//     ascending device order — the batch summation order;
-//   * within published bounds otherwise: HLL cardinalities carry a
-//     1.04/sqrt(2^p) relative standard error; count-min point queries never
-//     undercount and overshoot by more than epsilon*total with probability
-//     at most delta; sampled reservoir quantiles converge as k grows;
-//   * within float tolerance: the diurnal shape (fractional spreading sums
-//     cross devices in a different order than the batch flow-order scan).
+//     ascending device order — the exact policy's order;
+//   * within published bounds otherwise: HLL cardinalities (Figure 1 and
+//     the headline device and site counts) carry a 1.04/sqrt(2^p) relative
+//     standard error; count-min point queries never undercount and
+//     overshoot by more than epsilon*total with probability at most delta;
+//     sampled reservoir quantiles converge as k grows.
 //
-// Determinism: the device pass uses the fixed-chunk decomposition of
-// util/thread_pool.h. All global sketch updates are order-independent
-// (register max, bottom-k with a total order, integer adds), so they are
-// applied eagerly under a mutex as each device completes; the only
-// order-sensitive state — fractional diurnal spreading — is accumulated in
-// per-chunk grids folded in chunk order after the pass. Result: bit-identical
-// output at any thread count, for the same seed and budget.
+// Determinism: every sketch update is order-independent (register max,
+// bottom-k with a total order, integer adds), so each device's offers are
+// applied under one mutex as the device completes. Output is bit-identical
+// at any thread count for the same seed and budget.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
-#include "analysis/stats.h"
-#include "analysis/timeseries.h"
 #include "core/study.h"
-#include "core/study_context.h"
 #include "sketch/count_min.h"
 #include "sketch/hll.h"
 #include "sketch/reservoir.h"
-#include "sketch/windowed.h"
 #include "stream/budget.h"
 #include "util/mutex.h"
-#include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace lockdown::stream {
 
@@ -73,10 +61,11 @@ struct StreamingOptions {
   int threads = 0;
 };
 
-class StreamingStudy {
+class StreamingStudy final : public core::FigureEngine {
  public:
-  /// Runs the census (shared StudyContext) and the single streaming pass.
-  /// After construction every figure query is a cheap read of sketch state.
+  /// Runs the census (shared StudyContext) and the figure pass into the
+  /// sketch bank. After construction every figure query reads sketch state
+  /// (DiurnalShape scans the flows).
   StreamingStudy(const core::Dataset& dataset,
                  const world::ServiceCatalog& catalog,
                  const StreamingOptions& options = {});
@@ -88,42 +77,6 @@ class StreamingStudy {
     double total = 0.0;  ///< sum of the class estimates
   };
   [[nodiscard]] std::vector<ActiveDevicesRow> ActiveDevicesPerDay() const;
-
-  // --- Figure 2 (means exact; medians exact while reservoirs hold all) -------
-  [[nodiscard]] std::vector<core::LockdownStudy::BytesPerDeviceRow>
-  BytesPerDevicePerDay() const;
-
-  // --- Figure 3 ---------------------------------------------------------------
-  [[nodiscard]] core::LockdownStudy::HourOfWeekResult HourOfWeekVolume() const;
-
-  // --- Figure 4 ---------------------------------------------------------------
-  [[nodiscard]] std::vector<core::LockdownStudy::Fig4Row>
-  MedianBytesExcludingZoom() const;
-
-  // --- Figure 5 (exact) -------------------------------------------------------
-  [[nodiscard]] analysis::DailySeries ZoomDailyBytes() const;
-
-  // --- Figure 6 ---------------------------------------------------------------
-  [[nodiscard]] core::LockdownStudy::SocialBox SocialDurations(
-      apps::SocialApp app, int month) const;
-
-  // --- Figure 7 ---------------------------------------------------------------
-  [[nodiscard]] core::LockdownStudy::SteamBox SteamUsage(int month) const;
-
-  // --- Figure 8 (exact) -------------------------------------------------------
-  [[nodiscard]] analysis::DailySeries SwitchGameplayDaily(int ma_window = 3) const;
-  [[nodiscard]] core::LockdownStudy::SwitchCounts CountSwitches() const;
-
-  // --- Category volumes (exact) ----------------------------------------------
-  [[nodiscard]] std::vector<core::LockdownStudy::CategoryVolumeRow>
-  CategoryVolumes() const;
-
-  // --- Diurnal shape (within float tolerance of batch) -----------------------
-  [[nodiscard]] core::LockdownStudy::DiurnalShapeResult DiurnalShape(
-      int first_day, int last_day) const;
-
-  // --- Headline (byte sums exact; device counts HLL-estimated) ----------------
-  [[nodiscard]] core::LockdownStudy::Headline HeadlineStats() const;
 
   // --- Per-domain byte volume (count-min; never undercounts) -----------------
   [[nodiscard]] std::uint64_t EstimateDomainBytes(core::DomainId domain) const;
@@ -143,83 +96,38 @@ class StreamingStudy {
   };
   [[nodiscard]] AccuracyReport Accuracy() const;
 
-  /// Bytes of engine figure-state: all sketches (actual allocation), the
-  /// fixed dense grids, and the per-chunk diurnal scratch high-water. The
-  /// dataset itself (mmap'd or in-memory) and the O(devices+domains) census
-  /// are excluded — the budget governs what the *streaming pass* accretes.
+  /// Bytes of engine figure-state: all sketches (actual allocation) and the
+  /// exact integer grids at their pass high-water. The dataset itself
+  /// (mmap'd or in-memory) and the O(devices+domains) census are excluded —
+  /// the budget governs what the pass accretes.
   [[nodiscard]] std::size_t TrackedStateBytes() const noexcept;
 
   [[nodiscard]] const MemoryPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] const core::StudyContext& context() const noexcept { return ctx_; }
 
  private:
-  struct DeviceScratch;
-
-  void RunPass();
+  void BeginPass(std::size_t /*num_chunks*/) override {}
+  void Absorb(std::size_t chunk, const DeviceOffers& offers) override;
+  void EndPass() override {}
+  [[nodiscard]] std::vector<double> Population(std::size_t cell) const override {
+    return reservoirs_[cell].Values();
+  }
+  [[nodiscard]] double Count(std::size_t counter) const override {
+    return hlls_[counter].Estimate();
+  }
   /// Publishes post-pass sketch health (fill ratios, budget headroom,
   /// overflow pressure) to the obs registry; no-op unless metrics are on.
   void RecordObsGauges() const;
-  void ProcessDevice(core::DeviceIndex dev, DeviceScratch& scratch,
-                     sketch::WindowedAggregator& chunk_diurnal);
-  void FlushDevice(core::DeviceIndex dev, const DeviceScratch& scratch);
 
-  [[nodiscard]] std::size_t Fig1Index(int day, core::ReportClass c) const noexcept {
-    return static_cast<std::size_t>(day) * core::kNumReportClasses +
-           static_cast<std::size_t>(c);
-  }
-
-  util::ThreadPool pool_;
-  core::StudyContext ctx_;
   MemoryPlan plan_;
 
-  /// Guards every global sketch below during RunPass (FlushDevice drains a
-  /// device's scratch under it). The sketch fields themselves carry no
-  /// GUARDED_BY: after the pass the engine is immutable and every figure
-  /// query reads them lock-free from the construction thread — a phase
-  /// discipline the static analysis cannot express (DESIGN.md §11).
+  /// Guards every sketch below during the pass (Absorb folds a device's
+  /// offers under it). The sketch fields themselves carry no GUARDED_BY:
+  /// after the pass the engine is immutable and every figure query reads
+  /// them lock-free — a phase discipline the static analysis cannot express
+  /// (DESIGN.md §11).
   util::Mutex mutex_;
-
-  // Figure 1 + distinct sites.
-  std::vector<sketch::HyperLogLog> fig1_hll_;        // 121 x 4
-  std::vector<sketch::HyperLogLog> site_hll_;        // feb, apr, may
-
-  // Figure 2.
-  std::vector<double> fig2_sum_;                     // 121 x 4 (integer-valued)
-  std::vector<std::uint64_t> fig2_count_;            // 121 x 4
-  std::vector<sketch::ReservoirSample> fig2_res_;    // 121 x 4
-
-  // Figure 3.
-  std::vector<sketch::ReservoirSample> fig3_res_;    // 4 x 168
-
-  // Figure 4.
-  std::vector<sketch::ReservoirSample> fig4_res_;    // 121 x 4
-
-  // Figure 5.
-  analysis::DailySeries zoom_daily_;
-
-  // Figure 6: app (FB, IG, TikTok) x month (2..5) x bucket (dom, intl).
-  std::vector<sketch::ReservoirSample> fig6_res_;    // 3 x 4 x 2
-
-  // Figure 7: month (2..5) x bucket x {bytes, conns}.
-  std::vector<sketch::ReservoirSample> fig7_res_;    // 4 x 2 x 2
-
-  // Figure 8.
-  analysis::DailySeries switch_daily_;
-  core::LockdownStudy::SwitchCounts switch_counts_;
-
-  // Category volumes: 121 days x 7 categories (integer-valued).
-  sketch::WindowedAggregator category_grid_;
-
-  // Diurnal: (day, hour) fractional grid, folded from per-chunk shards in
-  // chunk order; weekday/weekend split happens at query time.
-  sketch::WindowedAggregator diurnal_grid_;          // 121 x 24
-  std::size_t diurnal_scratch_high_water_ = 0;
-
-  // Headline byte sums (integer-valued, exact).
-  double feb_bytes_ = 0.0;
-  double apr_may_bytes_ = 0.0;
-
-  // Per-domain byte volume.
+  std::vector<sketch::HyperLogLog> hlls_;            // kNumCounters
+  std::vector<sketch::ReservoirSample> reservoirs_;  // kNumPopulations
   sketch::CountMinSketch domain_bytes_;
 };
 

@@ -1,8 +1,8 @@
 // Canonical text rendering of every study output (Figures 1-8, extension
 // analyses, headline stats), shared by the golden-figure regression test and
-// the query-path differential tests. Doubles print with %.17g, which
-// round-trips IEEE binary64 exactly, so two renderings are equal iff every
-// figure is bit-identical.
+// the differential tests of both aggregator policies. Doubles print with
+// %.17g, which round-trips IEEE binary64 exactly, so two renderings are
+// equal iff every figure is bit-identical.
 #pragma once
 
 #include <cstdio>
@@ -21,6 +21,7 @@ inline std::string RenderNum(double v) {
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
 }
+inline std::string RenderNum(int v) { return std::to_string(v); }
 
 inline void RenderBoxLine(std::ostringstream& out, const std::string& tag,
                           const analysis::BoxStats& b) {
@@ -30,10 +31,14 @@ inline void RenderBoxLine(std::ostringstream& out, const std::string& tag,
       << RenderNum(b.p99) << '\t' << RenderNum(b.mean) << '\n';
 }
 
-/// Renders every figure the given study computes over the given collection.
-inline std::string RenderFigures(const CollectionResult& collection,
-                                 const LockdownStudy& study) {
-  const auto Num = RenderNum;
+/// Renders every figure the given study (LockdownStudy or
+/// stream::StreamingStudy) computes over the given collection. Without
+/// `estimates`, the figures the sketched policy estimates are left out:
+/// Figure 1 and the headline's peak/trough device and distinct-site counts.
+template <typename Study>
+std::string RenderFigures(const CollectionResult& collection, const Study& study,
+                          bool estimates = true) {
+  const auto Num = [](double v) { return RenderNum(v); };
   std::ostringstream out;
   const auto& st = collection.stats;
   out << "stats\t" << st.raw_flows << '\t' << st.tap_excluded << '\t'
@@ -42,10 +47,12 @@ inline std::string RenderFigures(const CollectionResult& collection,
       << st.ua_sightings << '\t' << st.ua_unattributed << '\t'
       << st.ua_visitor_dropped << '\n';
 
-  for (const auto& row : study.ActiveDevicesPerDay()) {
-    out << "fig1\t" << row.day;
-    for (const int v : row.by_class) out << '\t' << v;
-    out << '\t' << row.total << '\n';
+  if (estimates) {
+    for (const auto& row : study.ActiveDevicesPerDay()) {
+      out << "fig1\t" << row.day;
+      for (const auto v : row.by_class) out << '\t' << RenderNum(v);
+      out << '\t' << RenderNum(row.total) << '\n';
+    }
   }
   for (const auto& row : study.BytesPerDevicePerDay()) {
     out << "fig2\t" << row.day;
@@ -109,11 +116,13 @@ inline std::string RenderFigures(const CollectionResult& collection,
   for (const double v : diurnal.weekend) out << '\t' << Num(v);
   out << '\n';
   const auto h = study.HeadlineStats();
-  out << "headline\t" << h.peak_active_devices << '\t'
-      << h.trough_active_devices << '\t' << h.post_shutdown_users << '\t'
-      << Num(h.traffic_increase) << '\t' << Num(h.distinct_sites_increase)
-      << '\t' << h.international_devices << '\t'
-      << Num(h.international_share) << '\n';
+  out << "headline\t";
+  if (estimates) {
+    out << h.peak_active_devices << '\t' << h.trough_active_devices << '\t';
+  }
+  out << h.post_shutdown_users << '\t' << Num(h.traffic_increase) << '\t';
+  if (estimates) out << Num(h.distinct_sites_increase) << '\t';
+  out << h.international_devices << '\t' << Num(h.international_share) << '\n';
   return out.str();
 }
 

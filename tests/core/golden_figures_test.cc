@@ -29,7 +29,7 @@ constexpr int kStudents = 60;
 constexpr std::uint64_t kSeed = 2020;
 
 /// One canonical text rendering of everything the study computes (the
-/// renderer itself is shared with tests/query/figures_differential_test.cc).
+/// renderer itself is shared with tests/stream/figures_differential_test.cc).
 std::string RenderFigures() {
   const StudyConfig cfg = StudyConfig::Small(kStudents, kSeed);
   const CollectionResult collection = MeasurementPipeline::Collect(cfg);

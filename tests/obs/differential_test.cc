@@ -1,5 +1,5 @@
 // The zero-perturbation proof (DESIGN.md §10): the entire pipeline — collect,
-// process, batch study, streaming study — renders bit-identical figures with
+// process, exact study, sketched study — renders bit-identical figures with
 // observability fully enabled (metrics + tracing) and fully disabled, at one
 // thread and at several. Doubles print with %.17g, which round-trips IEEE
 // binary64, so a single-ulp perturbation anywhere fails the comparison.
@@ -90,7 +90,7 @@ void RenderBatchFigures(std::ostringstream& out, const Study& study) {
       << '\n';
 }
 
-/// Full end-to-end rendering: simulate + process + batch study + streaming
+/// Full end-to-end rendering: simulate + process + exact study + sketched
 /// study, all under whatever observability state is currently set.
 std::string RenderEverything(int threads) {
   core::StudyConfig cfg = core::StudyConfig::Small(kStudents, kSeed);

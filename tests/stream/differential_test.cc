@@ -1,32 +1,25 @@
-// Differential convergence proofs: the streaming engine against the batch
-// study, figure by figure, with the error taxonomy streaming_study.h states.
+// The sketched policy against the exact one beyond the thread/format matrix
+// of figures_differential_test.cc: under several sketch seeds, on a
+// fault-injected tolerant re-ingest, and with the count-min bounds — plus
+// the one contract both policies share for query arguments outside the
+// study window.
 //
-//   exact       integer-byte aggregates (fig 2 means, 5, 8, categories,
-//               headline traffic increase) — EXPECT_EQ on the doubles
-//   exact-if-   sampled median/box figures (2, 3, 4, 6, 7) whenever no
-//   unsampled   reservoir evicted (report.reservoirs_exact) — EXPECT_EQ
-//   bounded     HLL cardinalities within 4 standard errors; count-min
-//               estimates one-sided and within epsilon * total for all but
-//               a delta fraction of domains
-//   tolerance   the diurnal shape (fractional sums in a different order)
-//
-// The same contract must hold on a dataset ingested through the tolerant
-// path after deterministic fault injection: faults change *which* flows
-// exist, never the batch/streaming agreement on them.
+// Faults change *which* flows exist, never the two policies' agreement on
+// them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <unistd.h>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "core/offline.h"
 #include "core/pipeline.h"
 #include "core/study.h"
+#include "policy_compare.h"
 #include "stream/streaming_study.h"
 #include "util/fault.h"
 #include "world/catalog.h"
@@ -42,155 +35,17 @@ const core::CollectionResult& Collected() {
   return result;
 }
 
-void ExpectBoxEqual(const analysis::BoxStats& batch,
-                    const analysis::BoxStats& streaming, const char* what) {
-  EXPECT_EQ(batch.n, streaming.n) << what;
-  EXPECT_EQ(batch.p1, streaming.p1) << what;
-  EXPECT_EQ(batch.q1, streaming.q1) << what;
-  EXPECT_EQ(batch.median, streaming.median) << what;
-  EXPECT_EQ(batch.q3, streaming.q3) << what;
-  EXPECT_EQ(batch.p95, streaming.p95) << what;
-  EXPECT_EQ(batch.p99, streaming.p99) << what;
-  EXPECT_EQ(batch.mean, streaming.mean) << what;
-}
-
-// Every figure comparison between one batch study and one streaming engine
-// over the same dataset. Requires an unsampled run (reservoirs_exact) so the
-// sampled figures are checked with exact equality.
-void ExpectConverged(const core::LockdownStudy& batch,
-                     const StreamingStudy& streaming) {
-  const auto report = streaming.Accuracy();
-  ASSERT_TRUE(report.reservoirs_exact)
-      << "population outgrew the reservoirs; raise the test budget";
-  ASSERT_LE(report.state_bytes, report.budget_bytes);
-
-  // Figure 1: HLL estimates within 4 standard errors of the exact counts.
-  const double rse = report.hll_relative_standard_error;
-  const auto f1b = batch.ActiveDevicesPerDay();
-  const auto f1s = streaming.ActiveDevicesPerDay();
-  ASSERT_EQ(f1b.size(), f1s.size());
-  for (std::size_t i = 0; i < f1b.size(); ++i) {
-    for (std::size_t c = 0; c < f1b[i].by_class.size(); ++c) {
-      const double exact = f1b[i].by_class[c];
-      EXPECT_NEAR(f1s[i].by_class[c], exact, 4.0 * rse * exact + 1.0)
-          << "fig1 day " << i << " class " << c;
-    }
-    EXPECT_NEAR(f1s[i].total, static_cast<double>(f1b[i].total),
-                4.0 * rse * f1b[i].total + 2.0)
-        << "fig1 day " << i;
-  }
-
-  // Figure 2: means exact (integer sums), medians exact (unsampled).
-  const auto f2b = batch.BytesPerDevicePerDay();
-  const auto f2s = streaming.BytesPerDevicePerDay();
-  ASSERT_EQ(f2b.size(), f2s.size());
-  for (std::size_t i = 0; i < f2b.size(); ++i) {
-    EXPECT_EQ(f2b[i].mean, f2s[i].mean) << "fig2 day " << i;
-    EXPECT_EQ(f2b[i].median, f2s[i].median) << "fig2 day " << i;
-  }
-
-  // Figure 3: per-device hourly volumes accumulate in flow order on both
-  // sides, so the unsampled medians and the normalization match exactly.
-  const auto f3b = batch.HourOfWeekVolume();
-  const auto f3s = streaming.HourOfWeekVolume();
-  EXPECT_EQ(f3b.normalization, f3s.normalization);
-  for (std::size_t w = 0; w < 4; ++w) {
-    for (int h = 0; h < analysis::HourOfWeekSeries::kHours; ++h) {
-      EXPECT_EQ(f3b.weeks[w].at(h), f3s.weeks[w].at(h))
-          << "fig3 week " << w << " hour " << h;
-    }
-  }
-
-  // Figure 4.
-  const auto f4b = batch.MedianBytesExcludingZoom();
-  const auto f4s = streaming.MedianBytesExcludingZoom();
-  ASSERT_EQ(f4b.size(), f4s.size());
-  for (std::size_t i = 0; i < f4b.size(); ++i) {
-    EXPECT_EQ(f4b[i].intl_mobile_desktop, f4s[i].intl_mobile_desktop) << i;
-    EXPECT_EQ(f4b[i].dom_mobile_desktop, f4s[i].dom_mobile_desktop) << i;
-    EXPECT_EQ(f4b[i].intl_unclassified, f4s[i].intl_unclassified) << i;
-    EXPECT_EQ(f4b[i].dom_unclassified, f4s[i].dom_unclassified) << i;
-  }
-
-  // Figures 5 and 8: exact integer-byte daily series.
-  const auto zb = batch.ZoomDailyBytes();
-  const auto zs = streaming.ZoomDailyBytes();
-  ASSERT_EQ(zb.num_days(), zs.num_days());
-  for (int d = 0; d < zb.num_days(); ++d) {
-    EXPECT_EQ(zb.at(d), zs.at(d)) << "fig5 day " << d;
-  }
-  const auto gb = batch.SwitchGameplayDaily();
-  const auto gs = streaming.SwitchGameplayDaily();
-  ASSERT_EQ(gb.num_days(), gs.num_days());
-  for (int d = 0; d < gb.num_days(); ++d) {
-    EXPECT_EQ(gb.at(d), gs.at(d)) << "fig8 day " << d;
-  }
-  const auto cb = batch.CountSwitches();
-  const auto cs = streaming.CountSwitches();
-  EXPECT_EQ(cb.active_february, cs.active_february);
-  EXPECT_EQ(cb.active_post_shutdown, cs.active_post_shutdown);
-  EXPECT_EQ(cb.new_in_april_may, cs.new_in_april_may);
-
-  // Figures 6 and 7: box statistics over the sampled populations.
-  for (int month = 2; month <= 5; ++month) {
-    for (const auto app : {apps::SocialApp::kFacebook,
-                           apps::SocialApp::kInstagram, apps::SocialApp::kTikTok}) {
-      const auto sb = batch.SocialDurations(app, month);
-      const auto ss = streaming.SocialDurations(app, month);
-      ExpectBoxEqual(sb.domestic, ss.domestic, "fig6 domestic");
-      ExpectBoxEqual(sb.international, ss.international, "fig6 international");
-    }
-    const auto tb = batch.SteamUsage(month);
-    const auto ts = streaming.SteamUsage(month);
-    ExpectBoxEqual(tb.dom_bytes, ts.dom_bytes, "fig7 dom bytes");
-    ExpectBoxEqual(tb.intl_bytes, ts.intl_bytes, "fig7 intl bytes");
-    ExpectBoxEqual(tb.dom_conns, ts.dom_conns, "fig7 dom conns");
-    ExpectBoxEqual(tb.intl_conns, ts.intl_conns, "fig7 intl conns");
-  }
-
-  // Category volumes: exact.
-  const auto cvb = batch.CategoryVolumes();
-  const auto cvs = streaming.CategoryVolumes();
-  ASSERT_EQ(cvb.size(), cvs.size());
-  for (std::size_t i = 0; i < cvb.size(); ++i) {
-    EXPECT_EQ(cvb[i].education, cvs[i].education) << "categories day " << i;
-    EXPECT_EQ(cvb[i].video_conferencing, cvs[i].video_conferencing) << i;
-    EXPECT_EQ(cvb[i].streaming, cvs[i].streaming) << i;
-    EXPECT_EQ(cvb[i].social_media, cvs[i].social_media) << i;
-    EXPECT_EQ(cvb[i].gaming, cvs[i].gaming) << i;
-    EXPECT_EQ(cvb[i].messaging, cvs[i].messaging) << i;
-    EXPECT_EQ(cvb[i].other, cvs[i].other) << i;
-  }
-
-  // Diurnal shape: same fractional contributions, different summation order.
-  for (const auto& [first, last] :
-       {std::pair{0, 28}, std::pair{0, util::StudyCalendar::NumDays() - 1}}) {
-    const auto db = batch.DiurnalShape(first, last);
-    const auto dst = streaming.DiurnalShape(first, last);
-    for (std::size_t h = 0; h < 24; ++h) {
-      EXPECT_NEAR(db.weekday[h], dst.weekday[h], 1e-9) << "weekday hour " << h;
-      EXPECT_NEAR(db.weekend[h], dst.weekend[h], 1e-9) << "weekend hour " << h;
-    }
-  }
-
-  // Headline: census and byte ratios exact; device/site counts estimated.
-  const auto hb = batch.HeadlineStats();
-  const auto hs = streaming.HeadlineStats();
-  EXPECT_EQ(hb.post_shutdown_users, hs.post_shutdown_users);
-  EXPECT_EQ(hb.international_devices, hs.international_devices);
-  EXPECT_EQ(hb.international_share, hs.international_share);
-  EXPECT_EQ(hb.traffic_increase, hs.traffic_increase);
-  EXPECT_NEAR(hs.peak_active_devices, hb.peak_active_devices,
-              4.0 * rse * hb.peak_active_devices + 4.0);
-  EXPECT_NEAR(hs.trough_active_devices, hb.trough_active_devices,
-              4.0 * rse * hb.trough_active_devices + 4.0);
-  EXPECT_NEAR(hs.distinct_sites_increase, hb.distinct_sites_increase, 0.1);
+StreamingOptions Unsampled(std::uint64_t sketch_seed = StreamingOptions{}.sketch_seed) {
+  StreamingOptions options;
+  options.memory_budget_bytes = std::size_t{64} << 20;
+  options.sketch_seed = sketch_seed;
+  return options;
 }
 
 // Count-min: one-sided per domain, and within epsilon * total for all but
 // (at most) a small-delta fraction of the vocabulary.
 void ExpectDomainBytesBounded(const core::Dataset& ds,
-                              const StreamingStudy& streaming) {
+                              const StreamingStudy& sketched) {
   std::unordered_map<core::DomainId, std::uint64_t> exact;
   std::uint64_t total = 0;
   for (const core::Flow& f : ds.flows()) {
@@ -198,13 +53,13 @@ void ExpectDomainBytesBounded(const core::Dataset& ds,
     exact[f.domain] += f.total_bytes();
     total += f.total_bytes();
   }
-  const auto report = streaming.Accuracy();
+  const auto report = sketched.Accuracy();
   EXPECT_EQ(report.cms_total_bytes, total);
   const auto bound = static_cast<std::uint64_t>(report.cms_epsilon *
                                                 static_cast<double>(total));
   std::size_t violations = 0;
   for (const auto& [domain, true_bytes] : exact) {
-    const std::uint64_t est = streaming.EstimateDomainBytes(domain);
+    const std::uint64_t est = sketched.EstimateDomainBytes(domain);
     ASSERT_GE(est, true_bytes) << "count-min undercounted domain " << domain;
     violations += est > true_bytes + bound;
   }
@@ -217,12 +72,10 @@ void ExpectDomainBytesBounded(const core::Dataset& ds,
 TEST(StreamingDifferential, ConvergesToBatchOnCleanInputs) {
   const auto& collection = Collected();
   const auto& catalog = world::ServiceCatalog::Default();
-  const core::LockdownStudy batch(collection.dataset, catalog);
-  StreamingOptions options;
-  options.memory_budget_bytes = std::size_t{64} << 20;
-  const StreamingStudy streaming(collection.dataset, catalog, options);
-  ExpectConverged(batch, streaming);
-  ExpectDomainBytesBounded(collection.dataset, streaming);
+  const core::LockdownStudy exact(collection.dataset, catalog);
+  const StreamingStudy sketched(collection.dataset, catalog, Unsampled());
+  testing::ExpectSketchedMatchesExact(collection, exact, sketched);
+  ExpectDomainBytesBounded(collection.dataset, sketched);
 }
 
 TEST(StreamingDifferential, ConvergesAcrossSketchSeeds) {
@@ -231,20 +84,17 @@ TEST(StreamingDifferential, ConvergesAcrossSketchSeeds) {
   // ones must stay in bounds.
   const auto& collection = Collected();
   const auto& catalog = world::ServiceCatalog::Default();
-  const core::LockdownStudy batch(collection.dataset, catalog);
+  const core::LockdownStudy exact(collection.dataset, catalog);
   for (const std::uint64_t seed : {1ULL, 77ULL, 20200316ULL}) {
-    SCOPED_TRACE(testing::Message() << "sketch seed " << seed);
-    StreamingOptions options;
-    options.memory_budget_bytes = std::size_t{64} << 20;
-    options.sketch_seed = seed;
-    const StreamingStudy streaming(collection.dataset, catalog, options);
-    ExpectConverged(batch, streaming);
+    SCOPED_TRACE(::testing::Message() << "sketch seed " << seed);
+    const StreamingStudy sketched(collection.dataset, catalog, Unsampled(seed));
+    testing::ExpectSketchedMatchesExact(collection, exact, sketched);
   }
 }
 
 // The fault-injected path: export the logs, corrupt conn.log with the
-// deterministic injector, re-ingest tolerantly, and require the identical
-// batch/streaming agreement on whatever survived.
+// deterministic injector, re-ingest tolerantly, and require the same
+// agreement on whatever survived.
 TEST(StreamingDifferential, ConvergesUnderFaultInjection) {
   const auto config = core::StudyConfig::Small(45, 909);
   const fs::path dir = fs::temp_directory_path() /
@@ -267,12 +117,59 @@ TEST(StreamingDifferential, ConvergesUnderFaultInjection) {
   fs::remove_all(dir);
 
   const auto& catalog = world::ServiceCatalog::Default();
-  const core::LockdownStudy batch(collection.dataset, catalog);
-  StreamingOptions options;
-  options.memory_budget_bytes = std::size_t{64} << 20;
-  const StreamingStudy streaming(collection.dataset, catalog, options);
-  ExpectConverged(batch, streaming);
-  ExpectDomainBytesBounded(collection.dataset, streaming);
+  const core::LockdownStudy exact(collection.dataset, catalog);
+  const StreamingStudy sketched(collection.dataset, catalog, Unsampled());
+  testing::ExpectSketchedMatchesExact(collection, exact, sketched);
+  ExpectDomainBytesBounded(collection.dataset, sketched);
+}
+
+// Months outside 2..5 give empty boxes and DiurnalShape clamps its day range
+// to the study window, under both policies — including on a campus whose
+// log holds a flow that starts past the window (June 1).
+TEST(StreamingDifferential, OutOfWindowArgumentsShareOneContract) {
+  const auto& collection = Collected();
+  const int num_days = util::StudyCalendar::NumDays();
+  const auto flows = collection.dataset.flows();
+  ASSERT_TRUE(std::any_of(flows.begin(), flows.end(), [&](const core::Flow& f) {
+    return core::Dataset::DayOf(f) >= num_days;
+  })) << "the campus no longer has a flow past the study window";
+  const auto& catalog = world::ServiceCatalog::Default();
+  const core::LockdownStudy exact(collection.dataset, catalog);
+  const StreamingStudy sketched(collection.dataset, catalog, Unsampled());
+
+  const auto expect_empty_boxes = [](const core::FigureEngine& study, int month) {
+    for (const auto app : {apps::SocialApp::kFacebook, apps::SocialApp::kInstagram,
+                           apps::SocialApp::kTikTok}) {
+      const auto box = study.SocialDurations(app, month);
+      EXPECT_EQ(box.domestic.n + box.international.n, 0u);
+    }
+    const auto steam = study.SteamUsage(month);
+    EXPECT_EQ(steam.dom_bytes.n + steam.intl_bytes.n + steam.dom_conns.n +
+                  steam.intl_conns.n,
+              0u);
+  };
+  for (const int month : {1, 6, 12}) {
+    SCOPED_TRACE(::testing::Message() << "month " << month);
+    expect_empty_boxes(exact, month);
+    expect_empty_boxes(sketched, month);
+  }
+
+  const auto whole = exact.DiurnalShape(0, num_days - 1);
+  for (const auto& [first, last] :
+       {std::pair{-10, 500}, std::pair{50, 10}, std::pair{0, 0}}) {
+    SCOPED_TRACE(::testing::Message() << "days " << first << ".." << last);
+    const auto e = exact.DiurnalShape(first, last);
+    const auto s = sketched.DiurnalShape(first, last);
+    EXPECT_EQ(e.weekday, s.weekday);
+    EXPECT_EQ(e.weekend, s.weekend);
+    if (first > last) {
+      EXPECT_EQ(e.weekday, decltype(e.weekday){});
+      EXPECT_EQ(e.weekend, decltype(e.weekend){});
+    }
+  }
+  const auto clamped = exact.DiurnalShape(-10, 500);
+  EXPECT_EQ(clamped.weekday, whole.weekday);
+  EXPECT_EQ(clamped.weekend, whole.weekend);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include "core/pipeline.h"
 #include "world/catalog.h"
 
+#include "../core/figure_render.h"
+
 namespace lockdown::stream {
 namespace {
 
@@ -30,108 +32,21 @@ StreamingOptions WithThreads(int threads) {
   return options;
 }
 
-// Bit-exact comparison of every streaming output (estimates included: the
-// sketches must hold identical state regardless of thread count).
-void ExpectStreamingIdentical(const StreamingStudy& a, const StreamingStudy& b) {
-  const auto f1a = a.ActiveDevicesPerDay();
-  const auto f1b = b.ActiveDevicesPerDay();
-  ASSERT_EQ(f1a.size(), f1b.size());
-  for (std::size_t i = 0; i < f1a.size(); ++i) {
-    ASSERT_EQ(f1a[i].by_class, f1b[i].by_class) << "fig1 day " << i;
-    ASSERT_EQ(f1a[i].total, f1b[i].total) << "fig1 day " << i;
-  }
-
-  const auto f2a = a.BytesPerDevicePerDay();
-  const auto f2b = b.BytesPerDevicePerDay();
-  ASSERT_EQ(f2a.size(), f2b.size());
-  for (std::size_t i = 0; i < f2a.size(); ++i) {
-    ASSERT_EQ(f2a[i].mean, f2b[i].mean) << "fig2 day " << i;
-    ASSERT_EQ(f2a[i].median, f2b[i].median) << "fig2 day " << i;
-  }
-
-  const auto f3a = a.HourOfWeekVolume();
-  const auto f3b = b.HourOfWeekVolume();
-  ASSERT_EQ(f3a.normalization, f3b.normalization);
-  for (std::size_t w = 0; w < 4; ++w) {
-    for (int h = 0; h < analysis::HourOfWeekSeries::kHours; ++h) {
-      ASSERT_EQ(f3a.weeks[w].at(h), f3b.weeks[w].at(h))
-          << "fig3 week " << w << " hour " << h;
-    }
-  }
-
-  const auto f4a = a.MedianBytesExcludingZoom();
-  const auto f4b = b.MedianBytesExcludingZoom();
-  ASSERT_EQ(f4a.size(), f4b.size());
-  for (std::size_t i = 0; i < f4a.size(); ++i) {
-    ASSERT_EQ(f4a[i].intl_mobile_desktop, f4b[i].intl_mobile_desktop);
-    ASSERT_EQ(f4a[i].dom_mobile_desktop, f4b[i].dom_mobile_desktop);
-    ASSERT_EQ(f4a[i].intl_unclassified, f4b[i].intl_unclassified);
-    ASSERT_EQ(f4a[i].dom_unclassified, f4b[i].dom_unclassified);
-  }
-
-  const auto zda = a.ZoomDailyBytes();
-  const auto zdb = b.ZoomDailyBytes();
-  for (int d = 0; d < zda.num_days(); ++d) ASSERT_EQ(zda.at(d), zdb.at(d));
-  const auto swa = a.SwitchGameplayDaily();
-  const auto swb = b.SwitchGameplayDaily();
-  for (int d = 0; d < swa.num_days(); ++d) ASSERT_EQ(swa.at(d), swb.at(d));
-  EXPECT_EQ(a.CountSwitches().active_february, b.CountSwitches().active_february);
-
-  for (int month = 2; month <= 5; ++month) {
-    for (const auto app : {apps::SocialApp::kFacebook,
-                           apps::SocialApp::kInstagram, apps::SocialApp::kTikTok}) {
-      const auto sa = a.SocialDurations(app, month);
-      const auto sb = b.SocialDurations(app, month);
-      ASSERT_EQ(sa.domestic.n, sb.domestic.n);
-      ASSERT_EQ(sa.domestic.median, sb.domestic.median);
-      ASSERT_EQ(sa.domestic.mean, sb.domestic.mean);
-      ASSERT_EQ(sa.international.n, sb.international.n);
-      ASSERT_EQ(sa.international.median, sb.international.median);
-    }
-    const auto sta = a.SteamUsage(month);
-    const auto stb = b.SteamUsage(month);
-    ASSERT_EQ(sta.dom_bytes.n, stb.dom_bytes.n);
-    ASSERT_EQ(sta.dom_bytes.median, stb.dom_bytes.median);
-    ASSERT_EQ(sta.intl_conns.mean, stb.intl_conns.mean);
-  }
-
-  const auto cva = a.CategoryVolumes();
-  const auto cvb = b.CategoryVolumes();
-  ASSERT_EQ(cva.size(), cvb.size());
-  for (std::size_t i = 0; i < cva.size(); ++i) {
-    ASSERT_EQ(cva[i].education, cvb[i].education) << "categories day " << i;
-    ASSERT_EQ(cva[i].streaming, cvb[i].streaming) << "categories day " << i;
-    ASSERT_EQ(cva[i].other, cvb[i].other) << "categories day " << i;
-  }
-
-  // Diurnal: the per-chunk fold order is fixed by the dataset size, not the
-  // thread count, so even the fractional sums must match exactly.
-  const auto da = a.DiurnalShape(0, util::StudyCalendar::NumDays() - 1);
-  const auto db = b.DiurnalShape(0, util::StudyCalendar::NumDays() - 1);
-  ASSERT_EQ(da.weekday, db.weekday);
-  ASSERT_EQ(da.weekend, db.weekend);
-
-  const auto ha = a.HeadlineStats();
-  const auto hb = b.HeadlineStats();
-  EXPECT_EQ(ha.peak_active_devices, hb.peak_active_devices);
-  EXPECT_EQ(ha.trough_active_devices, hb.trough_active_devices);
-  EXPECT_EQ(ha.traffic_increase, hb.traffic_increase);
-  EXPECT_EQ(ha.distinct_sites_increase, hb.distinct_sites_increase);
-
-  for (core::DomainId d = 0; d < a.context().dataset().num_domains(); ++d) {
-    ASSERT_EQ(a.EstimateDomainBytes(d), b.EstimateDomainBytes(d))
-        << "domain " << d;
-  }
-}
-
 TEST(StreamingStudy, BitIdenticalAcrossThreadCounts) {
+  // Every output, estimates included: the sketches must hold identical
+  // state regardless of thread count.
   const auto& collection = Collected();
   const auto& catalog = world::ServiceCatalog::Default();
   const StreamingStudy serial(collection.dataset, catalog, WithThreads(1));
+  const std::string figures = core::testing::RenderFigures(collection, serial);
   for (const int threads : {2, 3, 8}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
     const StreamingStudy par(collection.dataset, catalog, WithThreads(threads));
-    ExpectStreamingIdentical(serial, par);
+    EXPECT_EQ(core::testing::RenderFigures(collection, par), figures);
+    for (core::DomainId d = 0; d < collection.dataset.num_domains(); ++d) {
+      ASSERT_EQ(serial.EstimateDomainBytes(d), par.EstimateDomainBytes(d))
+          << "domain " << d;
+    }
   }
 }
 

@@ -4,12 +4,14 @@
 # The asan pass exists chiefly for src/store — mmap'd zero-copy pointer casts
 # and the binary decoder must be provably clean, not just test-green. The
 # tsan pass covers the parallel pipeline/study: it forces LOCKDOWN_THREADS=8
-# so the sharded passes actually run multi-threaded (this box may be
-# single-core, where the pool would otherwise fall back to serial) and runs
-# the thread-pool, pipeline, and differential parallel-equivalence tests.
+# so the sharded passes actually run multi-threaded (a single-core machine
+# would otherwise fall back to serial) and runs the thread-pool, pipeline,
+# and the thread-identity tests of both figure-engine policies.
 # After its ctest run, the default pass diffs EXPERIMENTS.md's
 # ```experiments blocks against the stdout of build/bench/experiments, so
-# every measured number in the document is the one the code prints.
+# every measured number in the document is the one the code prints; the
+# asan pass repeats that diff with the instrumented binary, which drives the
+# exact figure pass through the full 1200-student campus under ASan/UBSan.
 #
 # A fourth, CLI-level fault tier exercises the ingest robustness surface
 # end-to-end: it exports a small campus, corrupts the snapshot and the TSV
@@ -19,12 +21,11 @@
 # 4 = corrupt snapshot without fallback). Malformed numeric flag values
 # (NaN rates, trailing garbage, an over-cap --threads) must exit 1.
 #
-# The stream tier runs the streaming-vs-batch differential convergence suite
-# (tests/stream) under ASan+UBSan — including its FaultInjector leg, which
-# re-ingests a deterministically corrupted export before differencing — so
-# the sketch memory claims hold with the allocator instrumented. The tsan
-# pass additionally runs the streaming bit-identity test at LOCKDOWN_THREADS=8
-# to cover the parallel sketch merges.
+# The stream tier (--stream-only) is the `figures` ctest label on the asan
+# tree: the figure engine's tests under both aggregator policies (tests/
+# stream), including the FaultInjector leg that re-ingests a
+# deterministically corrupted export. The asan pass's full ctest already
+# runs them, so `all` does not repeat the tier.
 #
 # The obs tier exercises the observability surface end-to-end: it runs the
 # CLI with --metrics-out/--trace-out plus an analyze/snapshot flow (so the
@@ -72,39 +73,44 @@ run_pass() {
   echo "=== ${label}: OK ==="
 }
 
-if [[ "${mode}" == "all" || "${mode}" == "--default-only" ]]; then
-  run_pass "default" build
-  # EXPERIMENTS.md's ```experiments blocks, concatenated in order, are the
-  # experiments binary's stdout byte for byte.
-  echo "=== default: EXPERIMENTS.md vs build/bench/experiments ==="
+# check_experiments LABEL DIR: EXPERIMENTS.md's ```experiments blocks,
+# concatenated in order, are DIR/bench/experiments' stdout byte for byte.
+check_experiments() {
+  local label="$1" dir="$2"
+  echo "=== ${label}: EXPERIMENTS.md vs ${dir}/bench/experiments ==="
   if ! diff <(awk '/^```experiments$/ {on = 1; next} /^```$/ {on = 0} on' EXPERIMENTS.md) \
-            <(build/bench/experiments); then
+            <("${dir}/bench/experiments"); then
     echo "FAIL: EXPERIMENTS.md is stale; paste build/bench/experiments output" \
          "into its experiments blocks" >&2
     exit 1
   fi
-  echo "=== default: EXPERIMENTS.md OK ==="
+  echo "=== ${label}: EXPERIMENTS.md OK ==="
+}
+
+asan_flags=(
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined")
+
+if [[ "${mode}" == "all" || "${mode}" == "--default-only" ]]; then
+  run_pass "default" build
+  check_experiments "default" build
 fi
 
 if [[ "${mode}" == "all" || "${mode}" == "--asan-only" ]]; then
-  run_pass "asan+ubsan" build-asan \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  run_pass "asan+ubsan" build-asan "${asan_flags[@]}"
+  check_experiments "asan+ubsan" build-asan
 fi
 
-if [[ "${mode}" == "all" || "${mode}" == "--stream-only" ]]; then
-  # Streaming differential convergence under asan+ubsan (reuses / creates the
-  # asan tree). The suite's fault leg injects one deterministic FaultInjector
-  # seed into an exported conn.log and re-differences the tolerant re-ingest.
+if [[ "${mode}" == "--stream-only" ]]; then
+  # The figure-engine tests under asan+ubsan (reuses / creates the asan
+  # tree): a label filter over the suite the asan pass runs in full.
   dir=build-asan
   echo "=== stream: configure (${dir}) ==="
-  cmake -B "${dir}" -S . \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
+  cmake -B "${dir}" -S . "${asan_flags[@]}" >/dev/null
   echo "=== stream: build ==="
   cmake --build "${dir}" -j "${jobs}" --target stream_test
-  echo "=== stream: differential suite (asan+ubsan) ==="
-  "${dir}/tests/stream_test"
+  echo "=== stream: ctest -L figures (asan+ubsan) ==="
+  (cd "${dir}" && ctest --output-on-failure -j "${jobs}" -L figures)
   echo "=== stream: OK ==="
 fi
 
@@ -125,10 +131,11 @@ if [[ "${mode}" == "all" || "${mode}" == "--tsan-only" ]]; then
   LOCKDOWN_THREADS=8 "${dir}/tests/obs_test" --gtest_filter='MetricsRegistry.*'
   LOCKDOWN_THREADS=8 "${dir}/tests/core_test" \
     --gtest_filter='ParallelEquivalence.*:Pipeline*:GoldenFigures.*'
-  # Parallel sketch merges: per-device scratch flushed into shared sketches
-  # must be race-free, not just deterministic.
+  # The figure pass under both policies: per-chunk offers folded in chunk
+  # order (exact) and per-device offers applied to shared sketches under one
+  # mutex (sketched) must be race-free, not just deterministic.
   LOCKDOWN_THREADS=8 "${dir}/tests/stream_test" \
-    --gtest_filter='StreamingStudy.BitIdenticalAcrossThreadCounts'
+    --gtest_filter='FiguresDifferentialTest.*:StreamingStudy.BitIdenticalAcrossThreadCounts'
   echo "=== tsan: OK ==="
 fi
 
@@ -296,9 +303,7 @@ if [[ "${mode}" == "all" || "${mode}" == "--crash-only" ]]; then
   # and proves the atomic-rename contract from the parent.
   dir=build-asan
   echo "=== crash: configure (${dir}) ==="
-  cmake -B "${dir}" -S . \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
+  cmake -B "${dir}" -S . "${asan_flags[@]}" >/dev/null
   echo "=== crash: build ==="
   cmake --build "${dir}" -j "${jobs}" --target lockdown_cli crash_harness_test
   echo "=== crash: kill-at-every-crash-point harness (asan+ubsan) ==="

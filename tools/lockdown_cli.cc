@@ -15,9 +15,9 @@
 //   lockdown_cli study [--students N] [--seed S] [--streaming]
 //                      [--memory-budget BYTES]
 //       One-shot: simulate + process + print every figure's summary.
-//       --streaming swaps the batch study for the one-pass bounded-memory
-//       sketch engine (src/stream) and appends its accuracy report;
-//       --memory-budget sizes the engine's analysis state (default 32M,
+//       --streaming runs the figure pass under the bounded-memory sketched
+//       policy (src/stream) and appends its accuracy report;
+//       --memory-budget sizes the sketch state (default 32M,
 //       implies --streaming). Both modes report the process peak RSS.
 //
 //   lockdown_cli snapshot save --out FILE [--logs DIR] [--students N] [--seed S]

@@ -27,9 +27,9 @@ commands:
   study [--students N] [--seed S] [--threads T]
         [--streaming] [--memory-budget BYTES]
       One-shot: simulate + process + print the figure summaries.
-      --streaming runs the bounded-memory sketch engine instead of the
-      batch study and appends its accuracy report; --memory-budget caps
-      the engine's analysis state (binary suffixes accepted: 64M, 2G;
+      --streaming runs the figure pass with bounded-memory sketches
+      instead of exact populations and appends its accuracy report;
+      --memory-budget caps the sketch state (binary suffixes accepted: 64M, 2G;
       default 32M, implies --streaming).
   snapshot save --out FILE [--logs DIR] [--students N] [--seed S] [--threads T]
                 [--compress]
