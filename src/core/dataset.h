@@ -161,7 +161,8 @@ class Dataset {
 
   /// Absolute timestamp of a flow's start.
   [[nodiscard]] static util::Timestamp StartOf(const Flow& f) noexcept {
-    return util::StudyCalendar::StartTs() + f.start_offset_s;
+    constexpr util::Timestamp kStudyStart = util::StudyCalendar::StartTs();
+    return kStudyStart + f.start_offset_s;
   }
   /// Study-day index of a flow.
   [[nodiscard]] static int DayOf(const Flow& f) noexcept {

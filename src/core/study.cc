@@ -29,10 +29,15 @@ struct Calendar {
   int may_start = StudyCalendar::DayIndex(util::CivilDate{2020, 5, 1});
   int jun_start = StudyCalendar::DayIndex(util::CivilDate{2020, 6, 1});
   std::array<Timestamp, 4> week_anchor{};  // Figure 3 Thursdays
+  std::array<bool, FigureEngine::kDays> weekend{};  // by study day
 
   Calendar() {
     for (std::size_t w = 0; w < 4; ++w) {
       week_anchor[w] = util::TimestampOf(StudyCalendar::kFig3Weeks[w]);
+    }
+    for (std::size_t day = 0; day < weekend.size(); ++day) {
+      weekend[day] = util::IsWeekend(
+          util::WeekdayOf(StudyCalendar::DateAt(static_cast<int>(day))));
     }
   }
 
@@ -96,18 +101,19 @@ void AddRun(std::vector<std::pair<int, std::uint64_t>>& runs, int day,
   }
 }
 
-// Spreads every flow of `flows` that starts on a day in [lo, hi] over the
-// hours of day it spans, into the weekday or weekend profile.
-void AddDiurnal(std::span<const Flow> flows, int lo, int hi,
+// Spreads every flow of `flows` that starts on a study day in [lo, hi]
+// (within [0, kDays)) over the hours of day it spans, into the weekday or
+// weekend profile. Timestamps are non-negative, so the hour of day is the
+// remainder arithmetic util::HourOf's civil conversion reduces to.
+void AddDiurnal(std::span<const Flow> flows, int lo, int hi, const Calendar& cal,
                 FigureEngine::DiurnalShapeResult& out) {
   for (const Flow& f : flows) {
     const int day = Dataset::DayOf(f);
     if (day < lo || day > hi) continue;
-    const bool weekend =
-        util::IsWeekend(util::WeekdayOf(StudyCalendar::DateAt(day)));
-    auto& profile = weekend ? out.weekend : out.weekday;
+    auto& profile = cal.weekend[static_cast<std::size_t>(day)] ? out.weekend : out.weekday;
     StudyContext::SpreadOverHours(f, [&profile](Timestamp t, double bytes) {
-      profile[static_cast<std::size_t>(util::HourOf(t))] += bytes;
+      profile[static_cast<std::size_t>((t % util::kSecondsPerDay) /
+                                       util::kSecondsPerHour)] += bytes;
     });
   }
 }
@@ -487,11 +493,12 @@ FigureEngine::DiurnalShapeResult FigureEngine::DiurnalShape(int first_day,
   const auto flows = ctx_.dataset().flows();
   const std::size_t num_chunks = util::ThreadPool::NumChunks(flows.size(), kFlowGrain);
   std::vector<DiurnalShapeResult> shards(num_chunks);
+  const Calendar& cal = Cal();
   if (lo <= hi) {
     pool_.ParallelFor(flows.size(), kFlowGrain,
                       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                         AddDiurnal(flows.subspan(begin, end - begin), lo, hi,
-                                   shards[chunk]);
+                                   cal, shards[chunk]);
                       });
   }
   DiurnalShapeResult result;

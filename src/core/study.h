@@ -193,9 +193,9 @@ class FigureEngine {
   [[nodiscard]] const StudyContext& context() const noexcept { return ctx_; }
 
   // --- The policy's vocabulary -------------------------------------------------
-  /// Days in the study window: util::StudyCalendar::NumDays(), which
-  /// tests/util/time_test.cc pins.
-  static constexpr std::size_t kDays = 121;
+  /// Days in the study window (121; tests/util/time_test.cc pins it).
+  static constexpr auto kDays =
+      static_cast<std::size_t>(util::StudyCalendar::NumDays());
   /// Population cells, family by family: Figure 2 (day x class), Figure 3
   /// (week x hour of week), Figure 4 (day x group), Figure 6 (app x month x
   /// {dom, intl}) and Figure 7 (month x {dom, intl} x {bytes, conns}).

@@ -68,25 +68,28 @@ StreamingStudy::StreamingStudy(const core::Dataset& dataset,
   RecordObsGauges();
 }
 
-void StreamingStudy::Absorb(std::size_t /*chunk*/, const DeviceOffers& offers) {
-  // Per-domain byte volume over every flow of the device, adjacent runs
-  // merged before taking the lock.
-  std::vector<std::pair<core::DomainId, std::uint64_t>> domain_adds;
-  for (const core::Flow& f : dataset().FlowsOfDevice(offers.device)) {
-    if (f.domain == core::kNoDomain) continue;
-    if (!domain_adds.empty() && domain_adds.back().first == f.domain) {
-      domain_adds.back().second += f.total_bytes();
-    } else {
-      domain_adds.emplace_back(f.domain, f.total_bytes());
-    }
-  }
+void StreamingStudy::BeginPass(std::size_t num_chunks) {
+  tallies_.assign(num_chunks, core::DomainBytesTally(dataset()));
+}
+
+void StreamingStudy::Absorb(std::size_t chunk, const DeviceOffers& offers) {
+  // The device's byte total per domain, tallied before taking the lock: one
+  // count-min add per distinct domain. Adds are wrap-around integer sums, so
+  // every cell equals the one per-flow adds would give.
+  core::DomainBytesTally& tally = tallies_[chunk];
+  const auto domain_bytes = tally.Of(offers.device);
+  const auto domains = tally.ids();
   const util::MutexLock lock(mutex_);
   for (const auto& [cell, value] : offers.values) {
     reservoirs_[cell].Add(offers.device, value);
   }
   for (const auto& [counter, key] : offers.keys) hlls_[counter].Add(key);
-  for (const auto& [domain, bytes] : domain_adds) domain_bytes_.Add(domain, bytes);
+  for (std::size_t i = 0; i < domains.size(); ++i) {
+    domain_bytes_.Add(domains[i], domain_bytes[i].bytes);
+  }
 }
+
+void StreamingStudy::EndPass() { tallies_ = {}; }
 
 void StreamingStudy::RecordObsGauges() const {
   if (!obs::MetricsEnabled()) return;

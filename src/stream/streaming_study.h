@@ -11,7 +11,8 @@
 //                               site periods)
 //   Figures 2, 3, 4, 6, 7       1680 reservoir samples, one per population
 //                               cell (FigureEngine::kNumPopulations)
-//   per-domain byte volume      one count-min sketch (EstimateDomainBytes)
+//   per-domain byte volume      one count-min sketch (EstimateDomainBytes),
+//                               fed each device's per-domain byte totals
 //
 // The integer aggregates (Figure 2 means, 5, 8, categories, headline byte
 // sums) are the engine's exact grids under both policies, and DiurnalShape
@@ -105,9 +106,9 @@ class StreamingStudy final : public core::FigureEngine {
   [[nodiscard]] const MemoryPlan& plan() const noexcept { return plan_; }
 
  private:
-  void BeginPass(std::size_t /*num_chunks*/) override {}
+  void BeginPass(std::size_t num_chunks) override;
   void Absorb(std::size_t chunk, const DeviceOffers& offers) override;
-  void EndPass() override {}
+  void EndPass() override;
   [[nodiscard]] std::vector<double> Population(std::size_t cell) const override {
     return reservoirs_[cell].Values();
   }
@@ -129,6 +130,11 @@ class StreamingStudy final : public core::FigureEngine {
   std::vector<sketch::HyperLogLog> hlls_;            // kNumCounters
   std::vector<sketch::ReservoirSample> reservoirs_;  // kNumPopulations
   sketch::CountMinSketch domain_bytes_;
+  /// One per pass chunk, touched only by the lane running that chunk: each
+  /// device's per-domain byte totals, the count-min sketch's input. O(domains)
+  /// pass scratch, freed by EndPass and, like the engine's site_seen,
+  /// excluded from TrackedStateBytes.
+  std::vector<core::DomainBytesTally> tallies_;
 };
 
 }  // namespace lockdown::stream

@@ -18,35 +18,6 @@ const char* ToString(Weekday wd) noexcept {
   return "???";
 }
 
-std::int64_t DaysFromCivil(CivilDate d) noexcept {
-  // Howard Hinnant, "chrono-Compatible Low-Level Date Algorithms".
-  auto y = static_cast<std::int64_t>(d.year);
-  const unsigned m = static_cast<unsigned>(d.month);
-  const unsigned dd = static_cast<unsigned>(d.day);
-  y -= m <= 2;
-  const std::int64_t era = (y >= 0 ? y : y - 399) / 400;
-  const auto yoe = static_cast<unsigned>(y - era * 400);              // [0, 399]
-  const unsigned doy = (153 * (m + (m > 2 ? -3 : 9)) + 2) / 5 + dd - 1;  // [0, 365]
-  const unsigned doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;         // [0, 146096]
-  return era * 146097 + static_cast<std::int64_t>(doe) - 719468;
-}
-
-CivilDate CivilFromDays(std::int64_t z) noexcept {
-  z += 719468;
-  const std::int64_t era = (z >= 0 ? z : z - 146096) / 146097;
-  const auto doe = static_cast<unsigned>(z - era * 146097);                   // [0, 146096]
-  const unsigned yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;  // [0, 399]
-  const std::int64_t y = static_cast<std::int64_t>(yoe) + era * 400;
-  const unsigned doy = doe - (365 * yoe + yoe / 4 - yoe / 100);  // [0, 365]
-  const unsigned mp = (5 * doy + 2) / 153;                       // [0, 11]
-  const unsigned d = doy - (153 * mp + 2) / 5 + 1;               // [1, 31]
-  const unsigned m = mp + (mp < 10 ? 3 : -9);                    // [1, 12]
-  return CivilDate{static_cast<int>(y + (m <= 2)), static_cast<int>(m),
-                   static_cast<int>(d)};
-}
-
-Timestamp TimestampOf(CivilDate d) noexcept { return DaysFromCivil(d) * kSecondsPerDay; }
-
 Timestamp TimestampOf(CivilDateTime dt) noexcept {
   return TimestampOf(dt.date) + dt.hour * kSecondsPerHour +
          dt.minute * kSecondsPerMinute + dt.second;

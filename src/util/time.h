@@ -53,14 +53,40 @@ struct CivilDateTime {
   friend constexpr auto operator<=>(const CivilDateTime&, const CivilDateTime&) = default;
 };
 
-/// Days since the Unix epoch for a civil date (Howard Hinnant's algorithm).
-[[nodiscard]] std::int64_t DaysFromCivil(CivilDate d) noexcept;
+/// Days since the Unix epoch for a civil date (Howard Hinnant,
+/// "chrono-Compatible Low-Level Date Algorithms"). constexpr, so the study
+/// calendar below is a set of compile-time constants.
+[[nodiscard]] constexpr std::int64_t DaysFromCivil(CivilDate d) noexcept {
+  auto y = static_cast<std::int64_t>(d.year);
+  const auto m = static_cast<unsigned>(d.month);
+  const auto dd = static_cast<unsigned>(d.day);
+  y -= m <= 2;
+  const std::int64_t era = (y >= 0 ? y : y - 399) / 400;
+  const auto yoe = static_cast<unsigned>(y - era * 400);              // [0, 399]
+  const unsigned doy = (153 * (m + (m > 2 ? -3 : 9)) + 2) / 5 + dd - 1;  // [0, 365]
+  const unsigned doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;         // [0, 146096]
+  return era * 146097 + static_cast<std::int64_t>(doe) - 719468;
+}
 
 /// Inverse of DaysFromCivil.
-[[nodiscard]] CivilDate CivilFromDays(std::int64_t days) noexcept;
+[[nodiscard]] constexpr CivilDate CivilFromDays(std::int64_t z) noexcept {
+  z += 719468;
+  const std::int64_t era = (z >= 0 ? z : z - 146096) / 146097;
+  const auto doe = static_cast<unsigned>(z - era * 146097);                   // [0, 146096]
+  const unsigned yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;  // [0, 399]
+  const std::int64_t y = static_cast<std::int64_t>(yoe) + era * 400;
+  const unsigned doy = doe - (365 * yoe + yoe / 4 - yoe / 100);  // [0, 365]
+  const unsigned mp = (5 * doy + 2) / 153;                       // [0, 11]
+  const unsigned d = doy - (153 * mp + 2) / 5 + 1;               // [1, 31]
+  const unsigned m = mp + (mp < 10 ? 3 : -9);                    // [1, 12]
+  return CivilDate{static_cast<int>(y + (m <= 2)), static_cast<int>(m),
+                   static_cast<int>(d)};
+}
 
 /// Timestamp at midnight of the given date.
-[[nodiscard]] Timestamp TimestampOf(CivilDate d) noexcept;
+[[nodiscard]] constexpr Timestamp TimestampOf(CivilDate d) noexcept {
+  return DaysFromCivil(d) * kSecondsPerDay;
+}
 
 /// Timestamp of the given date-time.
 [[nodiscard]] Timestamp TimestampOf(CivilDateTime dt) noexcept;
@@ -110,14 +136,14 @@ struct StudyCalendar {
   static constexpr CivilDate kFig3Weeks[4] = {
       {2020, 2, 20}, {2020, 3, 19}, {2020, 4, 9}, {2020, 5, 14}};
 
-  [[nodiscard]] static Timestamp StartTs() noexcept { return TimestampOf(kStart); }
-  [[nodiscard]] static Timestamp EndTs() noexcept { return TimestampOf(kEnd); }
+  [[nodiscard]] static constexpr Timestamp StartTs() noexcept { return TimestampOf(kStart); }
+  [[nodiscard]] static constexpr Timestamp EndTs() noexcept { return TimestampOf(kEnd); }
   /// Number of days in the study period (Feb..May 2020 = 121).
-  [[nodiscard]] static int NumDays() noexcept {
+  [[nodiscard]] static constexpr int NumDays() noexcept {
     return static_cast<int>(DaysFromCivil(kEnd) - DaysFromCivil(kStart));
   }
   /// Day index (0-based from study start) of a date.
-  [[nodiscard]] static int DayIndex(CivilDate d) noexcept {
+  [[nodiscard]] static constexpr int DayIndex(CivilDate d) noexcept {
     return static_cast<int>(DaysFromCivil(d) - DaysFromCivil(kStart));
   }
   /// Day index of a timestamp, 0-based from study start.
@@ -125,9 +151,12 @@ struct StudyCalendar {
     return static_cast<int>(DayIndexOf(ts) - DaysFromCivil(kStart));
   }
   /// Date of a 0-based study day index.
-  [[nodiscard]] static CivilDate DateAt(int day_index) noexcept {
+  [[nodiscard]] static constexpr CivilDate DateAt(int day_index) noexcept {
     return CivilFromDays(DaysFromCivil(kStart) + day_index);
   }
 };
+
+// 2020-02-01 00:00:00 on the campus-local timeline.
+static_assert(StudyCalendar::StartTs() == 1580515200);
 
 }  // namespace lockdown::util

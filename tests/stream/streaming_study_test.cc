@@ -131,5 +131,50 @@ TEST(StreamingStudy, StateStaysUnderBudgetOnDatasetFourTimesLarger) {
   EXPECT_GT(days_with_traffic, 0u);
 }
 
+// The count-min sketch a per-run feed gives: one add per adjacent run of
+// same-domain flows, device by device in index order.
+sketch::CountMinSketch PerRunReference(const core::Dataset& ds,
+                                       const StreamingStudy& study,
+                                       const StreamingOptions& options) {
+  // 8000: the count-min stream id the sketched policy hashes under.
+  sketch::CountMinSketch cms(study.plan().cms_width, study.plan().cms_depth,
+                             options.sketch_seed, 8000);
+  for (core::DeviceIndex dev = 0; dev < ds.num_devices(); ++dev) {
+    core::DomainId run_domain = core::kNoDomain;
+    std::uint64_t run_bytes = 0;
+    for (const core::Flow& f : ds.FlowsOfDevice(dev)) {
+      if (f.domain == core::kNoDomain) continue;
+      if (f.domain != run_domain && run_domain != core::kNoDomain) {
+        cms.Add(run_domain, run_bytes);
+        run_bytes = 0;
+      }
+      run_domain = f.domain;
+      run_bytes += f.total_bytes();
+    }
+    if (run_domain != core::kNoDomain) cms.Add(run_domain, run_bytes);
+  }
+  return cms;
+}
+
+TEST(StreamingStudy, CountMinFeedMatchesPerRunReference) {
+  // Tallying a device's bytes per domain before the add regroups integer
+  // sums; every cell, hence every estimate and the total, must not move.
+  const core::Dataset synthetic = SyntheticLargeDataset();
+  for (const core::Dataset* ds : {&Collected().dataset, &synthetic}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << ds->num_devices() << " devices, "
+                                      << threads << " threads");
+      const StreamingOptions options = WithThreads(threads);
+      const StreamingStudy study(*ds, world::ServiceCatalog::Default(), options);
+      const sketch::CountMinSketch reference = PerRunReference(*ds, study, options);
+      EXPECT_EQ(study.Accuracy().cms_total_bytes, reference.total());
+      for (core::DomainId d = 0; d < ds->num_domains(); ++d) {
+        ASSERT_EQ(study.EstimateDomainBytes(d), reference.Estimate(d))
+            << "domain " << d;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lockdown::stream

@@ -45,6 +45,59 @@ TEST(Crc32c, IncrementalMatchesOneShot) {
   }
 }
 
+// One-table bytewise CRC32C, independent of the sliced implementation.
+std::uint32_t ReferenceCrc32c(std::span<const std::byte> data) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+    table[i] = crc;
+  }
+  std::uint32_t state = 0xFFFFFFFFu;
+  for (const std::byte b : data) {
+    state = (state >> 8) ^ table[(state ^ static_cast<std::uint32_t>(b)) & 0xFFu];
+  }
+  return state ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::byte> PatternBytes(std::size_t n) {
+  std::vector<std::byte> data(n);
+  std::uint32_t x = 0x9E3779B9u;
+  for (std::byte& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::byte>(x >> 24);
+  }
+  return data;
+}
+
+TEST(Crc32c, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..300 cover every tail length of the 8-byte stride many times
+  // over; start offsets 0..7 cover every alignment of the first stride.
+  const std::vector<std::byte> data = PatternBytes(300 + 8);
+  const std::span<const std::byte> all(data);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const auto slice = all.subspan(offset, len);
+      ASSERT_EQ(Crc32c(slice), ReferenceCrc32c(slice))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32c, AccumulatorSplitAcrossTheStrideMatchesOneShot) {
+  const std::vector<std::byte> data = PatternBytes(64);
+  const std::span<const std::byte> all(data);
+  const std::uint32_t whole = ReferenceCrc32c(all);
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    Crc32cAccumulator acc;
+    acc.Update(all.subspan(0, split));
+    acc.Update(all.subspan(split));
+    EXPECT_EQ(acc.value(), whole) << "split at " << split;
+  }
+}
+
 TEST(Crc32c, DetectsSingleBitFlips) {
   std::vector<std::byte> data(1024);
   for (std::size_t i = 0; i < data.size(); ++i) {

@@ -84,6 +84,42 @@ TEST(StudyCalendar, PeriodLength) {
   EXPECT_EQ(StudyCalendar::DateAt(120), (CivilDate{2020, 5, 31}));
 }
 
+TEST(StudyCalendar, CompileTimeCalendarMatchesRuntimeValues) {
+  // Evaluated by the compiler; must equal the runtime values pinned above.
+  static constexpr std::int64_t kStartDays = DaysFromCivil({2020, 2, 1});
+  static constexpr std::int64_t kMarchDays = DaysFromCivil({2020, 3, 1});
+  static constexpr std::int64_t kEndDays = DaysFromCivil({2020, 6, 1});
+  static constexpr CivilDate kLeapDay = CivilFromDays(18321);
+  static constexpr int kNumDays = StudyCalendar::NumDays();
+  static constexpr int kLastDay = StudyCalendar::DayIndex(CivilDate{2020, 5, 31});
+  static constexpr Timestamp kStartTs = StudyCalendar::StartTs();
+  static constexpr Timestamp kEndTs = StudyCalendar::EndTs();
+  EXPECT_EQ(kStartDays, 18293);
+  EXPECT_EQ(kMarchDays, 18322);
+  EXPECT_EQ(kEndDays, 18414);
+  EXPECT_EQ(kLeapDay, (CivilDate{2020, 2, 29}));
+  EXPECT_EQ(kNumDays, 121);
+  EXPECT_EQ(kLastDay, 120);
+  const std::int64_t start_days = DaysFromCivil(StudyCalendar::kStart);
+  EXPECT_EQ(kStartTs, start_days * kSecondsPerDay);
+  EXPECT_EQ(kEndTs, TimestampOf(StudyCalendar::kEnd));
+  EXPECT_EQ(DateOf(kStartTs), StudyCalendar::kStart);
+}
+
+TEST(StudyCalendar, RemainderHourMatchesHourOfAroundEveryMidnight) {
+  // The diurnal scan takes the hour of day as (t % 86400) / 3600, which
+  // must agree with the civil conversion for every study timestamp.
+  const auto hour = [](Timestamp t) {
+    return static_cast<int>((t % kSecondsPerDay) / kSecondsPerHour);
+  };
+  for (int day = 0; day <= StudyCalendar::NumDays(); ++day) {
+    const Timestamp midnight = StudyCalendar::StartTs() + day * kSecondsPerDay;
+    for (const Timestamp t : {midnight - 1, midnight, midnight + 1}) {
+      ASSERT_EQ(hour(t), HourOf(t)) << FormatDateTime(t);
+    }
+  }
+}
+
 TEST(StudyCalendar, DayIndexOfTimestampMatchesDate) {
   const Timestamp ts = TimestampOf(CivilDateTime{{2020, 4, 15}, 23, 59, 59});
   EXPECT_EQ(StudyCalendar::DayIndex(ts), StudyCalendar::DayIndex(CivilDate{2020, 4, 15}));

@@ -133,9 +133,10 @@ if [[ "${mode}" == "all" || "${mode}" == "--tsan-only" ]]; then
     --gtest_filter='ParallelEquivalence.*:Pipeline*:GoldenFigures.*'
   # The figure pass under both policies: per-chunk offers folded in chunk
   # order (exact) and per-device offers applied to shared sketches under one
-  # mutex (sketched) must be race-free, not just deterministic.
+  # mutex, each device's domain bytes tallied in its chunk's scratch first
+  # (sketched), must be race-free, not just deterministic.
   LOCKDOWN_THREADS=8 "${dir}/tests/stream_test" \
-    --gtest_filter='FiguresDifferentialTest.*:StreamingStudy.BitIdenticalAcrossThreadCounts'
+    --gtest_filter='FiguresDifferentialTest.*:StreamingStudy.BitIdenticalAcrossThreadCounts:StreamingStudy.CountMinFeedMatchesPerRunReference'
   echo "=== tsan: OK ==="
 fi
 

@@ -15,9 +15,8 @@
 //
 // Rules (run `lockdown_lint --list-rules`):
 //   LD001 float-in-parallel-merge   float/double inside a ParallelFor lambda
-//                                   body, or anywhere in a kernel TU
-//                                   (src/query/kernels*) — integers only
-//                                   until figure boundaries.
+//                                   body — integers only until figure
+//                                   boundaries.
 //   LD002 unordered-iteration       range-for over a std::unordered_map/set
 //                                   inside a merge/serialization function
 //                                   (name contains Merge/Flush/Encode/
@@ -375,7 +374,7 @@ class Sink {
 };
 
 // ---------------------------------------------------------------------------
-// LD001 — float/double in ParallelFor merge lambdas and kernel TUs
+// LD001 — float/double in ParallelFor merge lambdas
 // ---------------------------------------------------------------------------
 
 void CheckFloatToken(const SourceFile& f, std::size_t begin, std::size_t end,
@@ -394,10 +393,6 @@ void CheckFloatToken(const SourceFile& f, std::size_t begin, std::size_t end,
 }
 
 void RunLd001(const SourceFile& f, Sink& sink) {
-  if (StartsWith(f.rel, "src/query/kernels")) {
-    CheckFloatToken(f, 0, f.code.size(), "in an integer-only kernel TU", sink);
-    return;
-  }
   std::size_t pos = 0;
   while ((pos = FindWord(f.code, "ParallelFor", pos)) != std::string::npos) {
     const std::size_t call_open = f.code.find('(', pos);
