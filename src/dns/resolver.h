@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dns/record.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace lockdown::dns {
@@ -63,7 +64,9 @@ class Resolver {
   AuthorityFn authority_;
   ResolverConfig config_;
   util::Pcg32 rng_;
-  std::unordered_map<std::string, CacheEntry> cache_;
+  // Transparent hash: a hit probes with the query's string_view, and only a
+  // miss on a new name builds the key string.
+  std::unordered_map<std::string, CacheEntry, util::StringHash, std::equal_to<>> cache_;
   std::vector<Resolution> log_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -42,11 +42,12 @@ struct FiveTuple {
   }
 };
 
-/// Hash functor so FiveTuple can key unordered_map (the flow table).
+/// Hash functor for the flow assembler's connection table.
 struct FiveTupleHash {
   [[nodiscard]] std::size_t operator()(const FiveTuple& t) const noexcept {
-    // Mix fields with splitmix-style constants; collision quality matters
-    // because the flow table holds hundreds of thousands of live entries.
+    // Mix fields with splitmix-style constants; the final xor-shift-multiply
+    // makes the low bits, which index the linear-probed flow table, depend
+    // on every field.
     std::uint64_t h = t.src_ip.value();
     h = h * 0x9E3779B97F4A7C15ULL + t.dst_ip.value();
     h = h * 0x9E3779B97F4A7C15ULL + ((std::uint64_t{t.src_port} << 24) |

@@ -190,6 +190,7 @@ SessionPlan ActivityModel::MakeSession(ServiceId svc, int nhosts, Timestamp star
   SessionPlan plan;
   plan.start = start;
   plan.minutes = minutes;
+  plan.flows.reserve(static_cast<std::size_t>(n) + 1);  // + the CDN flow
   double total_w = 0.0;
   for (int i = 0; i < n; ++i) total_w += kSplit[std::min(i, 3)];
   for (int i = 0; i < n; ++i) {

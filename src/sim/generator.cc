@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "sim/parameters.h"
 #include "sim/timeline.h"
@@ -140,6 +141,7 @@ void TrafficGenerator::Run(const TapSink& sink) {
   std::vector<SessionPlan> plans;
   std::vector<PendingSession> day_sessions;
   std::vector<util::Pcg32> day_rngs;
+  std::vector<std::pair<Timestamp, std::uint32_t>> day_order;
 
   for (int day = config_.first_day; day < config_.last_day; ++day) {
     day_events.clear();
@@ -175,13 +177,16 @@ void TrafficGenerator::Run(const TapSink& sink) {
     // Sessions must reach the DHCP server and resolver in global time order
     // — feeding them per-device would let one device's evening resolutions
     // poison the shared DNS cache (and log) for every other device's morning.
-    // stable_sort preserves the per-device ordering the DHCP lease logic
-    // relies on.
-    std::stable_sort(day_sessions.begin(), day_sessions.end(),
-                     [](const PendingSession& a, const PendingSession& b) {
-                       return a.plan.start < b.plan.start;
-                     });
-    for (PendingSession& ps : day_sessions) {
+    // Ties keep their planning order, which preserves the per-device ordering
+    // the DHCP lease logic relies on: sorting (start, index) pairs gives the
+    // stable order without moving a PendingSession.
+    day_order.clear();
+    for (std::uint32_t i = 0; i < day_sessions.size(); ++i) {
+      day_order.emplace_back(day_sessions[i].plan.start, i);
+    }
+    std::sort(day_order.begin(), day_order.end());
+    for (const auto& [start, i] : day_order) {
+      const PendingSession& ps = day_sessions[i];
       EmitSession(population_.devices()[ps.device], ps.plan, ps.expose_ua,
                   day_rngs[ps.rng_slot], day_events);
     }

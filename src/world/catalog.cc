@@ -461,10 +461,28 @@ ServiceCatalog::ServiceCatalog(std::span<const ServiceSpec> specs,
         throw std::invalid_argument("ServiceCatalog: duplicate host " + host);
       }
     }
-    blocks_.emplace_back(svc.block, id);
   }
-  std::sort(blocks_.begin(), blocks_.end(),
-            [](const auto& a, const auto& b) { return a.first.base() < b.first.base(); });
+  if (services_.empty()) return;
+  // The carved span runs from the first block's base to the end of the last
+  // one, and the smallest block sets the cell size.
+  std::uint64_t lo = UINT64_MAX;
+  std::uint64_t hi = 0;
+  int max_prefix = 0;
+  for (const Service& svc : services_) {
+    lo = std::min<std::uint64_t>(lo, svc.block.base().value());
+    hi = std::max(hi, svc.block.base().value() + svc.block.size());
+    max_prefix = std::max(max_prefix, svc.block.prefix_len());
+  }
+  span_base_ = static_cast<std::uint32_t>(lo);
+  cell_shift_ = 32 - max_prefix;
+  owner_.assign(static_cast<std::size_t>((hi - lo) >> cell_shift_), kInvalidService);
+  for (ServiceId id = 0; id < services_.size(); ++id) {
+    const net::Cidr& block = services_[id].block;
+    const std::uint64_t first = (block.base().value() - lo) >> cell_shift_;
+    const std::uint64_t cells = block.size() >> cell_shift_;
+    std::fill_n(owner_.begin() + static_cast<std::ptrdiff_t>(first),
+                static_cast<std::ptrdiff_t>(cells), id);
+  }
 }
 
 const ServiceCatalog& ServiceCatalog::Default() {
@@ -489,17 +507,6 @@ std::optional<ServiceId> ServiceCatalog::FindByHost(std::string_view host) const
     if (dot == std::string_view::npos) return std::nullopt;
     rest = rest.substr(dot + 1);
   }
-}
-
-std::optional<ServiceId> ServiceCatalog::FindByIp(net::Ipv4Address ip) const {
-  // Last block with base <= ip; blocks are disjoint by construction.
-  auto pos = std::upper_bound(
-      blocks_.begin(), blocks_.end(), ip,
-      [](net::Ipv4Address v, const auto& entry) { return v < entry.first.base(); });
-  if (pos == blocks_.begin()) return std::nullopt;
-  --pos;
-  if (pos->first.Contains(ip)) return pos->second;
-  return std::nullopt;
 }
 
 std::vector<net::Ipv4Address> ServiceCatalog::ResolveHost(std::string_view host) const {

@@ -2,6 +2,7 @@
 // plus the DNS authority over every catalogued hostname.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -38,8 +39,16 @@ class ServiceCatalog {
   /// name). Follows DNS label boundaries.
   [[nodiscard]] std::optional<ServiceId> FindByHost(std::string_view host) const;
 
-  /// Service whose block contains `ip`.
-  [[nodiscard]] std::optional<ServiceId> FindByIp(net::Ipv4Address ip) const;
+  /// Service whose block contains `ip`. Runs on every tap event: a range
+  /// check plus one owner-table load. Addresses below the span wrap to large
+  /// offsets and fail the range check.
+  [[nodiscard]] std::optional<ServiceId> FindByIp(net::Ipv4Address ip) const {
+    const std::uint64_t cell = std::uint64_t{ip.value() - span_base_} >> cell_shift_;
+    if (cell >= owner_.size()) return std::nullopt;
+    const ServiceId id = owner_[static_cast<std::size_t>(cell)];
+    if (id == kInvalidService) return std::nullopt;
+    return id;
+  }
 
   /// Authoritative resolution: address set for a catalogued hostname
   /// (several stable addresses per name, spread over the service block).
@@ -51,8 +60,13 @@ class ServiceCatalog {
   std::unordered_map<std::string_view, ServiceId> by_name_;
   // Host suffixes mapped to owning service; lookup walks label boundaries.
   std::unordered_map<std::string_view, ServiceId> by_host_suffix_;
-  // Blocks sorted by base address for binary-search containment lookup.
-  std::vector<std::pair<net::Cidr, ServiceId>> blocks_;
+  // Owner table over the carved span: one ServiceId (kInvalidService for a
+  // gap) per smallest-block-sized cell, starting at span_base_. Blocks are
+  // aligned to their size, so every cell lies inside exactly one block or
+  // none.
+  std::uint32_t span_base_ = 0;
+  int cell_shift_ = 0;
+  std::vector<ServiceId> owner_;
 };
 
 /// The specs behind ServiceCatalog::Default(); exposed so tests and docs can

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace lockdown::world {
 namespace {
@@ -78,6 +83,78 @@ TEST(ServiceCatalog, FindByIpRoundTrip) {
     EXPECT_EQ(Catalog().FindByIp(block.At(block.size() - 1)), id) << name;
   }
   EXPECT_FALSE(Catalog().FindByIp(net::Ipv4Address(10, 0, 0, 1)).has_value());
+}
+
+// FindByIp against a linear scan of every block, at each block's edges
+// (base - 1, base, last, last + 1), just outside the carved span, and at
+// both ends of the address space.
+void ExpectFindByIpMatchesScan(const ServiceCatalog& catalog) {
+  const auto scan = [&catalog](net::Ipv4Address ip) -> std::optional<ServiceId> {
+    for (ServiceId id = 0; id < catalog.size(); ++id) {
+      if (catalog.Get(id).block.Contains(ip)) return id;
+    }
+    return std::nullopt;
+  };
+  std::vector<std::uint32_t> probes = {0u, 1u, 0xFFFFFFFEu, 0xFFFFFFFFu};
+  std::uint64_t lo = UINT64_MAX;
+  std::uint64_t hi = 0;
+  for (const Service& svc : catalog.services()) {
+    const std::uint64_t base = svc.block.base().value();
+    const std::uint64_t last = base + svc.block.size() - 1;
+    lo = std::min(lo, base);
+    hi = std::max(hi, last);
+    for (const std::uint64_t v : {base - 1, base, base + 1, last - 1, last, last + 1}) {
+      probes.push_back(static_cast<std::uint32_t>(v));
+    }
+  }
+  if (!catalog.services().empty()) {
+    for (const std::uint64_t v : {lo - 2, lo - 1, hi + 1, hi + 2}) {
+      probes.push_back(static_cast<std::uint32_t>(v));
+    }
+  }
+  for (const std::uint32_t v : probes) {
+    const net::Ipv4Address ip(v);
+    EXPECT_EQ(catalog.FindByIp(ip), scan(ip)) << ip.ToString();
+  }
+}
+
+TEST(ServiceCatalog, FindByIpMatchesLinearScanOnDefaultCatalog) {
+  ExpectFindByIpMatchesScan(Catalog());
+}
+
+TEST(ServiceCatalog, FindByIpMatchesLinearScanOnMixedBlockSizes) {
+  // /26s between /20s and /22s leave alignment gaps inside the span.
+  const std::vector<int> prefixes = {26, 20, 22, 26, 26, 22, 20, 26, 22, 26};
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    names.push_back("svc-" + std::to_string(i));
+  }
+  std::vector<ServiceSpec> specs;
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    ServiceSpec spec;
+    spec.name = names[i];
+    spec.prefix_len = prefixes[i];
+    specs.push_back(spec);
+  }
+  const ServiceCatalog catalog(specs, *net::Cidr::Parse("100.64.0.0/16"));
+  ASSERT_EQ(catalog.size(), prefixes.size());
+  ExpectFindByIpMatchesScan(catalog);
+  // Every address of the span, not only the edges.
+  for (std::uint32_t v = 0x64400000u; v < 0x64410000u; ++v) {
+    const net::Ipv4Address ip(v);
+    std::optional<ServiceId> want;
+    for (ServiceId id = 0; id < catalog.size(); ++id) {
+      if (catalog.Get(id).block.Contains(ip)) want = id;
+    }
+    ASSERT_EQ(catalog.FindByIp(ip), want) << ip.ToString();
+  }
+}
+
+TEST(ServiceCatalog, FindByIpOnEmptyCatalogFindsNothing) {
+  const ServiceCatalog catalog(std::span<const ServiceSpec>{});
+  EXPECT_EQ(catalog.size(), 0u);
+  ExpectFindByIpMatchesScan(catalog);
+  EXPECT_FALSE(catalog.FindByIp(net::Ipv4Address(64, 0, 0, 1)).has_value());
 }
 
 TEST(ServiceCatalog, ResolveHostStableAndInBlock) {
