@@ -54,85 +54,6 @@ void Dataset::Finalize() {
     if (!std::is_sorted(first, last, by_start)) std::stable_sort(first, last, by_start);
   }
   finalized_ = true;
-  RebuildDayRuns();
-}
-
-void Dataset::RebuildDayRuns() {
-  const std::span<const Flow> fl = flows();
-  day_runs_ = DayRunIndex{};
-  // Pass 1: cut the flow array into maximal consecutive same-day runs.
-  std::vector<std::uint32_t> run_day;
-  std::uint32_t max_day = 0;
-  std::size_t i = 0;
-  while (i < fl.size()) {
-    const std::uint32_t day = fl[i].start_offset_s / util::kSecondsPerDay;
-    std::size_t j = i + 1;
-    while (j < fl.size() &&
-           fl[j].start_offset_s / util::kSecondsPerDay == day) {
-      ++j;
-    }
-    run_day.push_back(day);
-    day_runs_.run_begin.push_back(i);
-    day_runs_.run_len.push_back(j - i);
-    max_day = std::max(max_day, day);
-    i = j;
-  }
-  // Pass 2: CSR by day. Runs land in flow order, which within a day is
-  // ascending-begin order (begins ascend globally).
-  const std::size_t num_days = fl.empty() ? 0 : static_cast<std::size_t>(max_day) + 1;
-  day_runs_.day_offsets.assign(num_days + 1, 0);
-  for (const std::uint32_t d : run_day) ++day_runs_.day_offsets[d + 1];
-  for (std::size_t d = 1; d < day_runs_.day_offsets.size(); ++d) {
-    day_runs_.day_offsets[d] += day_runs_.day_offsets[d - 1];
-  }
-  std::vector<std::uint64_t> begin_sorted(run_day.size());
-  std::vector<std::uint64_t> len_sorted(run_day.size());
-  std::vector<std::uint64_t> cursor(day_runs_.day_offsets.begin(),
-                                    day_runs_.day_offsets.end());
-  for (std::size_t r = 0; r < run_day.size(); ++r) {
-    const std::uint64_t slot = cursor[run_day[r]]++;
-    begin_sorted[slot] = day_runs_.run_begin[r];
-    len_sorted[slot] = day_runs_.run_len[r];
-  }
-  day_runs_.run_begin = std::move(begin_sorted);
-  day_runs_.run_len = std::move(len_sorted);
-}
-
-void Dataset::RestoreDayRuns(DayRunIndex runs) {
-  const std::span<const Flow> fl = flows();
-  const auto bad = [](const char* what) {
-    throw std::invalid_argument(std::string("Dataset::RestoreDayRuns: ") + what);
-  };
-  if (runs.day_offsets.empty() || runs.day_offsets.front() != 0 ||
-      runs.day_offsets.back() != runs.run_begin.size() ||
-      runs.run_begin.size() != runs.run_len.size() ||
-      !std::is_sorted(runs.day_offsets.begin(), runs.day_offsets.end())) {
-    bad("inconsistent structure");
-  }
-  std::uint64_t covered = 0;
-  for (int d = 0; d < runs.num_days(); ++d) {
-    for (std::uint64_t r = runs.day_offsets[static_cast<std::size_t>(d)];
-         r < runs.day_offsets[static_cast<std::size_t>(d) + 1]; ++r) {
-      const std::uint64_t begin = runs.run_begin[r];
-      const std::uint64_t len = runs.run_len[r];
-      if (len == 0 || begin > fl.size() || len > fl.size() - begin) {
-        bad("run out of bounds");
-      }
-      // O(1) spot check per run; the interior is implied by sortedness and
-      // covered in full by store::Reader::VerifyInvariants.
-      const auto day_of = [&](std::uint64_t k) {
-        return fl[static_cast<std::size_t>(k)].start_offset_s /
-               util::kSecondsPerDay;
-      };
-      if (day_of(begin) != static_cast<std::uint32_t>(d) ||
-          day_of(begin + len - 1) != static_cast<std::uint32_t>(d)) {
-        bad("run day disagrees with flows");
-      }
-      covered += len;
-    }
-  }
-  if (covered != fl.size()) bad("runs do not cover the flow array");
-  day_runs_ = std::move(runs);
 }
 
 void Dataset::BorrowFlows(std::span<const Flow> flows,

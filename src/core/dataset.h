@@ -58,40 +58,6 @@ struct DeviceEntry {
   friend bool operator==(const DeviceEntry&, const DeviceEntry&) = default;
 };
 
-/// Per-day directory over the finalized flow order: for each study day, the
-/// contiguous [begin, begin + len) runs of the flow array whose flows start
-/// on that day. Flows are (device, start)-sorted, so the day sequence is
-/// piecewise non-decreasing and each (device, day) pair is one run (adjacent
-/// same-day runs across a device boundary merge). Day-windowed queries walk
-/// only these runs instead of the whole flow array; LDS v3 persists the
-/// index as the kDayIndex section.
-struct DayRunIndex {
-  std::vector<std::uint64_t> day_offsets;  ///< CSR into runs; size num_days()+1
-  std::vector<std::uint64_t> run_begin;    ///< first flow index of each run
-  std::vector<std::uint64_t> run_len;      ///< flows in each run (>= 1)
-
-  [[nodiscard]] int num_days() const noexcept {
-    return day_offsets.empty() ? 0 : static_cast<int>(day_offsets.size()) - 1;
-  }
-  [[nodiscard]] std::size_t num_runs() const noexcept {
-    return run_begin.size();
-  }
-
-  /// Calls fn(begin, len) for every run whose day is in [first_day,
-  /// last_day] (clamped), in day-major flow order.
-  template <typename Fn>
-  void ForEachRun(int first_day, int last_day, Fn&& fn) const {
-    const int lo = first_day < 0 ? 0 : first_day;
-    const int hi = last_day >= num_days() ? num_days() - 1 : last_day;
-    for (int d = lo; d <= hi; ++d) {
-      for (std::uint64_t r = day_offsets[static_cast<std::size_t>(d)];
-           r < day_offsets[static_cast<std::size_t>(d) + 1]; ++r) {
-        fn(run_begin[r], run_len[r]);
-      }
-    }
-  }
-};
-
 class Dataset {
  public:
   Dataset();
@@ -120,13 +86,6 @@ class Dataset {
   /// monotone, last == num_flows) and marks the dataset finalized. Throws
   /// std::invalid_argument on an inconsistent index.
   void RestoreDeviceIndex(std::vector<std::uint64_t> offsets);
-  /// Installs a prebuilt day-run index (e.g. a decoded LDS kDayIndex
-  /// section). Validates structure plus each run's head/tail day against the
-  /// flow array; throws std::invalid_argument on inconsistency.
-  void RestoreDayRuns(DayRunIndex runs);
-  /// Builds the day-run index from the (finalized) flow order. Finalize()
-  /// calls this; snapshot loads of pre-v3 files call it as the fallback.
-  void RebuildDayRuns();
 
   // --- Queries -------------------------------------------------------------
   [[nodiscard]] std::span<const Flow> flows() const noexcept {
@@ -142,11 +101,6 @@ class Dataset {
     return device_offsets_;
   }
   [[nodiscard]] bool finalized() const noexcept { return finalized_; }
-  /// Valid after Finalize(), RestoreDayRuns() or RebuildDayRuns().
-  [[nodiscard]] const DayRunIndex& day_runs() const noexcept { return day_runs_; }
-  [[nodiscard]] bool has_day_runs() const noexcept {
-    return !day_runs_.day_offsets.empty();
-  }
   [[nodiscard]] std::span<const Flow> FlowsOfDevice(DeviceIndex i) const;
   [[nodiscard]] std::span<const std::string> domains() const noexcept {
     return domains_;
@@ -178,7 +132,6 @@ class Dataset {
   std::unordered_map<std::string, DomainId, util::StringHash, std::equal_to<>>
       domain_index_;
   std::vector<std::uint64_t> device_offsets_;  // CSR after Finalize
-  DayRunIndex day_runs_;  // built by Finalize/RebuildDayRuns or restored
   bool finalized_ = false;
 };
 

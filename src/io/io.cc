@@ -4,7 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -200,17 +199,6 @@ std::size_t File::ReadSome(std::span<std::byte> out) {
   return static_cast<std::size_t>(n);
 }
 
-std::string File::ReadAll() {
-  std::string out;
-  std::array<std::byte, 1 << 16> buf;
-  for (;;) {
-    const std::size_t n = ReadSome(std::span<std::byte>(buf));
-    if (n == 0) break;
-    out.append(reinterpret_cast<const char*>(buf.data()), n);
-  }
-  return out;
-}
-
 std::uint64_t File::Size() {
   struct stat st {};
   if (::fstat(fd_, &st) != 0) throw IoError(path_, "fstat", errno);
@@ -287,13 +275,6 @@ void FsyncDir(const std::filesystem::path& dir) {
 
 bool TryRemove(const std::filesystem::path& path) noexcept {
   return ::unlink(path.c_str()) == 0;
-}
-
-std::string ReadFileToString(const std::filesystem::path& path) {
-  File f = File::OpenRead(path);
-  std::string data = f.ReadAll();
-  f.Close();
-  return data;
 }
 
 FileStreamBuf::FileStreamBuf(File file, std::size_t buffer_bytes)

@@ -7,9 +7,10 @@
 // (b) absorbs transient failures — EINTR/EAGAIN always, EIO up to the
 // policy's budget — with bounded exponential backoff, and (c) surfaces
 // permanent failures as io::IoError carrying the path, operation and errno
-// (the PR 3 taxonomy; the CLI maps it to exit 2). Short reads and writes,
-// injected or real, are completed by the loops in ReadAll/WriteAll/
-// PWriteAll, so callers only ever see full transfers or an exception.
+// (the IO error taxonomy; the CLI maps it to exit 2). Short writes,
+// injected or real, are completed by the loops in WriteAll/PWriteAll, so
+// callers only ever see full transfers or an exception; ReadSome returns
+// what one read gave, and its callers loop to EOF.
 //
 // When no fault plan is installed the shim's only additions over the raw
 // syscalls are one relaxed atomic load per operation and the (empty) retry
@@ -108,8 +109,6 @@ class File {
   void WriteAll(std::string_view data);
   /// One read at the current position; returns bytes read, 0 at EOF.
   [[nodiscard]] std::size_t ReadSome(std::span<std::byte> out);
-  /// Reads from the current position to EOF.
-  [[nodiscard]] std::string ReadAll();
 
   [[nodiscard]] std::uint64_t Size();
   void Truncate(std::uint64_t size);
@@ -144,9 +143,6 @@ void FsyncDir(const std::filesystem::path& dir);
 /// unlink best-effort, for destructors and sweepers: no injection, no
 /// exceptions. Returns true when the file was removed.
 bool TryRemove(const std::filesystem::path& path) noexcept;
-
-/// Open + read-to-EOF + checked close.
-[[nodiscard]] std::string ReadFileToString(const std::filesystem::path& path);
 
 /// A std::streambuf over io::File for code that formats into a std::ostream
 /// (the log exporters): bounded buffer, flushed through File::WriteAll so

@@ -12,8 +12,7 @@ namespace lockdown::store::detail {
 namespace {
 
 /// Decoded sizes the codecs advertise in their raw-size prefix: what the
-/// equivalent raw section would occupy (per-flow field bytes; for the day
-/// index, the begin/len arrays plus the CSR offsets).
+/// equivalent raw section would occupy, in per-flow field bytes.
 constexpr std::uint64_t kTimestampRawBytes = 4;
 constexpr std::uint64_t kDomainRawBytes = 4;
 constexpr std::uint64_t kRestRawBytes = 31;  // 40B flow minus start/domain/pad
@@ -168,71 +167,6 @@ RestColumns DecodeRestColumn(std::span<const std::byte> payload,
   for (std::uint64_t i = 0; i < count; ++i) out.bytes_down[i] = dec.Uvarint();
   dec.ExpectDone();
   return out;
-}
-
-Encoder EncodeDayIndex(const core::DayRunIndex& runs) {
-  Encoder enc;
-  enc.Reserve(32 + runs.num_runs() * 4);
-  const auto num_days = static_cast<std::uint64_t>(runs.num_days());
-  enc.U64((num_days + 1) * 8 + runs.num_runs() * 16);
-  enc.U32(static_cast<std::uint32_t>(num_days));
-  enc.U64(runs.num_runs());
-  for (std::uint64_t d = 0; d < num_days; ++d) {
-    enc.Uvarint(runs.day_offsets[d + 1] - runs.day_offsets[d]);
-  }
-  std::int64_t prev_begin = 0;
-  for (std::size_t r = 0; r < runs.num_runs(); ++r) {
-    const auto begin = static_cast<std::int64_t>(runs.run_begin[r]);
-    enc.Svarint(begin - prev_begin);
-    prev_begin = begin;
-    enc.Uvarint(runs.run_len[r]);
-  }
-  return enc;
-}
-
-core::DayRunIndex DecodeDayIndex(std::span<const std::byte> payload,
-                                 std::uint64_t num_flows) {
-  Decoder dec(payload, "day-index");
-  const std::uint64_t raw = dec.U64();
-  const std::uint64_t num_days = dec.U32();
-  const std::uint64_t num_runs = dec.U64();
-  if (raw != (num_days + 1) * 8 + num_runs * 16) {
-    Corrupt("day-index", "raw size disagrees with day/run counts");
-  }
-  if (num_runs > num_flows) {
-    Corrupt("day-index", "more runs than flows");
-  }
-  core::DayRunIndex runs;
-  runs.day_offsets.resize(num_days + 1);
-  runs.day_offsets[0] = 0;
-  for (std::uint64_t d = 0; d < num_days; ++d) {
-    const std::uint64_t count = dec.Uvarint();
-    if (count > num_runs - runs.day_offsets[d]) {
-      Corrupt("day-index", "per-day run counts exceed the run total");
-    }
-    runs.day_offsets[d + 1] = runs.day_offsets[d] + count;
-  }
-  if (runs.day_offsets.back() != num_runs) {
-    Corrupt("day-index", "per-day run counts disagree with the run total");
-  }
-  runs.run_begin.resize(num_runs);
-  runs.run_len.resize(num_runs);
-  std::int64_t prev_begin = 0;
-  for (std::uint64_t r = 0; r < num_runs; ++r) {
-    const std::int64_t begin = prev_begin + dec.Svarint();
-    if (begin < 0 || static_cast<std::uint64_t>(begin) > num_flows) {
-      Corrupt("day-index", "run begin out of range");
-    }
-    runs.run_begin[r] = static_cast<std::uint64_t>(begin);
-    prev_begin = begin;
-    const std::uint64_t len = dec.Uvarint();
-    if (len == 0 || len > num_flows - static_cast<std::uint64_t>(begin)) {
-      Corrupt("day-index", "run length out of range");
-    }
-    runs.run_len[r] = len;
-  }
-  dec.ExpectDone();
-  return runs;
 }
 
 std::uint64_t PeekRawSize(std::span<const std::byte> payload) noexcept {

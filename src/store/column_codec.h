@@ -1,5 +1,5 @@
-// Column codecs for LDS v3: the optional compressed flow representation
-// (`snapshot save --compress`) and the day-run index section.
+// Column codecs for LDS v3+: the optional compressed flow representation
+// (`snapshot save --compress`).
 //
 // Layouts (every payload begins with a u64 raw/decoded byte size, so tools
 // report compression ratios without decoding):
@@ -13,8 +13,6 @@
 //                   (non-decreasing in finalize order) | server_ip u32[] |
 //                   server_port u16[] | proto u8[] | uvarint bytes_up |
 //                   uvarint bytes_down
-//   kDayIndex       raw | u32 num_days | u64 num_runs | per-day uvarint run
-//                   counts | per-run zigzag-varint begin delta + uvarint len
 //
 // Every decoder is bounds-checked through detail::Decoder and cross-checks
 // its element count against the caller's expectation (the meta section), so
@@ -35,7 +33,6 @@ namespace lockdown::store::detail {
 [[nodiscard]] Encoder EncodeTimestampColumn(std::span<const core::Flow> flows);
 [[nodiscard]] Encoder EncodeDomainColumn(std::span<const core::Flow> flows);
 [[nodiscard]] Encoder EncodeRestColumn(std::span<const core::Flow> flows);
-[[nodiscard]] Encoder EncodeDayIndex(const core::DayRunIndex& runs);
 
 /// Reads the leading u64 raw-size field of a coded payload (0 when the
 /// payload is too short even for that).
@@ -58,8 +55,5 @@ struct RestColumns {
 };
 [[nodiscard]] RestColumns DecodeRestColumn(std::span<const std::byte> payload,
                                            std::uint64_t expected_count);
-
-[[nodiscard]] core::DayRunIndex DecodeDayIndex(std::span<const std::byte> payload,
-                                               std::uint64_t num_flows);
 
 }  // namespace lockdown::store::detail

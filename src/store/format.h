@@ -1,4 +1,4 @@
-// LDS ("Lockdown Dataset Snapshot") on-disk format, version 4.
+// LDS ("Lockdown Dataset Snapshot") on-disk format, version 5.
 //
 // The write-once/analyze-many layer: the processed dataset the paper keeps
 // after discarding raw data (§3), serialized so every downstream analysis
@@ -9,8 +9,10 @@
 //
 // All integers are little-endian. Every section begins at a 64-byte-aligned
 // offset and carries a CRC32C in its descriptor; the trailer carries a
-// CRC32C over the header + section table. Version-1 and version-2 files
-// contain exactly the six section kinds below, each once:
+// CRC32C over the header + section table. kSections below is the one list
+// of section kinds: their names, codecs, the versions that carry them and
+// whether those versions require them. The writer emits its rows in table
+// order and the reader checks every descriptor against it.
 //
 //   kMeta          fixed 48B: counts, flow stride, provenance (students/seed)
 //   kFlows         num_flows x 40B fixed-stride core::Flow records, in
@@ -25,15 +27,13 @@
 //   kStats         core::CollectionStats, 9 x u64 (7 x u64 in version 1;
 //                  the reader zero-fills the UA-accounting fields there)
 //
+// Version 1 and 2 files contain exactly those six sections, each once.
 // Version 3 makes the section set variable (the header's section count is
-// authoritative) and adds the columnar query layout:
+// authoritative) and adds:
 //
-//   kDayIndex      per-day section groups: for every study day, the list of
-//                  contiguous [begin, end) runs of the flow array whose
-//                  flows start on that day (flows are (device, start)-sorted,
-//                  so every (device, day) pair is one run). Figure queries
-//                  with a time range walk only these runs instead of the
-//                  whole flow array. Delta-varint coded.
+//   kDayIndex      (v3-v4 only) per-day runs of the flow array, delta-varint.
+//                  It is derivable from the flows and no analysis reads it:
+//                  the reader checks its bounds, codec and CRC and skips it.
 //   kColTimestamps start_offset_s column, zigzag delta-varint coded
 //                  (deltas are small within a device run; the sign absorbs
 //                  the reset at device boundaries).
@@ -44,7 +44,7 @@
 //                  server_port u16 | proto u8 | bytes_up varint |
 //                  bytes_down varint.
 //
-// A v3 or v4 file stores flows either as kFlows (raw, zero-copy eligible) or as
+// A v3+ file stores flows either as kFlows (raw, zero-copy eligible) or as
 // the three kCol* sections (`snapshot save --compress`; decoded into an
 // owned array on load), never both. Every non-raw section's payload begins
 // with a u64 raw (decoded) byte size, and its descriptor's flags word
@@ -54,10 +54,13 @@
 // Version 4 keeps the v3 section set and drops from each kDevices record
 // what the flows already say: v1-v3 records carry total_bytes u64 and
 // flow_count u64 after the flags byte, and a (domain string ref u32, bytes
-// u64) list with a u32 count after the UA refs. The reader decodes those
+// u64) list with a u32 count after the UAs. The reader decodes those
 // legacy fields under the same bounds and string-ref checks and discards
 // them; per-device domain bytes are derived from the flow array instead
-// (core::DomainBytesTally). Writers only produce the current version.
+// (core::DomainBytesTally).
+//
+// Version 5 is version 4 without kDayIndex. Writers only produce the current
+// version.
 //
 // The flow record layout is frozen against core::Flow below; any change to
 // that struct is a format break and must bump kFormatVersion.
@@ -77,11 +80,12 @@ inline constexpr std::array<char, 8> kMagic = {'L', 'D', 'S', 'N', 'A', 'P', '0'
 inline constexpr std::array<char, 8> kTrailerMagic = {'L', 'D', 'S', 'F', 'I', 'N', 'I', '1'};
 // Version 2 widened kStats from 7 to 9 u64 fields (ua_unattributed,
 // ua_visitor_dropped). Version 3 made the section count variable, added the
-// kDayIndex section group and the optional columnar flow sections
+// kDayIndex section and the optional columnar flow sections
 // (kColTimestamps/kColDomains/kColRest), and started recording codec ids in
 // the descriptor flags. Version 4 dropped the derivable per-device totals and
-// domain-bytes list from kDevices. Versions 1-3 remain readable.
-inline constexpr std::uint32_t kFormatVersion = 4;
+// domain-bytes list from kDevices. Version 5 dropped kDayIndex. Versions 1-4
+// remain readable.
+inline constexpr std::uint32_t kFormatVersion = 5;
 inline constexpr std::uint32_t kMinReadVersion = 1;
 /// Written as a u32; reads back as something else on a mixed-endian copy.
 inline constexpr std::uint32_t kEndianMarker = 0x0A0B0C0Du;
@@ -102,19 +106,11 @@ enum class SectionKind : std::uint32_t {
   kDevices = 5,
   kStats = 6,
   // Version 3:
-  kDayIndex = 7,       ///< per-day [begin, len) flow runs, delta-varint
+  kDayIndex = 7,       ///< per-day flow runs (v3-v4), checked and skipped
   kColTimestamps = 8,  ///< start_offset_s column, zigzag delta-varint
   kColDomains = 9,     ///< domain column, dictionary + varint refs
   kColRest = 10,       ///< remaining flow fields, packed columns
 };
-/// The fixed section count of version 1/2 files (also the mandatory core of
-/// every version-3 file, minus kFlows when the flow columns replace it).
-inline constexpr int kNumSectionsV2 = 6;
-/// Highest section kind this build understands.
-inline constexpr std::uint32_t kMaxSectionKind = 10;
-/// Upper bound on the section count a v3 header may claim (all distinct
-/// kinds at most once).
-inline constexpr std::uint32_t kMaxSections = kMaxSectionKind;
 
 /// Per-section codec, recorded in the descriptor's flags word. Every coded
 /// (non-raw) payload begins with a u64 raw (decoded) size so tools can
@@ -126,21 +122,82 @@ enum class SectionCodec : std::uint32_t {
   kPacked = 3,       ///< per-field packed columns, varint where it pays
 };
 
-[[nodiscard]] constexpr const char* SectionName(SectionKind kind) noexcept {
-  switch (kind) {
-    case SectionKind::kMeta: return "meta";
-    case SectionKind::kFlows: return "flows";
-    case SectionKind::kDeviceOffsets: return "device-offsets";
-    case SectionKind::kStringPool: return "string-pool";
-    case SectionKind::kDevices: return "devices";
-    case SectionKind::kStats: return "stats";
-    case SectionKind::kDayIndex: return "day-index";
-    case SectionKind::kColTimestamps: return "col-timestamps";
-    case SectionKind::kColDomains: return "col-domains";
-    case SectionKind::kColRest: return "col-rest";
+/// The flow storage a section belongs to. A v3+ file holds exactly one: the
+/// raw kFlows array or every kCol* column.
+enum class FlowStorage : std::uint8_t { kNone, kRaw, kColumnar };
+
+/// One row of the section table.
+struct SectionDesc {
+  SectionKind kind;
+  const char* name;
+  SectionCodec codec;            ///< the one codec its descriptor may record
+  std::uint32_t first_version;   ///< the versions that may carry it
+  std::uint32_t last_version;
+  bool required;                 ///< every file of those versions has it
+  FlowStorage storage;
+  /// What a salvage load notes when the section fails its CRC; null when
+  /// that fails the load.
+  const char* salvage;
+
+  [[nodiscard]] constexpr bool CarriedBy(std::uint32_t version) const noexcept {
+    return first_version <= version && version <= last_version;
   }
-  return "unknown";
+};
+
+/// Every section kind this build knows, row i describing kind i + 1. The
+/// writer lays out the rows the current version carries in this order.
+inline constexpr std::array<SectionDesc, 10> kSections = {{
+    // kind, name, codec, versions, required, storage, salvage note
+    {SectionKind::kMeta, "meta", SectionCodec::kRaw, 1, kFormatVersion, true,
+     FlowStorage::kNone, nullptr},
+    {SectionKind::kFlows, "flows", SectionCodec::kRaw, 1, kFormatVersion, false,
+     FlowStorage::kRaw, nullptr},
+    {SectionKind::kDeviceOffsets, "device-offsets", SectionCodec::kRaw, 1,
+     kFormatVersion, true, FlowStorage::kNone, nullptr},
+    {SectionKind::kStringPool, "string-pool", SectionCodec::kRaw, 1,
+     kFormatVersion, true, FlowStorage::kNone, nullptr},
+    {SectionKind::kDevices, "devices", SectionCodec::kRaw, 1, kFormatVersion,
+     true, FlowStorage::kNone, nullptr},
+    {SectionKind::kStats, "stats", SectionCodec::kRaw, 1, kFormatVersion, true,
+     FlowStorage::kNone, "stats zero-filled"},
+    {SectionKind::kDayIndex, "day-index", SectionCodec::kDeltaVarint, 3, 4,
+     true, FlowStorage::kNone, "day index skipped"},
+    {SectionKind::kColTimestamps, "col-timestamps", SectionCodec::kDeltaVarint,
+     3, kFormatVersion, false, FlowStorage::kColumnar, nullptr},
+    {SectionKind::kColDomains, "col-domains", SectionCodec::kDictionary, 3,
+     kFormatVersion, false, FlowStorage::kColumnar, nullptr},
+    {SectionKind::kColRest, "col-rest", SectionCodec::kPacked, 3,
+     kFormatVersion, false, FlowStorage::kColumnar, nullptr},
+}};
+
+/// The row of section kind `kind`, or null for a kind this build does not
+/// know.
+[[nodiscard]] constexpr const SectionDesc* FindSection(std::uint32_t kind) noexcept {
+  return kind >= 1 && kind <= kSections.size() ? &kSections[kind - 1] : nullptr;
 }
+
+[[nodiscard]] constexpr const char* SectionName(SectionKind kind) noexcept {
+  const SectionDesc* desc = FindSection(static_cast<std::uint32_t>(kind));
+  return desc != nullptr ? desc->name : "unknown";
+}
+
+/// The most sections a file of `version` may hold: each kind it may carry,
+/// once.
+[[nodiscard]] constexpr std::uint32_t MaxSectionCount(std::uint32_t version) noexcept {
+  std::uint32_t count = 0;
+  for (const SectionDesc& desc : kSections) count += desc.CarriedBy(version) ? 1 : 0;
+  return count;
+}
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kSections.size(); ++i) {
+        if (static_cast<std::size_t>(kSections[i].kind) != i + 1) return false;
+      }
+      return true;
+    }(),
+    "kSections row i must describe section kind i + 1");
+static_assert(MaxSectionCount(2) == 6, "v1/v2 files hold exactly six sections");
 
 [[nodiscard]] constexpr const char* CodecName(SectionCodec codec) noexcept {
   switch (codec) {

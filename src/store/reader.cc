@@ -21,6 +21,7 @@ namespace {
 constexpr bool kHostIsLittleEndian = std::endian::native == std::endian::little;
 
 struct ParsedSection {
+  const SectionDesc* desc = nullptr;
   std::uint64_t offset = 0;
   std::uint32_t crc32c = 0;
   std::span<const std::byte> payload;
@@ -62,7 +63,7 @@ class Reader::Impl {
   }
 
   [[nodiscard]] std::string ChecksumMessage(std::size_t i) const {
-    return "checksum mismatch in " + std::string(SectionName(KindAt(i))) +
+    return "checksum mismatch in " + std::string(sections_[i].desc->name) +
            " section at offset " + std::to_string(sections_[i].offset) +
            " (corrupt file)";
   }
@@ -77,28 +78,18 @@ class Reader::Impl {
   [[nodiscard]] LoadedSnapshot Load(const LoadOptions& options) const {
     OBS_SPAN("store/load");
     LoadedSnapshot out;
-    // Mandatory sections fail the load on corruption, naming the section
-    // and offset; the stats section is advisory and may be salvaged
-    // (zero-filled), and the day index is derivable and may be salvaged by
-    // rebuilding it from the flows — so months of flow data survive one bad
-    // section.
+    // A corrupt section fails the load, naming the section and offset,
+    // unless the section table gives it a salvage note (the advisory stats,
+    // zero-filled; a legacy day index, which nothing reads) — so months of
+    // flow data survive one bad section.
     bool stats_salvaged = false;
-    bool day_index_salvaged = false;
     if (options.verify_checksums) {
       for (std::size_t i = 0; i < sections_.size(); ++i) {
         if (SectionChecksumOk(i)) continue;
-        if (options.salvage && KindAt(i) == SectionKind::kStats) {
-          stats_salvaged = true;
-          out.warnings.push_back(ChecksumMessage(i) + ": stats zero-filled");
-          continue;
-        }
-        if (options.salvage && KindAt(i) == SectionKind::kDayIndex) {
-          day_index_salvaged = true;
-          out.warnings.push_back(ChecksumMessage(i) +
-                                 ": day index rebuilt from flows");
-          continue;
-        }
-        Fail(ChecksumMessage(i));
+        const SectionDesc& desc = *sections_[i].desc;
+        if (!options.salvage || desc.salvage == nullptr) Fail(ChecksumMessage(i));
+        stats_salvaged = stats_salvaged || desc.kind == SectionKind::kStats;
+        out.warnings.push_back(ChecksumMessage(i) + ": " + desc.salvage);
       }
     }
 
@@ -247,26 +238,6 @@ class Reader::Impl {
       Fail("inconsistent device index section");
     }
 
-    // --- Day-run index -------------------------------------------------------
-    // v3 files persist it; pre-v3 files (and salvaged v3 loads) rebuild it
-    // from the flow order, which is always possible — the section is an
-    // accelerator, never the only source of truth.
-    if (HasSection(SectionKind::kDayIndex) && !day_index_salvaged) {
-      try {
-        ds.RestoreDayRuns(detail::DecodeDayIndex(
-            Section(SectionKind::kDayIndex), info_.num_flows));
-      } catch (const std::exception& e) {
-        if (!options.salvage) {
-          Fail(std::string("corrupt day-index section: ") + e.what());
-        }
-        out.warnings.push_back(path_.string() +
-                               ": undecodable day index: rebuilt from flows");
-        ds.RebuildDayRuns();
-      }
-    } else {
-      ds.RebuildDayRuns();
-    }
-
     // --- Stats ---------------------------------------------------------------
     // Decode errors here are salvageable like a bad checksum: the stats are
     // reporting counters, not data the analyses index into.
@@ -297,8 +268,8 @@ class Reader::Impl {
     return out;
   }
 
-  /// Deep invariant check beyond checksums: CSR and day-index agreement with
-  /// the flows (Load itself already rejects out-of-order flows).
+  /// Deep invariant check beyond checksums: CSR agreement with the flows
+  /// (Load itself already rejects out-of-order flows).
   void VerifyInvariants() const {
     const LoadedSnapshot snap = Load({LoadMode::kAuto, false});
     const core::Dataset& ds = snap.collection.dataset;
@@ -310,33 +281,11 @@ class Reader::Impl {
         Fail("device index disagrees with flow ordering");
       }
     }
-    // Full interior check of every day run (RestoreDayRuns only spot-checks
-    // each run's endpoints; a run spanning a device boundary could hide a
-    // day dip in its interior).
-    const core::DayRunIndex& runs = ds.day_runs();
-    std::uint64_t covered = 0;
-    for (int d = 0; d < runs.num_days(); ++d) {
-      bool bad = false;
-      runs.ForEachRun(d, d, [&](std::uint64_t begin, std::uint64_t len) {
-        for (std::uint64_t k = begin; k < begin + len; ++k) {
-          if (core::Dataset::DayOf(flows[static_cast<std::size_t>(k)]) != d) {
-            bad = true;
-          }
-        }
-        covered += len;
-      });
-      if (bad) Fail("day index interior disagrees with flows");
-    }
-    if (covered != flows.size()) Fail("day index does not cover the flow array");
   }
 
  private:
   [[noreturn]] void Fail(const std::string& message) const {
     throw Error(path_.string() + ": " + message);
-  }
-
-  [[nodiscard]] SectionKind KindAt(std::size_t i) const noexcept {
-    return static_cast<SectionKind>(info_.sections[i].kind);
   }
 
   [[nodiscard]] bool HasSection(SectionKind kind) const noexcept {
@@ -386,27 +335,6 @@ class Reader::Impl {
     return strings;
   }
 
-  /// The codec each section kind is allowed to carry. v1/v2 writers put 0
-  /// in flags, so raw-everywhere is always acceptable.
-  [[nodiscard]] static bool CodecAllowed(SectionKind kind, SectionCodec codec) {
-    if (codec == SectionCodec::kRaw) {
-      return kind != SectionKind::kDayIndex &&
-             kind != SectionKind::kColTimestamps &&
-             kind != SectionKind::kColDomains && kind != SectionKind::kColRest;
-    }
-    switch (kind) {
-      case SectionKind::kDayIndex:
-      case SectionKind::kColTimestamps:
-        return codec == SectionCodec::kDeltaVarint;
-      case SectionKind::kColDomains:
-        return codec == SectionCodec::kDictionary;
-      case SectionKind::kColRest:
-        return codec == SectionCodec::kPacked;
-      default:
-        return false;
-    }
-  }
-
   void ParseStructure() {
     const std::span<const std::byte> file = map_->bytes();
     info_.file_size = file.size();
@@ -430,11 +358,12 @@ class Reader::Impl {
     }
     if (hdr.U32() != kHeaderSize) Fail("bad header size");
     // v1/v2 files have exactly the six classic sections; from v3 on the
-    // header's count is authoritative (bounded by the known kinds, each at
-    // most once).
+    // header's count is authoritative (bounded by the kinds the version may
+    // carry, each at most once).
     const std::uint32_t section_count = hdr.U32();
-    if (info_.version < 3 ? section_count != kNumSectionsV2
-                          : (section_count < 1 || section_count > kMaxSections)) {
+    const std::uint32_t max_sections = MaxSectionCount(info_.version);
+    if (info_.version < 3 ? section_count != max_sections
+                          : (section_count < 1 || section_count > max_sections)) {
       Fail("unexpected section count " + std::to_string(section_count));
     }
     const std::uint64_t recorded_size = hdr.U64();
@@ -466,8 +395,6 @@ class Reader::Impl {
     detail::Decoder table(file.subspan(kHeaderSize, table_end - kHeaderSize),
                           "section table");
     kind_slot_.fill(-1);
-    const std::uint32_t max_kind =
-        info_.version < 3 ? kNumSectionsV2 : kMaxSectionKind;
     for (std::uint32_t i = 0; i < section_count; ++i) {
       const std::uint32_t kind = table.U32();
       const std::uint32_t flags = table.U32();
@@ -475,58 +402,53 @@ class Reader::Impl {
       const std::uint64_t size = table.U64();
       const std::uint32_t crc = table.U32();
       (void)table.U32();  // reserved
-      if (kind < 1 || kind > max_kind) {
+      const SectionDesc* desc = FindSection(kind);
+      if (desc == nullptr || !desc->CarriedBy(info_.version)) {
         Fail("unknown section kind " + std::to_string(kind));
       }
-      const auto k = static_cast<SectionKind>(kind);
       if (kind_slot_[kind - 1] >= 0) {
-        Fail("duplicate " + std::string(SectionName(k)) + " section");
+        Fail("duplicate " + std::string(desc->name) + " section");
       }
       if (offset % kSectionAlign != 0) Fail("misaligned section");
       if (offset < table_end || size > trailer_offset ||
           offset > trailer_offset - size) {
         Fail("section out of bounds");
       }
-      if (flags > static_cast<std::uint32_t>(SectionCodec::kPacked) ||
-          !CodecAllowed(k, static_cast<SectionCodec>(flags))) {
+      if (flags != static_cast<std::uint32_t>(desc->codec)) {
         Fail("unsupported codec " + std::to_string(flags) + " for " +
-             std::string(SectionName(k)) + " section");
+             std::string(desc->name) + " section");
       }
-      const auto codec = static_cast<SectionCodec>(flags);
       const std::span<const std::byte> payload =
           file.subspan(static_cast<std::size_t>(offset),
                        static_cast<std::size_t>(size));
       kind_slot_[kind - 1] = static_cast<int>(sections_.size());
-      sections_.push_back(ParsedSection{offset, crc, payload});
+      sections_.push_back(ParsedSection{desc, offset, crc, payload});
       info_.sections.push_back(SectionInfo{
-          kind, SectionName(k), offset, size, crc, flags, CodecName(codec),
-          codec == SectionCodec::kRaw ? size : detail::PeekRawSize(payload)});
+          kind, desc->name, offset, size, crc, flags, CodecName(desc->codec),
+          desc->codec == SectionCodec::kRaw ? size : detail::PeekRawSize(payload)});
     }
 
-    // --- Required sections ---------------------------------------------------
-    for (const SectionKind k :
-         {SectionKind::kMeta, SectionKind::kDeviceOffsets,
-          SectionKind::kStringPool, SectionKind::kDevices, SectionKind::kStats}) {
-      if (!HasSection(k)) {
-        Fail("missing " + std::string(SectionName(k)) + " section");
+    // --- Required sections and flow storage ---------------------------------
+    bool has_flows = false;
+    bool has_columns = false;
+    bool all_columns = true;
+    for (const SectionDesc& desc : kSections) {
+      if (!desc.CarriedBy(info_.version)) continue;
+      const bool present = HasSection(desc.kind);
+      if (desc.required && !present) {
+        Fail("missing " + std::string(desc.name) + " section");
+      }
+      if (desc.storage == FlowStorage::kRaw) has_flows = has_flows || present;
+      if (desc.storage == FlowStorage::kColumnar) {
+        has_columns = has_columns || present;
+        all_columns = all_columns && present;
       }
     }
-    const bool has_flows = HasSection(SectionKind::kFlows);
-    const bool has_columns = HasSection(SectionKind::kColTimestamps) ||
-                             HasSection(SectionKind::kColDomains) ||
-                             HasSection(SectionKind::kColRest);
     if (has_flows == has_columns) {
       Fail(has_flows ? "both raw and columnar flow sections present"
                      : "no flow storage (neither raw nor columnar sections)");
     }
-    if (has_columns && (!HasSection(SectionKind::kColTimestamps) ||
-                        !HasSection(SectionKind::kColDomains) ||
-                        !HasSection(SectionKind::kColRest))) {
-      Fail("incomplete columnar flow storage");
-    }
-    if (info_.version >= 3 && !HasSection(SectionKind::kDayIndex)) {
-      Fail("missing day-index section");
-    }
+    if (has_columns && !all_columns) Fail("incomplete columnar flow storage");
 
     // --- Meta + cross-section size consistency -------------------------------
     const std::span<const std::byte> meta = Section(SectionKind::kMeta);
@@ -565,7 +487,7 @@ class Reader::Impl {
   std::shared_ptr<const MmapFile> map_;
   SnapshotInfo info_;
   std::vector<ParsedSection> sections_;  ///< in section-table order
-  std::array<int, kMaxSectionKind> kind_slot_{};  ///< kind-1 -> sections_ slot
+  std::array<int, kSections.size()> kind_slot_{};  ///< kind-1 -> sections_ slot
 };
 
 Reader::Reader(std::filesystem::path path)

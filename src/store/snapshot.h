@@ -50,10 +50,11 @@ struct LoadOptions {
   /// CRC32C-check every section before decoding. Leave on except when the
   /// file was verified out-of-band and load latency matters.
   bool verify_checksums = true;
-  /// Per-section salvage: a corrupt *optional* section (currently kStats)
-  /// degrades to zero-fill with a note in LoadedSnapshot::warnings instead
-  /// of failing the load. Corrupt mandatory sections still throw Error,
-  /// naming the section and its file offset.
+  /// Per-section salvage: a section whose kSections row carries a salvage
+  /// note (stats, zero-filled; a v3/v4 day-index, skipped) degrades with
+  /// that note in LoadedSnapshot::warnings instead of failing the load.
+  /// Every other corrupt section still throws Error, naming the section and
+  /// its file offset.
   bool salvage = false;
 };
 

@@ -2,9 +2,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <string>
 #include <string_view>
 #include <system_error>
 #include <unordered_map>
@@ -197,9 +199,6 @@ class Writer::Impl {
     if (written_) throw Error("WriteCollection called twice");
     const core::Dataset& ds = result.dataset;
     if (!ds.finalized()) throw Error("cannot snapshot a non-finalized dataset");
-    if (!ds.has_day_runs()) {
-      throw Error("dataset has no day-run index (Finalize was bypassed)");
-    }
     written_ = true;
     OBS_SPAN("store/save");
     CrcTimer crc_timer;
@@ -215,36 +214,6 @@ class Writer::Impl {
     const detail::Encoder stats_enc = EncodeStats(result.stats);
     const detail::Encoder csr = EncodeDeviceOffsets(ds.device_offsets());
     const auto flows = ds.flows();
-    const std::uint64_t flows_size = ds.num_flows() * kFlowStride;
-
-    struct Section {
-      SectionKind kind;
-      SectionCodec codec;
-      std::uint64_t size;
-      std::uint64_t offset = 0;
-      std::uint32_t crc = 0;
-      const detail::Encoder* body = nullptr;  // null for the streamed flows
-    };
-    // The six classic kinds in version-1/2 order, then the day index; when
-    // compressing, the three column sections replace the raw flow array.
-    std::vector<Section> sections;
-    sections.push_back(
-        {SectionKind::kMeta, SectionCodec::kRaw, meta_enc.size(), 0, 0, &meta_enc});
-    if (!options.compress) {
-      sections.push_back(
-          {SectionKind::kFlows, SectionCodec::kRaw, flows_size, 0, 0, nullptr});
-    }
-    sections.push_back({SectionKind::kDeviceOffsets, SectionCodec::kRaw,
-                        csr.size(), 0, 0, &csr});
-    sections.push_back({SectionKind::kStringPool, SectionCodec::kRaw,
-                        pool_enc.size(), 0, 0, &pool_enc});
-    sections.push_back({SectionKind::kDevices, SectionCodec::kRaw,
-                        devices.size(), 0, 0, &devices});
-    sections.push_back({SectionKind::kStats, SectionCodec::kRaw,
-                        stats_enc.size(), 0, 0, &stats_enc});
-    const detail::Encoder day_index = detail::EncodeDayIndex(ds.day_runs());
-    sections.push_back({SectionKind::kDayIndex, SectionCodec::kDeltaVarint,
-                        day_index.size(), 0, 0, &day_index});
     detail::Encoder col_ts;
     detail::Encoder col_dom;
     detail::Encoder col_rest;
@@ -252,13 +221,45 @@ class Writer::Impl {
       col_ts = detail::EncodeTimestampColumn(flows);
       col_dom = detail::EncodeDomainColumn(flows);
       col_rest = detail::EncodeRestColumn(flows);
-      sections.push_back({SectionKind::kColTimestamps,
-                          SectionCodec::kDeltaVarint, col_ts.size(), 0, 0,
-                          &col_ts});
-      sections.push_back({SectionKind::kColDomains, SectionCodec::kDictionary,
-                          col_dom.size(), 0, 0, &col_dom});
-      sections.push_back({SectionKind::kColRest, SectionCodec::kPacked,
-                          col_rest.size(), 0, 0, &col_rest});
+    }
+    // Encoded bodies by kind - 1; the raw flow array has none (it streams).
+    std::array<const detail::Encoder*, kSections.size()> bodies{};
+    const auto put = [&](SectionKind kind, const detail::Encoder& enc) {
+      bodies[static_cast<std::size_t>(kind) - 1] = &enc;
+    };
+    put(SectionKind::kMeta, meta_enc);
+    put(SectionKind::kDeviceOffsets, csr);
+    put(SectionKind::kStringPool, pool_enc);
+    put(SectionKind::kDevices, devices);
+    put(SectionKind::kStats, stats_enc);
+    put(SectionKind::kColTimestamps, col_ts);
+    put(SectionKind::kColDomains, col_dom);
+    put(SectionKind::kColRest, col_rest);
+
+    struct Section {
+      const SectionDesc* desc;
+      const detail::Encoder* body;  // null for the streamed flows
+      std::uint64_t size;
+      std::uint64_t offset = 0;
+      std::uint32_t crc = 0;
+    };
+    // The rows the current version carries, in table order, with the raw
+    // flow array or the flow columns as options.compress asks.
+    const FlowStorage storage =
+        options.compress ? FlowStorage::kColumnar : FlowStorage::kRaw;
+    std::vector<Section> sections;
+    for (const SectionDesc& desc : kSections) {
+      if (!desc.CarriedBy(kFormatVersion)) continue;
+      if (desc.storage != FlowStorage::kNone && desc.storage != storage) continue;
+      if (desc.kind == SectionKind::kFlows) {
+        sections.push_back({&desc, nullptr, ds.num_flows() * kFlowStride});
+        continue;
+      }
+      const detail::Encoder* body = bodies[static_cast<std::size_t>(desc.kind) - 1];
+      if (body == nullptr) {
+        throw Error(std::string("no encoder for the ") + desc.name + " section");
+      }
+      sections.push_back({&desc, body, body->size()});
     }
 
     std::uint64_t cursor =
@@ -283,7 +284,7 @@ class Writer::Impl {
 
     Section* flow_section = nullptr;
     for (Section& s : sections) {
-      if (s.kind == SectionKind::kFlows) flow_section = &s;
+      if (s.desc->kind == SectionKind::kFlows) flow_section = &s;
     }
     if (flow_section != nullptr) {
       util::Crc32cAccumulator flow_crc;
@@ -311,8 +312,8 @@ class Writer::Impl {
     table.U64(kHeaderSize);  // section table offset
     for (int i = 0; i < 24; ++i) table.U8(0);
     for (const Section& s : sections) {
-      table.U32(static_cast<std::uint32_t>(s.kind));
-      table.U32(static_cast<std::uint32_t>(s.codec));  // flags
+      table.U32(static_cast<std::uint32_t>(s.desc->kind));
+      table.U32(static_cast<std::uint32_t>(s.desc->codec));  // flags
       table.U64(s.offset);
       table.U64(s.size);
       table.U32(s.crc);

@@ -1,6 +1,6 @@
 // Exact equality of two collection results — the flow array, the interned
-// domains, the devices, the CSR and day-run indexes, and the collection
-// stats — shared by the parallel-equivalence, snapshot and codec suites.
+// domains, the devices, the CSR index, and the collection stats — shared by
+// the parallel-equivalence, snapshot and codec suites.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -27,9 +27,6 @@ inline void ExpectSameDataset(const Dataset& a, const Dataset& b) {
     ASSERT_TRUE(a.device(i) == b.device(i)) << "device " << i;
   }
   ASSERT_TRUE(std::ranges::equal(a.device_offsets(), b.device_offsets()));
-  ASSERT_EQ(a.day_runs().day_offsets, b.day_runs().day_offsets);
-  ASSERT_EQ(a.day_runs().run_begin, b.day_runs().run_begin);
-  ASSERT_EQ(a.day_runs().run_len, b.day_runs().run_len);
 }
 
 inline void ExpectSameCollection(const CollectionResult& a, const CollectionResult& b) {

@@ -18,11 +18,13 @@
 #include "io/crash_points.h"
 #include "io/io.h"
 #include "obs/metrics.h"
+#include "read_back.h"
 
 namespace lockdown::io {
 namespace {
 
 namespace fs = std::filesystem;
+using testing::ReadBack;
 
 std::vector<std::uint64_t>& CapturedSleeps() {
   static std::vector<std::uint64_t> sleeps;
@@ -204,7 +206,7 @@ TEST_F(IoTest, TransientWriteFaultIsAbsorbed) {
   File f = File::Create(Path("t.bin"));
   f.WriteAll("hello");
   f.Close();
-  EXPECT_EQ(ReadFileToString(Path("t.bin")), "hello");
+  EXPECT_EQ(ReadBack(Path("t.bin")), "hello");
 }
 
 TEST_F(IoTest, PermanentWriteFaultSurfacesWithTaxonomy) {
@@ -232,7 +234,7 @@ TEST_F(IoTest, ShortWritesAreCompletedBitIdentically) {
   f.WriteAll(varied);
   f.Close();
   ClearFaultPlan();
-  EXPECT_EQ(ReadFileToString(Path("t.bin")), varied);
+  EXPECT_EQ(ReadBack(Path("t.bin")), varied);
 }
 
 TEST_F(IoTest, EintrReadStormReturnsIdenticalBytes) {
@@ -247,7 +249,7 @@ TEST_F(IoTest, EintrReadStormReturnsIdenticalBytes) {
   // even a long deterministic run of heads transient.
   SetRetryPolicy(RetryPolicy{.max_attempts = 16, .initial_backoff_us = 1});
   SetFaultPlan(MustParse("9:eintr@read%0.5"));
-  EXPECT_EQ(ReadFileToString(Path("t.bin")), body);
+  EXPECT_EQ(ReadBack(Path("t.bin")), body);
 }
 
 TEST_F(IoTest, EioRespectsTheBudget) {
@@ -260,7 +262,7 @@ TEST_F(IoTest, EioRespectsTheBudget) {
   File g = File::Create(Path("u.bin"));
   g.WriteAll("x");  // absorbed: one EIO within a budget of two
   g.Close();
-  EXPECT_EQ(ReadFileToString(Path("u.bin")), "x");
+  EXPECT_EQ(ReadBack(Path("u.bin")), "x");
 }
 
 TEST_F(IoTest, ExhaustedRetriesFollowTheExactBackoffSchedule) {
@@ -339,7 +341,7 @@ TEST_F(IoTest, StreamBufRoundTripsThroughTheShim) {
     out.flush();
     buf.file().Close();
   }
-  EXPECT_EQ(ReadFileToString(Path("log.tsv")),
+  EXPECT_EQ(ReadBack(Path("log.tsv")),
             "alpha\t12345\nbeta\t67890\n");
 }
 

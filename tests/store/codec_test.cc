@@ -5,7 +5,8 @@
 // byte-sweep over every compressed section of a real snapshot proving the
 // reader rejects or salvages but never silently misreads, and format-matrix
 // round trips (raw and compressed both reload to the identical dataset; the
-// legacy v2 and v3 layouts are covered by the fixtures in tests/store/legacy).
+// legacy v2, v3 and v4 layouts are covered by the fixtures in
+// tests/store/legacy).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -279,7 +280,7 @@ TEST_F(CompressedSnapshotTest, CompressedFileIsSmallerAndDescribesCodecs) {
       EXPECT_LT(s.size, s.raw_size) << s.name;
     }
   }
-  EXPECT_EQ(coded, 4);  // day-index + three flow columns
+  EXPECT_EQ(coded, 3);  // the three flow columns
 }
 
 /// The salvage_test byte-sweep discipline applied to the compressed file:
@@ -331,31 +332,6 @@ TEST_F(CompressedSnapshotTest, CompressedByteSweepNeverMisreads) {
   }
   EXPECT_GT(rejected, 0);
   EXPECT_GT(intact + salvaged + rejected, 0);
-}
-
-TEST_F(CompressedSnapshotTest, CorruptDayIndexSalvagesByRebuild) {
-  const auto path = *dir_ / "raw.lds";
-  SectionInfo day_index;
-  for (const SectionInfo& s : InspectSnapshot(path).sections) {
-    if (s.name == "day-index") day_index = s;
-  }
-  ASSERT_GT(day_index.size, 0u);
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  bytes[day_index.offset + day_index.size / 2] ^= 0x40;
-  const auto bad = *dir_ / "bad_day_index.lds";
-  std::ofstream out(bad, std::ios::binary);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-
-  EXPECT_THROW((void)LoadSnapshot(bad), Error);
-  const LoadedSnapshot snap = LoadSnapshot(bad, {.salvage = true});
-  ASSERT_EQ(snap.warnings.size(), 1u);
-  EXPECT_NE(snap.warnings[0].find("day index"), std::string::npos)
-      << snap.warnings[0];
-  // The rebuilt index must equal the one Finalize computed.
-  core::testing::ExpectSameDataset(result_->dataset, snap.collection.dataset);
 }
 
 }  // namespace

@@ -28,6 +28,8 @@
 #include "io/io.h"
 #include "store/snapshot.h"
 
+#include "../io/read_back.h"
+
 namespace lockdown::store {
 namespace {
 
@@ -62,7 +64,7 @@ std::string SaveArgs(const fs::path& target, std::uint64_t seed) {
 }
 
 std::string ReadBytes(const fs::path& path) {
-  return io::ReadFileToString(path);
+  return io::testing::ReadBack(path);
 }
 
 std::vector<fs::path> TmpLeftovers(const fs::path& dir) {

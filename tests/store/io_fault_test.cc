@@ -17,6 +17,8 @@
 #include "io/io.h"
 #include "store/snapshot.h"
 
+#include "../io/read_back.h"
+
 namespace lockdown::store {
 namespace {
 
@@ -64,7 +66,7 @@ void InstallPlan(const std::string& spec) {
 
 std::string ReadBytes(const fs::path& path) {
   io::ClearFaultPlan();  // read the disk, not the injector
-  return io::ReadFileToString(path);
+  return io::testing::ReadBack(path);
 }
 
 std::vector<fs::path> TmpLeftovers(const fs::path& dir) {

@@ -199,7 +199,7 @@ TEST(SnapshotCorruption, TruncationRejectedAtEveryBoundary) {
 
 TEST(SnapshotCorruption, FlippedByteInEverySectionRejected) {
   const SnapshotInfo info = InspectSnapshot(Campus().file);
-  ASSERT_EQ(info.sections.size(), 7u);  // six classic sections + day-index
+  ASSERT_EQ(info.sections.size(), 6u);  // the six classic sections
   for (const SectionInfo& section : info.sections) {
     if (section.size == 0) continue;
     const fs::path p = ScratchCopy("flip_" + section.name + ".lds");

@@ -1,6 +1,6 @@
 // Figures 1-8 (plus extension analyses and headline stats) from both
-// aggregator policies of the figure engine, across {v4, v4-compressed}
-// snapshots x {1, 4} threads, against one serial baseline computed straight
+// aggregator policies of the figure engine, across {raw, compressed}
+// current-format snapshots x {1, 4} threads, against one serial baseline computed straight
 // from the pipeline:
 //   * the exact policy (LockdownStudy) renders it byte for byte;
 //   * the sketched policy (StreamingStudy), at a budget where no reservoir

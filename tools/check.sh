@@ -6,7 +6,8 @@
 # tsan pass covers the parallel pipeline/study: it forces LOCKDOWN_THREADS=8
 # so the sharded passes actually run multi-threaded (a single-core machine
 # would otherwise fall back to serial) and runs the thread-pool, pipeline,
-# and the thread-identity tests of both figure-engine policies.
+# and the thread-identity tests of both figure-engine policies, then the
+# EXPERIMENTS.md diff against the instrumented experiments binary.
 # After its ctest run, the default pass diffs EXPERIMENTS.md's
 # ```experiments blocks against the stdout of build/bench/experiments, so
 # every measured number in the document is the one the code prints; the
@@ -34,14 +35,14 @@
 # column-codec fuzz and compressed byte-sweep tests
 # (tests/store/codec_test.cc) since it runs the full suite.
 #
-# The crash tier is the kill-at-every-crash-point harness (DESIGN.md §12)
-# run with the allocator instrumented: it builds lockdown_cli and
-# crash_harness_test under ASan+UBSan (reusing build-asan) and executes the
-# harness, which forks the real CLI at every registered IO crash point
-# (src/io/crash_points.h) across several seeds and proves the snapshot
-# target is never torn — bit-identical to the old valid snapshot before the
-# rename, to the new one after — with the orphaned tmp file attributed,
-# swept, and the next save recovering bit-exactly.
+# The crash tier (--crash-only) is the `crash` ctest label on the asan tree:
+# the kill-at-every-crash-point harness (DESIGN.md §12), which forks the
+# real CLI at every registered IO crash point (src/io/crash_points.h) across
+# several seeds and proves the snapshot target is never torn — bit-identical
+# to the old valid snapshot before the rename, to the new one after — with
+# the orphaned tmp file attributed, swept, and the next save recovering
+# bit-exactly. The asan pass's full ctest already runs it, so `all` does not
+# repeat the tier.
 #
 # The lint tier is the static-analysis gate (DESIGN.md §11): it runs
 # lockdown_lint (the project contract checker) over src/ + tools/ and proves
@@ -74,16 +75,26 @@ run_pass() {
 }
 
 # check_experiments LABEL DIR: EXPERIMENTS.md's ```experiments blocks,
-# concatenated in order, are DIR/bench/experiments' stdout byte for byte.
+# concatenated in order, are DIR/bench/experiments' stdout byte for byte,
+# and the binary exits 0 (a sanitizer that reports and carries on, as TSan
+# does, still fails its exit status).
 check_experiments() {
-  local label="$1" dir="$2"
+  local label="$1" dir="$2" out
   echo "=== ${label}: EXPERIMENTS.md vs ${dir}/bench/experiments ==="
+  out=$(mktemp)
+  if ! "${dir}/bench/experiments" >"${out}"; then
+    rm -f "${out}"
+    echo "FAIL: ${dir}/bench/experiments exited non-zero" >&2
+    exit 1
+  fi
   if ! diff <(awk '/^```experiments$/ {on = 1; next} /^```$/ {on = 0} on' EXPERIMENTS.md) \
-            <("${dir}/bench/experiments"); then
+            "${out}"; then
+    rm -f "${out}"
     echo "FAIL: EXPERIMENTS.md is stale; paste build/bench/experiments output" \
          "into its experiments blocks" >&2
     exit 1
   fi
+  rm -f "${out}"
   echo "=== ${label}: EXPERIMENTS.md OK ==="
 }
 
@@ -125,7 +136,8 @@ if [[ "${mode}" == "all" || "${mode}" == "--tsan-only" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   echo "=== tsan: build ==="
-  cmake --build "${dir}" -j "${jobs}" --target util_test core_test stream_test obs_test
+  cmake --build "${dir}" -j "${jobs}" \
+    --target util_test core_test stream_test obs_test experiments
   echo "=== tsan: parallel tests (LOCKDOWN_THREADS=8) ==="
   LOCKDOWN_THREADS=8 "${dir}/tests/util_test" --gtest_filter='ThreadPool*'
   # Lock-free metric shards: concurrent counter/histogram updates from
@@ -139,6 +151,8 @@ if [[ "${mode}" == "all" || "${mode}" == "--tsan-only" ]]; then
   # (sketched), must be race-free, not just deterministic.
   LOCKDOWN_THREADS=8 "${dir}/tests/stream_test" \
     --gtest_filter='FiguresDifferentialTest.*:StreamingStudy.BitIdenticalAcrossThreadCounts:StreamingStudy.CountMinFeedMatchesPerRunReference'
+  # The full 1200-student campus through every parallel pass at once.
+  LOCKDOWN_THREADS=8 check_experiments "tsan" "${dir}"
   echo "=== tsan: OK ==="
 fi
 
@@ -299,18 +313,16 @@ PY
   echo "=== obs: OK ==="
 fi
 
-if [[ "${mode}" == "all" || "${mode}" == "--crash-only" ]]; then
-  # Kill-at-every-crash-point harness under ASan+UBSan (reuses / creates the
-  # asan tree). The harness fork/execs the instrumented CLI with
-  # --io-crash-at for every point in src/io/crash_points.h x seeds {11,12,13}
-  # and proves the atomic-rename contract from the parent.
+if [[ "${mode}" == "--crash-only" ]]; then
+  # The kill-at-every-crash-point harness under asan+ubsan (reuses / creates
+  # the asan tree): a label filter over the suite the asan pass runs in full.
   dir=build-asan
   echo "=== crash: configure (${dir}) ==="
   cmake -B "${dir}" -S . "${asan_flags[@]}" >/dev/null
   echo "=== crash: build ==="
   cmake --build "${dir}" -j "${jobs}" --target lockdown_cli crash_harness_test
-  echo "=== crash: kill-at-every-crash-point harness (asan+ubsan) ==="
-  "${dir}/tests/crash_harness_test"
+  echo "=== crash: ctest -L crash (asan+ubsan) ==="
+  (cd "${dir}" && ctest --output-on-failure -j "${jobs}" -L crash)
   echo "=== crash: OK ==="
 fi
 

@@ -5,8 +5,8 @@
 // the contracts clang has no vocabulary for: the DESIGN §5 determinism
 // invariants (integer-only accumulation in parallel merges, no
 // unordered-container iteration on serialization paths, one sanctioned
-// randomness source), the observability span registry, the LDS writer/reader
-// CRC pairing, and the CLI flag inventory. It is a *lexical* checker: files
+// randomness source), the observability span registry, and the CLI flag
+// inventory. It is a *lexical* checker: files
 // are stripped of comments and string-literal contents, then each rule
 // pattern-matches the remaining code. The rules are deliberately
 // conservative approximations — a construct that defeats the lexer defeats
@@ -27,10 +27,6 @@
 //   LD004 unregistered-obs-span     OBS_SPAN("name") literal missing from
 //                                   src/obs/span_names.h, or a registry
 //                                   entry no OBS_SPAN uses (dead name).
-//   LD005 section-crc-pairing       SectionKind written by store/writer.cc
-//                                   but never referenced by store/reader.cc,
-//                                   or a section push in a writer TU with no
-//                                   CRC computation anywhere in that TU.
 //   LD006 usage-flag-drift          flags parsed by tools/lockdown_cli.cc vs
 //                                   the tools/usage.h kPublicFlags inventory
 //                                   and kUsageText help body, as three-way
@@ -89,7 +85,6 @@ constexpr RuleInfo kRules[] = {
     {"LD002", "unordered-iteration"},
     {"LD003", "nondeterministic-source"},
     {"LD004", "unregistered-obs-span"},
-    {"LD005", "section-crc-pairing"},
     {"LD006", "usage-flag-drift"},
     {"LD007", "raw-mutex-primitive"},
     {"LD008", "raw-io-outside-shim"},
@@ -739,68 +734,6 @@ void RunLd004(const std::vector<SourceFile>& files, Sink& sink) {
 }
 
 // ---------------------------------------------------------------------------
-// LD005 — LDS section write / CRC + reader pairing
-// ---------------------------------------------------------------------------
-
-void CollectSectionKinds(const SourceFile& f,
-                         std::map<std::string, int>& kinds) {
-  std::size_t pos = 0;
-  while ((pos = f.code.find("SectionKind", pos)) != std::string::npos) {
-    std::size_t p = pos + std::string_view("SectionKind").size();
-    pos += 1;
-    if (f.code.compare(p, 2, "::") != 0) continue;
-    p += 2;
-    std::string name;
-    while (p < f.code.size() && IsWord(f.code[p])) name += f.code[p++];
-    if (!name.empty()) kinds.emplace(name, LineOf(f, p - 1));
-  }
-}
-
-void RunLd005(const std::vector<SourceFile>& files, Sink& sink) {
-  const SourceFile* writer = nullptr;
-  const SourceFile* reader = nullptr;
-  for (const SourceFile& f : files) {
-    if (f.rel == "src/store/writer.cc") writer = &f;
-    if (f.rel == "src/store/reader.cc") reader = &f;
-  }
-  if (writer == nullptr) return;
-  std::map<std::string, int> written;
-  CollectSectionKinds(*writer, written);
-  if (reader != nullptr) {
-    std::map<std::string, int> read;
-    CollectSectionKinds(*reader, read);
-    for (const auto& [kind, line] : written) {
-      if (read.count(kind) == 0) {
-        sink.Report(*writer, line, "LD005",
-                    "section " + kind +
-                        " is written but src/store/reader.cc never references "
-                        "it — the verify path would skip its CRC");
-      }
-    }
-  }
-  // Every section push in a TU that never computes a CRC is unchecksummed.
-  const bool has_crc =
-      writer->code.find("Crc") != std::string::npos ||
-      writer->code.find("crc32") != std::string::npos;
-  if (!has_crc) {
-    std::size_t pos = 0;
-    while ((pos = writer->code.find("push_back", pos)) != std::string::npos) {
-      const std::size_t site = pos;
-      pos += 1;
-      const std::size_t open = writer->code.find('(', site);
-      if (open == std::string::npos) continue;
-      const std::size_t close = MatchBracket(writer->code, open, '(', ')');
-      if (close == std::string::npos) continue;
-      if (writer->code.find("SectionKind", open) < close) {
-        sink.Report(*writer, LineOf(*writer, site), "LD005",
-                    "section pushed in a TU with no CRC computation — every "
-                    "LDS section write must be checksummed");
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // LD006 — usage.h flag inventory vs lockdown_cli.cc parser
 // ---------------------------------------------------------------------------
 
@@ -944,7 +877,6 @@ int Run(const fs::path& root, const std::set<std::string>& only_rules) {
   }
   if (enabled("LD002")) RunLd002(files, sink);
   if (enabled("LD004")) RunLd004(files, sink);
-  if (enabled("LD005")) RunLd005(files, sink);
   if (enabled("LD006")) RunLd006(files, sink);
 
   const std::vector<Finding> findings = sink.Sorted();

@@ -395,21 +395,6 @@ int RunAnalyze(const Options& opts) {
       for (const std::string& w : snap.warnings) {
         std::cerr << "salvage: " << w << "\n";
       }
-      // The day-run index (LDS v3, rebuilt on older files) makes day-windowed
-      // scans touch only their runs; surface its shape so users see what the
-      // figure queries iterate.
-      const core::Dataset& ds = snap.collection.dataset;
-      if (ds.has_day_runs()) {
-        const core::DayRunIndex& runs = ds.day_runs();
-        int active_days = 0;
-        for (int d = 0; d < runs.num_days(); ++d) {
-          active_days +=
-              runs.day_offsets[static_cast<std::size_t>(d)] !=
-              runs.day_offsets[static_cast<std::size_t>(d) + 1];
-        }
-        std::cout << "day index: " << runs.num_runs() << " device-day runs over "
-                  << active_days << " active days\n";
-      }
       PrintHeadline(snap.collection, opts.threads);
       return kExitOk;
     } catch (const store::Error& e) {
