@@ -2,14 +2,15 @@
 //
 // Span names double as histogram names in --metrics-out JSON and as track
 // labels in dashboards, so an unregistered (typo'd, renamed-on-one-side)
-// name silently forks a timing series. lockdown_lint rule LD004 checks that
-// every `OBS_SPAN("...")` literal in src/ and tools/ appears here and that
-// no entry here is dead — add the name below in sorted order when adding a
-// span, remove it when removing one.
+// name would silently fork a timing series. OBS_SPAN (obs/trace.h) checks
+// its literal against this list at compile time, so such a name does not
+// build; obs_test's SpanRegistry test drives every spanned stage and fails
+// on an entry no stage emits. Add the name below in sorted order when adding
+// a span, remove it when removing one.
 //
-// Dynamically named spans (e.g. the per-file "ingest/<name>" spans, built
-// with ScopedSpan directly) are exempt: the rule only sees OBS_SPAN
-// literals, and dynamic names are namespaced by their static prefix.
+// Dynamically named spans (the per-file "ingest/<name>" spans, built with
+// ScopedSpan directly) are not listed; they are namespaced by their static
+// prefix.
 #pragma once
 
 #include <array>

@@ -7,6 +7,11 @@
 //     ...
 //   }
 //
+// The name must be a string literal registered in kRegisteredSpanNames
+// (src/obs/span_names.h): OBS_SPAN passes it through the consteval SpanName,
+// so an unregistered name does not compile. Spans with a runtime name (the
+// per-file "ingest/<name>" spans) construct ScopedSpan directly.
+//
 // A span records thread id, start time, duration, and nesting depth. Spans
 // are inert (two relaxed atomic loads, no clock read) unless tracing or
 // metrics are enabled. When metrics are enabled, closing a span also
@@ -23,11 +28,21 @@
 #include <string>
 #include <string_view>
 
+#include "obs/span_names.h"
+
 namespace lockdown::obs {
 
 /// Global tracing gate; relaxed-atomic, safe from any thread.
 [[nodiscard]] bool TracingEnabled() noexcept;
 void SetTracingEnabled(bool on) noexcept;
+
+/// `name`, checked against kRegisteredSpanNames at compile time.
+consteval std::string_view SpanName(const char* name) {
+  for (const std::string_view registered : kRegisteredSpanNames) {
+    if (registered == name) return name;
+  }
+  throw "span name missing from kRegisteredSpanNames (src/obs/span_names.h)";
+}
 
 /// RAII span. Prefer the OBS_SPAN macro; construct directly only for
 /// dynamic names (e.g. "ingest/" + filename).
@@ -61,8 +76,11 @@ void ResetTrace() noexcept;
 #define OBS_CONCAT_INNER(a, b) a##b
 #define OBS_CONCAT(a, b) OBS_CONCAT_INNER(a, b)
 
-/// Opens a span covering the rest of the enclosing scope.
-#define OBS_SPAN(name) \
-  ::lockdown::obs::ScopedSpan OBS_CONCAT(obs_span_, __LINE__)(name)
+/// Opens a span covering the rest of the enclosing scope. `name` must be a
+/// registered literal; see SpanName. The literal itself is passed on, not
+/// SpanName's result, so the check leaves the generated code unchanged.
+#define OBS_SPAN(name)                                         \
+  ::lockdown::obs::ScopedSpan OBS_CONCAT(obs_span_, __LINE__)( \
+      (::lockdown::obs::SpanName(name), name))
 
 }  // namespace lockdown::obs

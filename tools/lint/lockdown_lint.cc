@@ -5,13 +5,14 @@
 // the contracts clang has no vocabulary for: the DESIGN §5 determinism
 // invariants (integer-only accumulation in parallel merges, no
 // unordered-container iteration on serialization paths, one sanctioned
-// randomness source), the observability span registry, and the CLI flag
-// inventory. It is a *lexical* checker: files
-// are stripped of comments and string-literal contents, then each rule
-// pattern-matches the remaining code. The rules are deliberately
-// conservative approximations — a construct that defeats the lexer defeats
-// the rule — and every rule supports explicit, per-line suppression so a
-// reviewed exception is visible in the diff instead of silently exempted.
+// randomness source) and the lock and file-IO disciplines. It is a
+// *lexical* checker: files are stripped of comments and string-literal
+// contents, then each rule pattern-matches the remaining code. The rules
+// are deliberately conservative approximations — a construct that defeats
+// the lexer defeats the rule — and every rule supports explicit, per-line
+// suppression so a reviewed exception is visible in the diff instead of
+// silently exempted. Lists that must agree (span names, CLI flags, snapshot
+// sections) are not linted: one list generates the other (DESIGN.md §11).
 //
 // Rules (run `lockdown_lint --list-rules`):
 //   LD001 float-in-parallel-merge   float/double inside a ParallelFor lambda
@@ -24,13 +25,6 @@
 //                                   anywhere in src/store/.
 //   LD003 nondeterministic-source   rand()/srand()/time()/random_device/
 //                                   system_clock outside src/util/rng.
-//   LD004 unregistered-obs-span     OBS_SPAN("name") literal missing from
-//                                   src/obs/span_names.h, or a registry
-//                                   entry no OBS_SPAN uses (dead name).
-//   LD006 usage-flag-drift          flags parsed by tools/lockdown_cli.cc vs
-//                                   the tools/usage.h kPublicFlags inventory
-//                                   and kUsageText help body, as three-way
-//                                   set equality.
 //   LD007 raw-mutex-primitive       std::mutex/lock_guard/unique_lock/
 //                                   condition_variable/... outside
 //                                   src/util/mutex.h — use the annotated
@@ -84,28 +78,19 @@ constexpr RuleInfo kRules[] = {
     {"LD001", "float-in-parallel-merge"},
     {"LD002", "unordered-iteration"},
     {"LD003", "nondeterministic-source"},
-    {"LD004", "unregistered-obs-span"},
-    {"LD006", "usage-flag-drift"},
     {"LD007", "raw-mutex-primitive"},
     {"LD008", "raw-io-outside-shim"},
 };
 
 // ---------------------------------------------------------------------------
 // Source model: raw text, stripped code (comments and literal contents
-// blanked, layout preserved), extracted string literals, suppressions.
+// blanked, layout preserved), suppressions.
 // ---------------------------------------------------------------------------
-
-struct StringLiteral {
-  std::size_t offset = 0;  // offset of the opening quote in the file
-  int line = 0;
-  std::string text;
-};
 
 struct SourceFile {
   std::string rel;   // path relative to the scan root, '/'-separated
   std::string code;  // same length as raw: comments/literals blanked
   std::vector<std::size_t> line_starts;
-  std::vector<StringLiteral> strings;
   std::set<std::string> disabled_rules;            // disable-file()
   std::map<int, std::set<std::string>> line_allow;  // line -> allowed rules
 };
@@ -164,8 +149,8 @@ void ApplySuppressionComment(SourceFile& f, const std::string& comment,
 }
 
 // One-pass scanner: blanks comments and string/char contents (newlines kept
-// so offsets and line numbers survive), extracts string literals, and feeds
-// suppression comments to the file.
+// so offsets and line numbers survive) and feeds suppression comments to the
+// file.
 SourceFile StripSource(std::string raw, std::string rel) {
   SourceFile f;
   f.rel = std::move(rel);
@@ -178,7 +163,6 @@ SourceFile StripSource(std::string raw, std::string rel) {
   std::string comment_text;     // accumulated text of the current comment
   int comment_line = 0;
   bool line_has_code = false;   // any code before the comment on this line
-  StringLiteral cur_lit;
 
   const auto finish_comment = [&](int line) {
     if (comment_text.find("lockdown-lint:") != std::string::npos) {
@@ -224,12 +208,10 @@ SourceFile StripSource(std::string raw, std::string rel) {
             std::string delim;
             while (p < raw.size() && raw[p] != '(') delim += raw[p++];
             raw_delim = ")" + delim + "\"";
-            cur_lit = {i, line, ""};
             state = State::kRaw;
             f.code[i] = '"';
             i = p;  // skip past '('
           } else {
-            cur_lit = {i, line, ""};
             state = State::kString;
             f.code[i] = '"';
             line_has_code = true;
@@ -259,15 +241,10 @@ SourceFile StripSource(std::string raw, std::string rel) {
         break;
       case State::kString:
         if (c == '\\') {
-          cur_lit.text += c;
-          if (next != '\0') cur_lit.text += next;
           ++i;
         } else if (c == '"') {
           f.code[i] = '"';
-          f.strings.push_back(cur_lit);
           state = State::kCode;
-        } else {
-          cur_lit.text += c;
         }
         break;
       case State::kChar:
@@ -280,15 +257,12 @@ SourceFile StripSource(std::string raw, std::string rel) {
         break;
       case State::kRaw:
         if (raw.compare(i, raw_delim.size(), raw_delim) == 0) {
-          f.strings.push_back(cur_lit);
           i += raw_delim.size() - 1;
           // Recount lines consumed by the delimiter (it has none, but the
           // loop's '\n' handling was bypassed for the literal body — lines
           // inside the raw string were already counted by the top of loop).
           f.code[i] = '"';
           state = State::kCode;
-        } else {
-          cur_lit.text += c;
         }
         break;
     }
@@ -345,12 +319,6 @@ class Sink {
       return;
     }
     findings_.push_back({f.rel, line, std::string(rule), std::move(message)});
-  }
-
-  // For cross-file rules that anchor to a file but no suppressible line.
-  void ReportFileLevel(const SourceFile& f, int line, std::string_view rule,
-                       std::string message) {
-    Report(f, line, rule, std::move(message));
   }
 
   [[nodiscard]] std::vector<Finding> Sorted() {
@@ -665,150 +633,6 @@ void RunLd008(const SourceFile& f, Sink& sink) {
 }
 
 // ---------------------------------------------------------------------------
-// LD004 — OBS_SPAN names vs src/obs/span_names.h registry
-// ---------------------------------------------------------------------------
-
-void RunLd004(const std::vector<SourceFile>& files, Sink& sink) {
-  const SourceFile* registry = nullptr;
-  for (const SourceFile& f : files) {
-    if (f.rel == "src/obs/span_names.h") registry = &f;
-  }
-  // Collect every OBS_SPAN("literal") use with its site.
-  struct Use {
-    const SourceFile* file;
-    int line;
-    std::string name;
-  };
-  std::vector<Use> uses;
-  for (const SourceFile& f : files) {
-    if (f.rel == "src/obs/trace.h") continue;  // the macro's own definition
-    std::size_t pos = 0;
-    while ((pos = FindWord(f.code, "OBS_SPAN", pos)) != std::string::npos) {
-      const std::size_t site = pos;
-      pos += 1;
-      // The argument literal is the first string starting after the macro
-      // name and within the call parens.
-      const std::size_t open = f.code.find('(', site);
-      if (open == std::string::npos) continue;
-      const std::size_t close = MatchBracket(f.code, open, '(', ')');
-      if (close == std::string::npos) continue;
-      for (const StringLiteral& lit : f.strings) {
-        if (lit.offset > open && lit.offset < close) {
-          uses.push_back({&f, lit.line, lit.text});
-          break;
-        }
-      }
-    }
-  }
-  if (registry == nullptr) {
-    for (const Use& u : uses) {
-      sink.Report(*u.file, u.line, "LD004",
-                  "OBS_SPAN(\"" + u.name +
-                      "\") but no span registry (src/obs/span_names.h) in "
-                      "the tree");
-    }
-    return;
-  }
-  std::set<std::string> registered;
-  std::map<std::string, int> registry_lines;
-  for (const StringLiteral& lit : registry->strings) {
-    registered.insert(lit.text);
-    registry_lines.emplace(lit.text, lit.line);
-  }
-  std::set<std::string> used;
-  for (const Use& u : uses) {
-    used.insert(u.name);
-    if (registered.count(u.name) == 0) {
-      sink.Report(*u.file, u.line, "LD004",
-                  "OBS_SPAN(\"" + u.name +
-                      "\") is not registered in src/obs/span_names.h");
-    }
-  }
-  for (const auto& [name, line] : registry_lines) {
-    if (used.count(name) == 0) {
-      sink.Report(*registry, line, "LD004",
-                  "registered span name \"" + name +
-                      "\" has no OBS_SPAN use — remove the dead entry");
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// LD006 — usage.h flag inventory vs lockdown_cli.cc parser
-// ---------------------------------------------------------------------------
-
-bool LooksLikeFlag(const std::string& s) {
-  if (s.size() < 3 || s[0] != '-' || s[1] != '-') return false;
-  if (std::isalpha(static_cast<unsigned char>(s[2])) == 0) return false;
-  for (std::size_t i = 2; i < s.size(); ++i) {
-    const char c = s[i];
-    if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '-') {
-      return false;
-    }
-  }
-  return true;
-}
-
-void RunLd006(const std::vector<SourceFile>& files, Sink& sink) {
-  const SourceFile* usage = nullptr;
-  const SourceFile* cli = nullptr;
-  for (const SourceFile& f : files) {
-    if (f.rel == "tools/usage.h") usage = &f;
-    if (f.rel == "tools/lockdown_cli.cc") cli = &f;
-  }
-  if (usage == nullptr || cli == nullptr) return;
-
-  // Inventory: exact-flag literals in usage.h outside the usage text; the
-  // usage text itself is the (multi-line) literal mentioning "usage:".
-  std::map<std::string, int> inventory;
-  std::set<std::string> documented;
-  for (const StringLiteral& lit : usage->strings) {
-    if (lit.text.find("usage:") != std::string::npos) {
-      // Tokenize the help body for --flag mentions.
-      for (std::size_t i = 0; i + 2 < lit.text.size(); ++i) {
-        if (lit.text[i] == '-' && lit.text[i + 1] == '-' &&
-            std::isalpha(static_cast<unsigned char>(lit.text[i + 2])) != 0 &&
-            (i == 0 || !IsWord(lit.text[i - 1]))) {
-          std::size_t e = i + 2;
-          while (e < lit.text.size() &&
-                 (IsWord(lit.text[e]) || lit.text[e] == '-')) {
-            ++e;
-          }
-          documented.insert(lit.text.substr(i, e - i));
-          i = e;
-        }
-      }
-    } else if (LooksLikeFlag(lit.text)) {
-      inventory.emplace(lit.text, lit.line);
-    }
-  }
-  std::map<std::string, int> parsed;
-  for (const StringLiteral& lit : cli->strings) {
-    if (LooksLikeFlag(lit.text)) parsed.emplace(lit.text, lit.line);
-  }
-  for (const auto& [flag, line] : parsed) {
-    if (inventory.count(flag) == 0) {
-      sink.Report(*cli, line, "LD006",
-                  "flag " + flag +
-                      " is parsed but missing from the tools/usage.h "
-                      "kPublicFlags inventory");
-    }
-  }
-  for (const auto& [flag, line] : inventory) {
-    if (parsed.count(flag) == 0) {
-      sink.Report(*usage, line, "LD006",
-                  "flag " + flag +
-                      " is in the kPublicFlags inventory but "
-                      "tools/lockdown_cli.cc never parses it");
-    }
-    if (documented.count(flag) == 0) {
-      sink.Report(*usage, line, "LD006",
-                  "flag " + flag + " is not documented in kUsageText");
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // LD007 — raw lock primitives outside util/mutex.h
 // ---------------------------------------------------------------------------
 
@@ -876,8 +700,6 @@ int Run(const fs::path& root, const std::set<std::string>& only_rules) {
     if (enabled("LD008")) RunLd008(f, sink);
   }
   if (enabled("LD002")) RunLd002(files, sink);
-  if (enabled("LD004")) RunLd004(files, sink);
-  if (enabled("LD006")) RunLd006(files, sink);
 
   const std::vector<Finding> findings = sink.Sorted();
   for (const Finding& v : findings) {
