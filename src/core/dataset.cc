@@ -45,6 +45,21 @@ void Dataset::Finalize() {
   std::vector<Flow> sorted(flows_.size());
   for (const Flow& f : flows_) sorted[cursor[f.device]++] = f;
   flows_ = std::move(sorted);
+  SortDeviceSlices();
+  finalized_ = true;
+}
+
+void Dataset::AdoptDeviceBuckets(std::vector<Flow> flows,
+                                 std::vector<std::uint64_t> offsets) {
+  if (flows_borrowed()) {
+    throw std::logic_error("Dataset::AdoptDeviceBuckets on borrowed flows");
+  }
+  flows_ = std::move(flows);
+  RestoreDeviceIndex(std::move(offsets));
+  SortDeviceSlices();
+}
+
+void Dataset::SortDeviceSlices() {
   const auto by_start = [](const Flow& a, const Flow& b) {
     return a.start_offset_s < b.start_offset_s;
   };
@@ -53,7 +68,6 @@ void Dataset::Finalize() {
     const auto last = flows_.begin() + static_cast<std::ptrdiff_t>(device_offsets_[d + 1]);
     if (!std::is_sorted(first, last, by_start)) std::stable_sort(first, last, by_start);
   }
-  finalized_ = true;
 }
 
 void Dataset::BorrowFlows(std::span<const Flow> flows,

@@ -74,6 +74,12 @@ class Dataset {
   /// Orders flows by (device, start), ties in insertion order, and builds
   /// the per-device index. Call once after the last AddFlow.
   void Finalize();
+  /// The pipeline's one-write alternative to AddFlow + Finalize: adopts
+  /// flows already bucketed by device, device d's in insertion order at
+  /// [offsets[d], offsets[d + 1]), and stable-sorts each slice by start,
+  /// which yields exactly Finalize's order. Marks the dataset finalized.
+  /// Throws std::invalid_argument on an inconsistent index.
+  void AdoptDeviceBuckets(std::vector<Flow> flows, std::vector<std::uint64_t> offsets);
 
   // --- Snapshot restore (used by store::LoadSnapshot) ----------------------
   /// Adopts an externally owned, already-finalized flow array (e.g. an
@@ -124,6 +130,9 @@ class Dataset {
   }
 
  private:
+  /// Stable-sorts each device's slice by start.
+  void SortDeviceSlices();
+
   std::vector<Flow> flows_;
   std::span<const Flow> borrowed_flows_;          ///< set by BorrowFlows
   std::shared_ptr<const void> flow_keepalive_;    ///< owns borrowed memory

@@ -14,6 +14,7 @@
 #include "privacy/visitor_filter.h"
 #include "sim/generator.h"
 #include "util/hash.h"
+#include "util/memstats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 #include "world/oui_db.h"
@@ -76,6 +77,9 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
                                               int visitor_min_days,
                                               int threads) {
   OBS_SPAN("pipeline/process");
+  // The capture's or the ingest's scratch is free by now; without this its
+  // heap pages would stay resident through pass 3, the run's peak.
+  util::ReleaseFreeHeap();
   CollectionResult result;
   CollectionStats& stats = result.stats;
   const std::size_t n = inputs.flows.size();
@@ -99,8 +103,10 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
       device_slot[s] = first.try_emplace(device_ids[s], s).first->second;
     }
   }
-  const auto attribute = [&](net::Ipv4Address ip, util::Timestamp ts) {
-    const std::uint32_t s = normalizer.LookupSlot(ip, ts);
+  // Pass 1 and the UA scan each look up through their own cursor.
+  const auto attribute = [&](dhcp::IpToMacNormalizer::Cursor& cursor,
+                             net::Ipv4Address ip, util::Timestamp ts) {
+    const std::uint32_t s = cursor.LookupSlot(ip, ts);
     return s == kNoSlot ? s : device_slot[s];
   };
 
@@ -122,9 +128,11 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
     pool.ParallelFor(n, kFlowGrain,
                      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                        std::vector<std::int64_t> last_day(num_macs, -1);
+                       dhcp::IpToMacNormalizer::Cursor cursor(normalizer);
                        for (std::size_t i = begin; i < end; ++i) {
                          const flow::FlowRecord& rec = inputs.flows[i];
-                         const std::uint32_t s = attribute(rec.client_ip, rec.start);
+                         const std::uint32_t s =
+                             attribute(cursor, rec.client_ip, rec.start);
                          slots[i] = s;
                          if (s == kNoSlot) {
                            ++shard_unattributed[chunk];
@@ -172,22 +180,28 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
     for (const std::uint64_t v : shard_visitor) stats.visitor_flows += v;
   }
 
-  // --- Pass 3 (serial merge): assemble the dataset in flow order ---------------
+  // --- Pass 3 (serial): place every kept flow at its final position -----------
   // Device indices and interned-domain ids are assigned in first-appearance
-  // order over the original flow sequence — the merge order is the chunk
-  // order, which is the input order, so the dataset is byte-identical to a
-  // serial build. Each device and each name is set up once, at its first
-  // kept flow.
+  // order over the original flow sequence, so the dataset is byte-identical
+  // to a serial build at any thread count. A first scan numbers the devices
+  // and counts their kept flows, which fixes each device's slice of the
+  // dataset's flow array; the second writes each flow once, into its
+  // device's slice in flow order, and each slice is then stable-sorted by
+  // start (Dataset::AdoptDeviceBuckets).
   Dataset& ds = result.dataset;
   std::vector<DeviceIndex> device_index(num_macs, kUnassigned);
   std::vector<DomainId> domain_of(mapper.num_names(), kUnassigned);
   const util::Timestamp study_start = util::StudyCalendar::StartTs();
   {
     OBS_SPAN("pipeline/pass3_assemble");
-    ds.ReserveFlows(n - stats.unattributed - stats.visitor_flows);
+    // `slots` now takes each flow's dataset device (kUnassigned if dropped).
+    std::vector<std::uint64_t> offsets(1, 0);
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t s = slots[i];
-      if (s == kNoSlot || retained[s] == 0) continue;
+      if (s == kNoSlot || retained[s] == 0) {
+        slots[i] = kUnassigned;
+        continue;
+      }
       DeviceIndex& dev = device_index[s];
       if (dev == kUnassigned) {
         dev = ds.AddDevice(device_ids[s]);
@@ -195,7 +209,18 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
         classify::DeviceObservations& obs = ds.device_mutable(dev).observations;
         obs.oui = mac.oui();
         obs.locally_administered = world::OuiDatabase::IsLocallyAdministered(mac);
+        offsets.push_back(0);
       }
+      slots[i] = dev;
+      ++offsets[dev + 1];
+    }
+    for (std::size_t d = 1; d < offsets.size(); ++d) offsets[d] += offsets[d - 1];
+
+    std::vector<Flow> flows(offsets.back());
+    std::vector<std::uint64_t> next(offsets.begin(), offsets.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      const DeviceIndex dev = slots[i];
+      if (dev == kUnassigned) continue;
       DomainId domain = kNoDomain;
       if (names[i] != dns::IpToDomainMapper::kNoName) {
         DomainId& interned = domain_of[names[i]];
@@ -204,7 +229,7 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
       }
 
       const flow::FlowRecord& rec = inputs.flows[i];
-      Flow f;
+      Flow& f = flows[next[dev]++];
       f.start_offset_s = static_cast<std::uint32_t>(rec.start - study_start);
       f.duration_s = static_cast<float>(rec.duration_s);
       f.device = dev;
@@ -214,14 +239,14 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
       f.proto = static_cast<std::uint8_t>(rec.proto);
       f.bytes_up = rec.bytes_up;
       f.bytes_down = rec.bytes_down;
-      ds.AddFlow(f);
     }
+    // The raw flows and per-flow tables are done; free them before the
+    // slice sorts take their scratch buffers.
+    std::vector<flow::FlowRecord>().swap(inputs.flows);
+    std::vector<std::uint32_t>().swap(slots);
+    std::vector<std::uint32_t>().swap(names);
+    ds.AdoptDeviceBuckets(std::move(flows), std::move(offsets));
   }
-  // The raw flows and per-flow tables are done; free them before Finalize
-  // sorts a second copy of the dataset's flows.
-  std::vector<flow::FlowRecord>().swap(inputs.flows);
-  std::vector<std::uint32_t>().swap(slots);
-  std::vector<std::uint32_t>().swap(names);
 
   // --- User-Agent sightings ----------------------------------------------------
   // Serial, so AddUserAgent's first-seen dedup matches log order. Every
@@ -230,8 +255,9 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
   // does not hold).
   {
     OBS_SPAN("pipeline/ua_sightings");
+    dhcp::IpToMacNormalizer::Cursor cursor(normalizer);
     for (const logs::UaRecord& ua : inputs.ua_log) {
-      const std::uint32_t s = attribute(ua.client_ip, ua.ts);
+      const std::uint32_t s = attribute(cursor, ua.client_ip, ua.ts);
       if (s == kNoSlot) {
         ++stats.ua_unattributed;
         continue;
@@ -245,7 +271,6 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
     }
   }
 
-  ds.Finalize();
   RecordPipelineStats(stats, ds.num_flows());
   return result;
 }

@@ -22,9 +22,24 @@ struct ConnLogFormat {
   /// Shortest row ParseRow accepts ("0\t\t0.0.0.0\t0.0.0.0\t0\ttcp\t0\t0").
   static constexpr std::size_t kMinRowBytes = 28;
   /// Parses one data row; nullopt on success, else the rejection's class.
+  /// A row of the common shape (single tabs, plain decimal digits, dotted
+  /// quads, `tcp`/`udp`, no padding) is read in one left-to-right pass;
+  /// any other row goes to detail::ParseConnRowGeneral, so the accepted
+  /// set, the parsed values and the rejection classes are the general
+  /// parser's.
   static std::optional<ingest::ErrorClass> ParseRow(std::string_view line,
                                                     FlowRecord& r);
 };
+
+namespace detail {
+
+/// The field-by-field row parser: trims the row, splits it into exactly
+/// eight fields and parses each with the generic number and address
+/// parsers. It defines what ParseRow accepts.
+std::optional<ingest::ErrorClass> ParseConnRowGeneral(std::string_view line,
+                                                      FlowRecord& r);
+
+}  // namespace detail
 
 /// Writes records as a TSV document with a header line.
 void WriteConnLog(std::ostream& out, const std::vector<FlowRecord>& records);

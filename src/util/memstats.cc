@@ -5,6 +5,10 @@
 #include <unistd.h>
 #endif
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -27,6 +31,12 @@ std::size_t PeakRssBytes() noexcept {
 #endif
 #else
   return 0;  // unsupported platform: report "unknown", never garbage
+#endif
+}
+
+void ReleaseFreeHeap() noexcept {
+#if defined(__GLIBC__)
+  malloc_trim(0);
 #endif
 }
 

@@ -23,6 +23,11 @@ namespace lockdown::util {
 /// unavailable (non-Linux or unreadable procfs).
 [[nodiscard]] std::size_t CurrentRssBytes() noexcept;
 
+/// Hands the heap's free pages back to the kernel (glibc `malloc_trim`); a
+/// no-op with other C libraries. Call where a large scratch phase has just
+/// ended, so the next phase's peak RSS does not count pages nobody holds.
+void ReleaseFreeHeap() noexcept;
+
 /// Samples PeakRssBytes/CurrentRssBytes into the obs gauges
 /// "process/peak_rss_bytes" and "process/current_rss_bytes". No-op unless
 /// metrics are enabled. Call at natural milestones (end of a run, after a

@@ -111,6 +111,46 @@ TEST(Dataset, FinalizeMatchesGlobalStableSortReference) {
   }
 }
 
+// The pipeline's one-write path: flows already bucketed by device, each
+// bucket in insertion order, end in exactly Finalize's order.
+TEST(Dataset, AdoptDeviceBucketsMatchesFinalize) {
+  constexpr DeviceIndex kDevices = 9;  // device 4 never gets a flow
+  util::Pcg32 rng(2021);
+  std::vector<Flow> order;
+  for (int i = 0; i < 3000; ++i) {
+    DeviceIndex dev = rng.NextBounded(kDevices);
+    if (dev == 4) dev = 5;
+    order.push_back(MakeFlow(dev, rng.NextBounded(24)));  // many start ties
+    order.back().bytes_up = static_cast<std::uint64_t>(i);
+  }
+  Dataset finalized;
+  Dataset adopted;
+  for (DeviceIndex d = 0; d < kDevices; ++d) {
+    finalized.AddDevice(privacy::DeviceId{d});
+    adopted.AddDevice(privacy::DeviceId{d});
+  }
+  for (const Flow& f : order) finalized.AddFlow(f);
+  finalized.Finalize();
+
+  std::vector<std::uint64_t> offsets(kDevices + 1, 0);
+  for (const Flow& f : order) ++offsets[f.device + 1];
+  for (DeviceIndex d = 1; d <= kDevices; ++d) offsets[d] += offsets[d - 1];
+  std::vector<std::uint64_t> next(offsets.begin(), offsets.end() - 1);
+  std::vector<Flow> buckets(order.size());
+  for (const Flow& f : order) buckets[next[f.device]++] = f;
+  adopted.AdoptDeviceBuckets(std::move(buckets), offsets);
+
+  ASSERT_TRUE(adopted.finalized());
+  EXPECT_TRUE(std::equal(finalized.flows().begin(), finalized.flows().end(),
+                         adopted.flows().begin(), adopted.flows().end()));
+  EXPECT_TRUE(std::equal(finalized.device_offsets().begin(), finalized.device_offsets().end(),
+                         adopted.device_offsets().begin(), adopted.device_offsets().end()));
+
+  Dataset bad;
+  bad.AddDevice(privacy::DeviceId{1});
+  EXPECT_THROW(bad.AdoptDeviceBuckets(std::vector<Flow>(3), {0, 2}), std::invalid_argument);
+}
+
 TEST(Dataset, FlowsOfDeviceThrowsBeforeFinalize) {
   Dataset ds;
   const DeviceIndex a = ds.AddDevice(privacy::DeviceId{1});

@@ -26,6 +26,21 @@ std::optional<net::MacAddress> LookupLinear(std::span<const Lease> log,
   return best;
 }
 
+// The index's rule for any log, overlapping leases included: the IP's lease
+// with the latest start at or before `ts` (the later one in the log on a
+// tie), if it still covers `ts`.
+std::optional<net::MacAddress> LookupLastStarted(std::span<const Lease> log,
+                                                 net::Ipv4Address ip, util::Timestamp ts) {
+  const Lease* last = nullptr;
+  for (const Lease& lease : log) {
+    if (lease.ip == ip && lease.start <= ts && (last == nullptr || lease.start >= last->start)) {
+      last = &lease;
+    }
+  }
+  if (last == nullptr || ts >= last->end) return std::nullopt;
+  return last->mac;
+}
+
 TEST(IpToMacNormalizer, BasicLookup) {
   const net::Ipv4Address ip(10, 0, 0, 5);
   const std::vector<Lease> log = {
@@ -80,6 +95,29 @@ TEST(IpToMacNormalizer, UnsortedLogInput) {
   EXPECT_EQ(n.Lookup(ip, 450), net::MacAddress(0xC));
 }
 
+TEST(IpToMacNormalizer, EqualStartGoesToTheLaterLease) {
+  // More than 16 leases on one IP, so an unstable per-IP sort (libstdc++
+  // switches from insertion sort at 16 elements) would have room to reorder
+  // the tie. A lease appended later in the log with the start of an earlier
+  // one wins the instant, wherever the tie sits in the IP's history.
+  const net::Ipv4Address ip(10, 0, 0, 7);
+  const net::MacAddress later(0xFFFF);
+  for (const int leases : {17, 24, 33, 64}) {
+    for (int j = 0; j < leases; ++j) {
+      std::vector<Lease> log;
+      for (int i = 0; i < leases; ++i) {
+        log.push_back({net::MacAddress(static_cast<std::uint64_t>(i + 1)), ip,
+                       i * 100, i * 100 + 100});
+      }
+      log.push_back({later, ip, j * 100, j * 100 + 50});
+      const IpToMacNormalizer n(log);
+      EXPECT_EQ(n.Lookup(ip, j * 100), later) << leases << " leases, tie at " << j;
+      EXPECT_EQ(n.Lookup(ip, j * 100 + 49), later) << leases << " leases, tie at " << j;
+      EXPECT_EQ(n.Lookup(ip, j * 100 + 49), LookupLinear(log, ip, j * 100 + 49));
+    }
+  }
+}
+
 TEST(IpToMacNormalizer, MatchesLinearReferenceOnChurnedLog) {
   // Property check: index lookups agree with the brute-force reference on a
   // realistic churned DHCP log with address recycling.
@@ -110,6 +148,35 @@ TEST(IpToMacNormalizer, MatchesLinearReferenceOnChurnedLog) {
       EXPECT_EQ(n.mac(slot), *mac) << ip.ToString() << " @ " << ts;
     } else {
       EXPECT_EQ(slot, IpToMacNormalizer::kNoSlot) << ip.ToString() << " @ " << ts;
+    }
+  }
+}
+
+TEST(IpToMacNormalizer, CursorAnswersAsTheIndex) {
+  // A hostile log: overlapping and nested leases, equal starts, and more
+  // IPs than the cursor has entries, queried in random and in time order.
+  std::vector<Lease> log;
+  util::Pcg32 rng(17);
+  for (int i = 0; i < 6000; ++i) {
+    const util::Timestamp start = rng.UniformInt(0, 5000);
+    log.push_back({net::MacAddress(1 + rng.NextBounded(300)),
+                   net::Ipv4Address(10, 0, static_cast<std::uint8_t>(rng.NextBounded(8)),
+                                    static_cast<std::uint8_t>(rng.NextBounded(256))),
+                   start, start + rng.UniformInt(0, 400)});
+  }
+  const IpToMacNormalizer n(log);
+  for (const bool in_time_order : {false, true}) {
+    IpToMacNormalizer::Cursor cursor(n);
+    util::Pcg32 qrng(23);
+    for (int q = 0; q < 40000; ++q) {
+      const net::Ipv4Address ip(10, 0, static_cast<std::uint8_t>(qrng.NextBounded(9)),
+                                static_cast<std::uint8_t>(qrng.NextBounded(256)));
+      const util::Timestamp ts =
+          in_time_order ? q / 8 + qrng.UniformInt(-20, 20) : qrng.UniformInt(-10, 5500);
+      ASSERT_EQ(cursor.LookupSlot(ip, ts), n.LookupSlot(ip, ts))
+          << ip.ToString() << " @ " << ts;
+      ASSERT_EQ(n.Lookup(ip, ts), LookupLastStarted(log, ip, ts))
+          << ip.ToString() << " @ " << ts;
     }
   }
 }

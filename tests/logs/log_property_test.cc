@@ -8,11 +8,13 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "flow/conn_log.h"
 #include "logs/dhcp_log.h"
 #include "logs/dns_log.h"
 #include "logs/ua_log.h"
@@ -159,6 +161,159 @@ TEST(UaLogProperty, RandomSightingsRoundTripModuloSanitization) {
   }
   // The generator must actually have exercised the sanitization path.
   EXPECT_TRUE(any_separator);
+}
+
+// --- conn.log: the one-pass row parser against the general one ---------------
+
+void ExpectSameFlow(const flow::FlowRecord& a, const flow::FlowRecord& b,
+                    const std::string& row) {
+  EXPECT_EQ(a.start, b.start) << row;
+  EXPECT_EQ(a.duration_s, b.duration_s) << row;
+  EXPECT_EQ(a.client_ip, b.client_ip) << row;
+  EXPECT_EQ(a.server_ip, b.server_ip) << row;
+  EXPECT_EQ(a.server_port, b.server_port) << row;
+  EXPECT_EQ(a.proto, b.proto) << row;
+  EXPECT_EQ(a.bytes_up, b.bytes_up) << row;
+  EXPECT_EQ(a.bytes_down, b.bytes_down) << row;
+}
+
+// ParseRow (common-shape pass, general fallback) and the general parser
+// alone must return the same class, and on success the same record.
+// Returns whether the row was accepted.
+bool ExpectParsersAgree(const std::string& row) {
+  flow::FlowRecord fast;
+  flow::FlowRecord general;
+  const std::optional<ingest::ErrorClass> fast_err = flow::ConnLogFormat::ParseRow(row, fast);
+  const std::optional<ingest::ErrorClass> general_err =
+      flow::detail::ParseConnRowGeneral(row, general);
+  EXPECT_EQ(fast_err, general_err) << "row '" << row << "'";
+  if (!fast_err && !general_err) ExpectSameFlow(fast, general, row);
+  return !general_err;
+}
+
+// A duration the writer prints exactly: at most six significant digits, in
+// fixed or (from 1e6 on) exponent notation.
+double RandomPrintableDuration(std::mt19937_64& rng) {
+  const auto m = static_cast<double>(rng() % 1000000);
+  switch (rng() % 4) {
+    case 0: return m;
+    case 1: return m / 1000;
+    case 2: return m / 1000000;
+    default: return m * 1e6;
+  }
+}
+
+TEST(ConnLogProperty, RandomFlowsRoundTrip) {
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::mt19937_64 rng(4000 + trial);
+    std::vector<flow::FlowRecord> flows(rng() % 200);
+    for (auto& f : flows) {
+      f.start = RandomTs(rng);
+      f.duration_s = RandomPrintableDuration(rng);
+      f.client_ip = RandomIp(rng);
+      f.server_ip = RandomIp(rng);
+      f.server_port = static_cast<net::Port>(rng());
+      f.proto = rng() % 2 == 0 ? net::Protocol::kTcp : net::Protocol::kUdp;
+      f.bytes_up = rng() % 3 == 0 ? rng() : rng() % 100000;
+      f.bytes_down = rng() % 3 == 0 ? rng() : rng() % 100000;
+    }
+    std::ostringstream out;
+    flow::WriteConnLog(out, flows);
+    const std::string doc = out.str();
+    const auto back = flow::ReadConnLog(doc);
+    ASSERT_TRUE(back.has_value()) << "trial " << trial;
+    ASSERT_EQ(back->size(), flows.size()) << "trial " << trial;
+    const std::vector<std::string_view> rows = util::Split(doc, '\n');
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const std::string row(rows[i + 1]);
+      ExpectSameFlow((*back)[i], flows[i], row);
+      EXPECT_TRUE(ExpectParsersAgree(row));
+    }
+  }
+}
+
+TEST(ConnLogProperty, BoundaryCorpusMatchesTheGeneralParser) {
+  const std::vector<std::string> base = {"1585699200", "12.5", "10.0.0.1", "93.184.216.34",
+                                         "443",        "tcp",  "1200",     "56000"};
+  const std::vector<std::string> numbers = {
+      "0", "7", "007", "123456789012345678", "999999999999999999",
+      "1234567890123456789", "9223372036854775807", "9223372036854775808",
+      "18446744073709551615", "18446744073709551616", "12345678901234567890",
+      "+5", "-5", "-0", "+0", " 5", "5 ", "", "5x", "1.5", "0x10"};
+  const std::vector<std::string> durations = {
+      "0", "0.0", "1", "1.5", "007.250", "0.000001", "123456789012345", "1234567890123456",
+      "12345678.1234567", "12345678.12345678", "0.1234567890123456789", "1.", ".5", "1e3",
+      "1E3", "1.5e-3", "1e+06", "0x1p3", "0x10", "nan", "NaN", "-nan", "inf", "-inf",
+      "infinity", "-1", "+1", "-0", "+0.5", "", "1.2.3", "1,5", " 1.5", "1.5 ",
+      "99999999999999999999999"};
+  const std::vector<std::string> quads = {
+      "0.0.0.0", "255.255.255.255", "256.0.0.1", "1.2.3.256", "0255.1.1.1", "1.2.3.0255",
+      "01.02.03.04", "1.2.3", "1.2.3.4.5", " 1.2.3.4", "1.2.3.4 ", "", "1..2.3", "1.2.3.",
+      ".1.2.3", "a.b.c.d", "1.2.3.-4", "+1.2.3.4"};
+  const std::vector<std::string> ports = {"0",      "65535", "65536", "065535", "00080", "99999",
+                                          "100000", "-1",    "+1",    "",       "80 ",   "8O"};
+  const std::vector<std::string> protos = {"tcp",  "udp",  "TCP",  "Udp", "icmp",
+                                           "",     "tc",   "tcpp", " tcp", "tcp "};
+  const std::vector<std::vector<std::string>> corpus = {numbers, durations, quads, quads,
+                                                        ports,   protos,    numbers, numbers};
+  const auto join = [](const std::vector<std::string>& fields) {
+    std::string row;
+    for (std::size_t i = 0; i < fields.size(); ++i) row += (i == 0 ? "" : "\t") + fields[i];
+    return row;
+  };
+  int accepted = 0;
+  int rejected = 0;
+  for (std::size_t field = 0; field < base.size(); ++field) {
+    for (const std::string& value : corpus[field]) {
+      std::vector<std::string> fields = base;
+      fields[field] = value;
+      ++(ExpectParsersAgree(join(fields)) ? accepted : rejected);
+    }
+  }
+  const std::string row = join(base);
+  const std::vector<std::string> seven(base.begin(), base.end() - 1);
+  std::vector<std::string> nine = base;
+  nine.emplace_back("0");
+  for (const std::string& variant :
+       {row, " " + row, "  " + row, row + " ", row + "\r", row + " \r", "\t" + row, row + "\t",
+        join(seven), join(nine), std::string(), std::string("\t\t\t\t\t\t\t")}) {
+    ++(ExpectParsersAgree(variant) ? accepted : rejected);
+  }
+  // Durations of 1 to 17 digits with the point anywhere: the common shape's
+  // m / 10^k must round as from_chars does, and hand longer ones over.
+  std::mt19937_64 rng(4100);
+  for (int i = 0; i < 20000; ++i) {
+    std::string digits;
+    const std::size_t len = 1 + rng() % 17;
+    for (std::size_t d = 0; d < len; ++d) digits += static_cast<char>('0' + rng() % 10);
+    const std::size_t point = 1 + rng() % len;
+    if (point < len) digits.insert(point, ".");
+    std::vector<std::string> fields = base;
+    fields[1] = digits;
+    ++(ExpectParsersAgree(join(fields)) ? accepted : rejected);
+  }
+  // Both outcomes occur in numbers, so the agreement is not vacuous.
+  EXPECT_GT(accepted, 20000);
+  EXPECT_GT(rejected, 80);
+
+  // The edges of the common shape parse to what they say.
+  flow::FlowRecord r;
+  ASSERT_FALSE(flow::ConnLogFormat::ParseRow(
+      "123456789012345678\t0.000001\t255.255.255.255\t0.0.0.0\t65535\tudp\t"
+      "999999999999999999\t0",
+      r));
+  EXPECT_EQ(r.start, 123456789012345678);
+  EXPECT_EQ(r.duration_s, 0.000001);
+  EXPECT_EQ(r.client_ip, net::Ipv4Address(255, 255, 255, 255));
+  EXPECT_EQ(r.server_port, 65535);
+  EXPECT_EQ(r.proto, net::Protocol::kUdp);
+  EXPECT_EQ(r.bytes_up, 999999999999999999U);
+  EXPECT_EQ(flow::ConnLogFormat::ParseRow("1\t1\t1.2.3.4\t1.2.3.4\t65536\ttcp\t0\t0", r),
+            ingest::ErrorClass::kBadNumber);
+  EXPECT_EQ(flow::ConnLogFormat::ParseRow("1\tnan\t1.2.3.4\t1.2.3.4\t1\ttcp\t0\t0", r),
+            ingest::ErrorClass::kBadValue);
+  EXPECT_EQ(flow::ConnLogFormat::ParseRow("1\t1\t1.2.3.4\t1.2.3.4\t1\tTCP\t0\t0", r),
+            ingest::ErrorClass::kBadValue);
 }
 
 // --- Malformed documents ------------------------------------------------------

@@ -92,8 +92,8 @@ TEST(LockdownCli, UsageErrorsExitOneAndNameTheProblem) {
            Case{"", kUsageLine},
            Case{"frobnicate", kUsageLine},
            Case{"study --bogus", "unknown argument: --bogus"},
-           Case{"study --seed", kUsageLine},
-           Case{"simulate --out", kUsageLine},
+           Case{"study --seed", "--seed wants S, got no value"},
+           Case{"simulate --out", "--out wants DIR|FILE, got no value"},
            Case{"study --threads 300",
                 "--threads wants an integer in [0, 256], got: 300"},
            Case{"study --students 0",

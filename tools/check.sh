@@ -19,8 +19,10 @@
 # logs with the deterministic FaultInjector (seeds {1,2,3} x rates
 # {0.1%, 1%}), and asserts tolerant ingest completes (exit 0) where strict
 # ingest fails with the documented exit codes (3 = over error budget,
-# 4 = corrupt snapshot without fallback). Malformed numeric flag values
-# (NaN rates, trailing garbage, an over-cap --threads) must exit 1.
+# 4 = corrupt snapshot without fallback). The clean export converted to
+# CRLF line ends must pass strict ingest with the same analyze output.
+# Malformed numeric flag values (NaN rates, trailing garbage, an over-cap
+# --threads) must exit 1.
 #
 # The stream tier (--stream-only) is the `figures` ctest label on the asan
 # tree: the figure engine's tests under both aggregator policies (tests/
@@ -192,6 +194,27 @@ if [[ "${mode}" == "all" || "${mode}" == "--fault-only" ]]; then
     --ingest-mode tolerant
   rm "${work}/badsnap/dataset.lds"
   rm "${work}/clean/dataset.lds"
+
+  echo "=== fault: CRLF logs -> strict analyze exits 0 with the LF figures ==="
+  # A trailing \r puts every conn.log row outside the parser's common shape,
+  # so this leg runs the general row parser end to end. Only the first line
+  # (the input directory) may differ.
+  mkdir "${work}/crlf"
+  for log in "${work}"/clean/*.log; do
+    sed 's/$/\r/' "${log}" > "${work}/crlf/$(basename "${log}")"
+  done
+  "${cli}" analyze --logs "${work}/clean" --students 60 --seed 11 > "${work}/lf.out"
+  got=0
+  "${cli}" analyze --logs "${work}/crlf" --students 60 --seed 11 \
+    > "${work}/crlf.out" || got=$?
+  if [[ "${got}" != 0 ]]; then
+    echo "FAIL: strict analyze of the CRLF logs exited ${got}" >&2
+    exit 1
+  fi
+  if ! diff <(tail -n +2 "${work}/lf.out") <(tail -n +2 "${work}/crlf.out") >&2; then
+    echo "FAIL: the CRLF logs changed analyze's output" >&2
+    exit 1
+  fi
 
   echo "=== fault: dirty TSV logs, seeds {1,2,3} x rates {0.001,0.01} ==="
   for seed in 1 2 3; do

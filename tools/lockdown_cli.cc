@@ -109,7 +109,10 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
     }
     std::string_view v;
     if (!row->value.empty()) {
-      if (i + 1 == argc) return false;
+      if (i + 1 == argc) {
+        std::cerr << arg << " wants " << row->value << ", got no value\n";
+        return false;
+      }
       v = argv[++i];
     }
     const auto bad_value = [&](std::string_view want) {
