@@ -109,7 +109,7 @@ struct DeviceTally {
 std::vector<DeviceTally> TallyDevices(const core::Dataset& ds) {
   std::vector<DeviceTally> devices(ds.num_devices());
   const int online_day = SC::DayIndex(SC::kBreakEnd);
-  // Finalize orders each device's flows by start, so a day change within a
+  // The dataset orders each device's flows by start, so a day change within a
   // device's run is a new active day.
   int last_day = -1;
   for (const core::Flow& f : ds.flows()) {

@@ -1,8 +1,8 @@
 #include "core/dataset.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace lockdown::core {
 
@@ -23,77 +23,54 @@ DomainId Dataset::InternDomain(std::string_view domain) {
 DeviceIndex Dataset::AddDevice(privacy::DeviceId id) {
   const auto index = static_cast<DeviceIndex>(devices_.size());
   devices_.push_back(DeviceEntry{id, {}});
+  device_offsets_.push_back(device_offsets_.back());
   return index;
 }
 
-void Dataset::Finalize() {
-  if (flows_borrowed()) {
-    throw std::logic_error("Dataset::Finalize on borrowed flows (already final)");
-  }
-  // A counting scatter by device keeps insertion order within each device;
-  // a stable sort of each device's slice by start then gives exactly the
-  // global stable (device, start) order: ties (same device, same start
-  // second) keep insertion order, one canonical flow order regardless of
-  // libstdc++ sort internals — the parallel-equivalence tests compare
-  // datasets byte for byte.
-  device_offsets_.assign(devices_.size() + 1, 0);
-  for (const Flow& f : flows_) ++device_offsets_[f.device + 1];
-  for (std::size_t i = 1; i < device_offsets_.size(); ++i) {
-    device_offsets_[i] += device_offsets_[i - 1];
-  }
-  std::vector<std::uint64_t> cursor(device_offsets_.begin(), device_offsets_.end() - 1);
-  std::vector<Flow> sorted(flows_.size());
-  for (const Flow& f : flows_) sorted[cursor[f.device]++] = f;
-  flows_ = std::move(sorted);
-  SortDeviceSlices();
-  finalized_ = true;
-}
-
-void Dataset::AdoptDeviceBuckets(std::vector<Flow> flows,
-                                 std::vector<std::uint64_t> offsets) {
-  if (flows_borrowed()) {
-    throw std::logic_error("Dataset::AdoptDeviceBuckets on borrowed flows");
-  }
-  flows_ = std::move(flows);
-  RestoreDeviceIndex(std::move(offsets));
-  SortDeviceSlices();
-}
-
-void Dataset::SortDeviceSlices() {
-  const auto by_start = [](const Flow& a, const Flow& b) {
-    return a.start_offset_s < b.start_offset_s;
-  };
-  for (std::size_t d = 0; d + 1 < device_offsets_.size(); ++d) {
-    const auto first = flows_.begin() + static_cast<std::ptrdiff_t>(device_offsets_[d]);
-    const auto last = flows_.begin() + static_cast<std::ptrdiff_t>(device_offsets_[d + 1]);
-    if (!std::is_sorted(first, last, by_start)) std::stable_sort(first, last, by_start);
-  }
+void Dataset::SetFlows(std::vector<Flow> flows) {
+  auto owned = std::make_shared<const std::vector<Flow>>(std::move(flows));
+  const std::span<const Flow> view(*owned);
+  BorrowFlows(view, std::move(owned));
 }
 
 void Dataset::BorrowFlows(std::span<const Flow> flows,
                           std::shared_ptr<const void> keepalive) {
-  flows_.clear();
-  flows_.shrink_to_fit();
-  borrowed_flows_ = flows;
-  flow_keepalive_ = std::move(keepalive);
-}
-
-void Dataset::RestoreDeviceIndex(std::vector<std::uint64_t> offsets) {
-  if (offsets.size() != devices_.size() + 1 || offsets.front() != 0 ||
-      offsets.back() != num_flows() ||
-      !std::is_sorted(offsets.begin(), offsets.end())) {
-    throw std::invalid_argument("Dataset::RestoreDeviceIndex: inconsistent CSR index");
+  // One scan checks every reference and the (device, start) order — the
+  // figure passes binary-search timestamps per device, so a bad array must
+  // fail here, not as UB or a silently wrong figure in a consumer — and
+  // records where each device's slice begins.
+  const auto fail = [](std::size_t i, const char* what) {
+    throw std::invalid_argument("flow " + std::to_string(i) + " " + what);
+  };
+  const std::size_t num_devices = devices_.size();
+  const std::size_t num_domains = domains_.size();
+  std::vector<std::uint64_t> offsets(num_devices + 1, 0);
+  DeviceIndex device = 0;
+  std::uint32_t start = 0;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const Flow& f = flows[i];
+    if (f.device >= num_devices) fail(i, "references invalid device");
+    if (f.domain >= num_domains) fail(i, "references invalid domain");
+    if (f.device != device) {
+      if (f.device < device) fail(i, "not in (device, start) order");
+      std::fill(offsets.begin() + device + 1, offsets.begin() + f.device + 1, i);
+      device = f.device;
+    } else if (f.start_offset_s < start) {
+      fail(i, "not in (device, start) order");
+    }
+    start = f.start_offset_s;
   }
+  std::fill(offsets.begin() + device + 1, offsets.end(), flows.size());
+  flows_ = flows;
+  flow_owner_ = std::move(keepalive);
   device_offsets_ = std::move(offsets);
-  finalized_ = true;
 }
 
 std::span<const Flow> Dataset::FlowsOfDevice(DeviceIndex i) const {
-  if (!finalized_) throw std::logic_error("Dataset::FlowsOfDevice before Finalize");
   if (i >= devices_.size()) throw std::out_of_range("FlowsOfDevice: bad index");
   const std::uint64_t begin = device_offsets_[i];
   const std::uint64_t end = device_offsets_[i + 1];
-  return flows().subspan(begin, end - begin);
+  return flows_.subspan(begin, end - begin);
 }
 
 std::string_view Dataset::DomainName(DomainId id) const {

@@ -58,55 +58,41 @@ struct DeviceEntry {
   friend bool operator==(const DeviceEntry&, const DeviceEntry&) = default;
 };
 
+/// A dataset's flows are in (device, start) order and its per-device CSR
+/// index is derived from them: the only ways to give a dataset its flows,
+/// SetFlows and BorrowFlows, run one scan that checks the order and every
+/// reference and builds the index, so flows() and device_offsets() agree at
+/// every moment.
 class Dataset {
  public:
   Dataset();
 
-  // --- Construction (used by the pipeline) --------------------------------
+  // --- Construction ---------------------------------------------------------
   DomainId InternDomain(std::string_view domain);
+  /// Appends a device; its slice of the flow array is empty.
   DeviceIndex AddDevice(privacy::DeviceId id);
-  /// Reserves room for `n` flows; call before a run of AddFlow.
-  void ReserveFlows(std::size_t n) { flows_.reserve(n); }
-  void AddFlow(const Flow& flow) { flows_.push_back(flow); }
   [[nodiscard]] DeviceEntry& device_mutable(DeviceIndex i) {
     return devices_[i];
   }
-  /// Orders flows by (device, start), ties in insertion order, and builds
-  /// the per-device index. Call once after the last AddFlow.
-  void Finalize();
-  /// The pipeline's one-write alternative to AddFlow + Finalize: adopts
-  /// flows already bucketed by device, device d's in insertion order at
-  /// [offsets[d], offsets[d + 1]), and stable-sorts each slice by start,
-  /// which yields exactly Finalize's order. Marks the dataset finalized.
-  /// Throws std::invalid_argument on an inconsistent index.
-  void AdoptDeviceBuckets(std::vector<Flow> flows, std::vector<std::uint64_t> offsets);
-
-  // --- Snapshot restore (used by store::LoadSnapshot) ----------------------
-  /// Adopts an externally owned, already-finalized flow array (e.g. an
-  /// mmap'd LDS section) without copying. `keepalive` owns the backing
-  /// memory and is held for the dataset's lifetime. The flows must already
-  /// be in Finalize() order; pair with RestoreDeviceIndex.
+  /// Takes `flows` as the flow array and derives the device index. Every
+  /// flow must reference a device and domain the dataset already holds,
+  /// devices must never decrease, and starts never decrease within a
+  /// device; throws std::invalid_argument otherwise, keeping the previous
+  /// flows.
+  void SetFlows(std::vector<Flow> flows);
+  /// SetFlows over an externally owned array (e.g. an mmap'd LDS section),
+  /// without copying. `keepalive` owns the backing memory and is held for
+  /// the dataset's lifetime.
   void BorrowFlows(std::span<const Flow> flows,
                    std::shared_ptr<const void> keepalive);
-  /// Installs a prebuilt CSR device index (offsets.size() == num_devices+1,
-  /// monotone, last == num_flows) and marks the dataset finalized. Throws
-  /// std::invalid_argument on an inconsistent index.
-  void RestoreDeviceIndex(std::vector<std::uint64_t> offsets);
 
   // --- Queries -------------------------------------------------------------
-  [[nodiscard]] std::span<const Flow> flows() const noexcept {
-    return borrowed_flows_.data() != nullptr ? borrowed_flows_
-                                             : std::span<const Flow>(flows_);
-  }
-  /// True when flows() views memory owned elsewhere (zero-copy load).
-  [[nodiscard]] bool flows_borrowed() const noexcept {
-    return borrowed_flows_.data() != nullptr;
-  }
-  /// CSR per-device flow offsets (valid after Finalize/RestoreDeviceIndex).
+  [[nodiscard]] std::span<const Flow> flows() const noexcept { return flows_; }
+  /// CSR per-device flow offsets: device d's flows are
+  /// [offsets[d], offsets[d + 1]).
   [[nodiscard]] std::span<const std::uint64_t> device_offsets() const noexcept {
     return device_offsets_;
   }
-  [[nodiscard]] bool finalized() const noexcept { return finalized_; }
   [[nodiscard]] std::span<const Flow> FlowsOfDevice(DeviceIndex i) const;
   [[nodiscard]] std::span<const std::string> domains() const noexcept {
     return domains_;
@@ -115,7 +101,7 @@ class Dataset {
     return devices_.at(i);
   }
   [[nodiscard]] std::size_t num_devices() const noexcept { return devices_.size(); }
-  [[nodiscard]] std::size_t num_flows() const noexcept { return flows().size(); }
+  [[nodiscard]] std::size_t num_flows() const noexcept { return flows_.size(); }
   [[nodiscard]] std::string_view DomainName(DomainId id) const;
   [[nodiscard]] std::size_t num_domains() const noexcept { return domains_.size(); }
 
@@ -130,18 +116,13 @@ class Dataset {
   }
 
  private:
-  /// Stable-sorts each device's slice by start.
-  void SortDeviceSlices();
-
-  std::vector<Flow> flows_;
-  std::span<const Flow> borrowed_flows_;          ///< set by BorrowFlows
-  std::shared_ptr<const void> flow_keepalive_;    ///< owns borrowed memory
+  std::span<const Flow> flows_;
+  std::shared_ptr<const void> flow_owner_;  ///< owns the memory flows_ views
   std::vector<DeviceEntry> devices_;
   std::vector<std::string> domains_;  // [0] = ""
   std::unordered_map<std::string, DomainId, util::StringHash, std::equal_to<>>
       domain_index_;
-  std::vector<std::uint64_t> device_offsets_;  // CSR after Finalize
-  bool finalized_ = false;
+  std::vector<std::uint64_t> device_offsets_{0};  // num_devices + 1 entries
 };
 
 /// Derives each device's (domain name, bytes) list — what the classifier and
@@ -151,7 +132,7 @@ class Dataset {
 /// 1:1 to DomainIds, so every contacted domain appears exactly once.
 class DomainBytesTally {
  public:
-  /// `dataset` must be finalized and outlive the tally.
+  /// `dataset` must outlive the tally.
   explicit DomainBytesTally(const Dataset& dataset);
 
   /// The device's DNS-mapped bytes per domain, in first-contact order;

@@ -1,5 +1,7 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -186,8 +188,9 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
   // to a serial build at any thread count. A first scan numbers the devices
   // and counts their kept flows, which fixes each device's slice of the
   // dataset's flow array; the second writes each flow once, into its
-  // device's slice in flow order, and each slice is then stable-sorted by
-  // start (Dataset::AdoptDeviceBuckets).
+  // device's slice in flow order. A stable sort of each slice by start then
+  // gives the (device, start) order Dataset::SetFlows requires, ties in
+  // flow order.
   Dataset& ds = result.dataset;
   std::vector<DeviceIndex> device_index(num_macs, kUnassigned);
   std::vector<DomainId> domain_of(mapper.num_names(), kUnassigned);
@@ -245,7 +248,17 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
     std::vector<flow::FlowRecord>().swap(inputs.flows);
     std::vector<std::uint32_t>().swap(slots);
     std::vector<std::uint32_t>().swap(names);
-    ds.AdoptDeviceBuckets(std::move(flows), std::move(offsets));
+    const auto by_start = [](const Flow& a, const Flow& b) {
+      return a.start_offset_s < b.start_offset_s;
+    };
+    for (std::size_t d = 0; d + 1 < offsets.size(); ++d) {
+      const auto first = flows.begin() + static_cast<std::ptrdiff_t>(offsets[d]);
+      const auto last = flows.begin() + static_cast<std::ptrdiff_t>(offsets[d + 1]);
+      if (!std::is_sorted(first, last, by_start)) {
+        std::stable_sort(first, last, by_start);
+      }
+    }
+    ds.SetFlows(std::move(flows));
   }
 
   // --- User-Agent sightings ----------------------------------------------------

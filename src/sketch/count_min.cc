@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace lockdown::sketch {
 
 CountMinSketch::CountMinSketch(std::size_t width, std::size_t depth,
                                std::uint64_t seed, std::uint64_t stream)
-    : width_(width), depth_(depth), seed_(seed), stream_(stream) {
+    : width_(width), depth_(depth) {
   if (width == 0 || depth == 0) {
     throw std::invalid_argument("CountMinSketch width/depth must be positive");
   }
@@ -47,17 +48,6 @@ std::uint64_t CountMinSketch::Estimate(std::uint64_t key) const noexcept {
     best = std::min(best, cells_[row * width_ + col]);
   }
   return best;
-}
-
-void CountMinSketch::Merge(const CountMinSketch& other) {
-  if (width_ != other.width_ || depth_ != other.depth_ ||
-      seed_ != other.seed_ || stream_ != other.stream_) {
-    throw MergeError("CountMinSketch merge: dimension/seed mismatch");
-  }
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    cells_[i] += other.cells_[i];
-  }
-  total_ += other.total_;
 }
 
 double CountMinSketch::epsilon() const noexcept {

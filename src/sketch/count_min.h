@@ -5,8 +5,8 @@
 // cells with a one-sided guarantee — estimates never undercount, and
 // overshoot by more than epsilon * total with probability at most delta.
 //
-// Counters are uint64, so Add and Merge are exact integer arithmetic:
-// associative, commutative, and overflow-free for any realistic byte volume.
+// Counters are uint64, so Add is exact integer arithmetic: order-independent
+// and overflow-free for any realistic byte volume.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +37,6 @@ class CountMinSketch {
   /// true + epsilon() * total() with probability >= 1 - delta().
   [[nodiscard]] std::uint64_t Estimate(std::uint64_t key) const noexcept;
 
-  /// Cell-wise sum. Throws MergeError unless dimensions and seed match.
-  void Merge(const CountMinSketch& other);
-
   /// The guarantee implied by the actual dimensions: epsilon = e / width,
   /// delta = exp(-depth).
   [[nodiscard]] double epsilon() const noexcept;
@@ -62,8 +59,6 @@ class CountMinSketch {
  private:
   std::size_t width_;
   std::size_t depth_;
-  std::uint64_t seed_;
-  std::uint64_t stream_;
   std::uint64_t total_ = 0;
   std::vector<util::SipHashKey> row_keys_;
   std::vector<std::uint64_t> cells_;  // row-major depth_ x width_

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 
 namespace lockdown::sketch {
 
@@ -59,15 +60,6 @@ double HyperLogLog::Estimate() const noexcept {
     return m * std::log(m / static_cast<double>(zeros));
   }
   return raw;
-}
-
-void HyperLogLog::Merge(const HyperLogLog& other) {
-  if (precision_ != other.precision_ || !SameKey(key_, other.key_)) {
-    throw MergeError("HyperLogLog merge: precision/seed mismatch");
-  }
-  for (std::size_t i = 0; i < registers_.size(); ++i) {
-    if (registers_[i] < other.registers_[i]) registers_[i] = other.registers_[i];
-  }
 }
 
 double HyperLogLog::RelativeStandardError() const noexcept {

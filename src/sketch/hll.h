@@ -6,9 +6,8 @@
 // question in fixed space with relative standard error ~1.04/sqrt(2^p).
 //
 // Determinism: items are hashed with SipHash-2-4 under a key derived from an
-// explicit seed, and Merge takes the register-wise maximum — idempotent,
-// associative, and commutative, so any merge order (or none: feeding one
-// sketch serially) yields bit-identical registers.
+// explicit seed, and Add keeps the register-wise maximum, so any order of
+// the same items yields bit-identical registers.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +38,6 @@ class HyperLogLog {
   /// Cardinality estimate with the standard small-range (linear counting)
   /// correction.
   [[nodiscard]] double Estimate() const noexcept;
-
-  /// Register-wise max. Throws MergeError unless precision and key match.
-  void Merge(const HyperLogLog& other);
 
   /// The sketch's a-priori relative standard error: 1.04 / sqrt(m).
   [[nodiscard]] double RelativeStandardError() const noexcept;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 namespace lockdown::sketch {
 
@@ -45,16 +46,6 @@ void ReservoirSample::Offer(const Entry& entry) {
 void ReservoirSample::Add(std::uint64_t item_key, double value) {
   Offer(Entry{util::SipHash24(key_, item_key), item_key, value});
   ++seen_;
-}
-
-void ReservoirSample::Merge(const ReservoirSample& other) {
-  if (capacity_ != other.capacity_ || !SameKey(key_, other.key_)) {
-    throw MergeError("ReservoirSample merge: capacity/seed mismatch");
-  }
-  for (const Entry& entry : other.entries_) {
-    Offer(entry);
-  }
-  seen_ += other.seen_;
 }
 
 std::vector<double> ReservoirSample::Values() const {

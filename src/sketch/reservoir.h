@@ -1,13 +1,12 @@
-// Mergeable uniform sample: bottom-k by hashed priority.
+// Order-independent uniform sample: bottom-k by hashed priority.
 //
-// The classic Algorithm R reservoir is neither mergeable nor order-
-// independent, so this sketch instead assigns every distinct item key a
-// pseudorandom priority = SipHash24(seed key, item key) and keeps the k
-// entries with the smallest priorities. Because the priority is a pure
-// function of the item key, the kept set is a deterministic function of the
-// *set* of keys fed in — independent of arrival order and of how the stream
-// was split across sketches before merging. Over distinct keys the selection
-// is uniform (each key's priority is an independent uniform draw).
+// The classic Algorithm R reservoir depends on arrival order, so this
+// sketch instead assigns every distinct item key a pseudorandom priority =
+// SipHash24(seed key, item key) and keeps the k entries with the smallest
+// priorities. Because the priority is a pure function of the item key, the
+// kept set is a deterministic function of the *set* of keys fed in,
+// independent of arrival order. Over distinct keys the selection is uniform
+// (each key's priority is an independent uniform draw).
 //
 // The streaming study samples per-(day, class) device byte totals and
 // session-length populations with this; item keys are device indices or
@@ -46,19 +45,15 @@ class ReservoirSample {
   /// together deterministically, preserving order-independence).
   void Add(std::uint64_t item_key, double value);
 
-  /// Folds another sample drawn with the same capacity and seed.
-  /// Throws MergeError on mismatch.
-  void Merge(const ReservoirSample& other);
-
   /// Sampled values sorted by ascending item key — the same order the exact
   /// study keeps devices in, so exact samples reproduce its statistics
   /// bit-for-bit even where downstream code is summation-order-sensitive.
   [[nodiscard]] std::vector<double> Values() const;
 
-  /// Entries sorted by (priority, key); exposed for merge/property tests.
+  /// Entries sorted by (priority, key); exposed for property tests.
   [[nodiscard]] std::vector<Entry> SortedEntries() const;
 
-  /// Number of Add calls observed (across merges).
+  /// Number of Add calls observed.
   [[nodiscard]] std::uint64_t seen() const noexcept { return seen_; }
 
   /// True when nothing has been evicted: the sample IS the population.

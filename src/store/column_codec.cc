@@ -17,8 +17,34 @@ constexpr std::uint64_t kTimestampRawBytes = 4;
 constexpr std::uint64_t kDomainRawBytes = 4;
 constexpr std::uint64_t kRestRawBytes = 31;  // 40B flow minus start/domain/pad
 
+/// The fewest payload bytes one flow can take in each column: a one-byte
+/// varint delta or ref; f32 duration, one-byte device delta, u32 server_ip,
+/// u16 port, u8 proto and two one-byte byte counts.
+constexpr std::uint64_t kTimestampMinBytes = 1;
+constexpr std::uint64_t kDomainMinBytes = 1;
+constexpr std::uint64_t kRestMinBytes = 14;
+
 [[noreturn]] void Corrupt(const char* section, const std::string& what) {
   throw Error(std::string(section) + " section: " + what);
+}
+
+/// Reads a column's raw-size and count prefix and checks the count against
+/// the meta section's and against what the rest of the payload can hold,
+/// before any per-flow allocation. Divides rather than multiplies, so a
+/// hostile count cannot wrap into a match.
+std::uint64_t ReadCount(Decoder& dec, const char* section,
+                        std::uint64_t expected_count, std::uint64_t raw_bytes,
+                        std::uint64_t min_bytes) {
+  const std::uint64_t raw = dec.U64();
+  const std::uint64_t count = dec.U64();
+  if (count != expected_count) Corrupt(section, "count disagrees with meta section");
+  if (count > dec.remaining() / min_bytes) {
+    Corrupt(section, "count exceeds what the payload can hold");
+  }
+  if (raw % raw_bytes != 0 || raw / raw_bytes != count) {
+    Corrupt(section, "raw size disagrees with count");
+  }
+  return count;
 }
 
 }  // namespace
@@ -40,11 +66,8 @@ Encoder EncodeTimestampColumn(std::span<const core::Flow> flows) {
 std::vector<std::uint32_t> DecodeTimestampColumn(
     std::span<const std::byte> payload, std::uint64_t expected_count) {
   Decoder dec(payload, "col-timestamps");
-  const std::uint64_t raw = dec.U64();
-  const std::uint64_t count = dec.U64();
-  if (count != expected_count || raw != count * kTimestampRawBytes) {
-    Corrupt("col-timestamps", "count disagrees with meta section");
-  }
+  const std::uint64_t count = ReadCount(dec, "col-timestamps", expected_count,
+                                       kTimestampRawBytes, kTimestampMinBytes);
   std::vector<std::uint32_t> out(count);
   std::int64_t prev = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -85,11 +108,8 @@ Encoder EncodeDomainColumn(std::span<const core::Flow> flows) {
 std::vector<std::uint32_t> DecodeDomainColumn(
     std::span<const std::byte> payload, std::uint64_t expected_count) {
   Decoder dec(payload, "col-domains");
-  const std::uint64_t raw = dec.U64();
-  const std::uint64_t count = dec.U64();
-  if (count != expected_count || raw != count * kDomainRawBytes) {
-    Corrupt("col-domains", "count disagrees with meta section");
-  }
+  const std::uint64_t count = ReadCount(dec, "col-domains", expected_count,
+                                       kDomainRawBytes, kDomainMinBytes);
   const std::uint32_t dict_size = dec.U32();
   if (count > 0 && dict_size == 0) {
     Corrupt("col-domains", "empty dictionary with nonzero flow count");
@@ -123,7 +143,7 @@ Encoder EncodeRestColumn(std::span<const core::Flow> flows) {
   for (const core::Flow& f : flows) enc.F32(f.duration_s);
   std::uint64_t prev_device = 0;
   for (const core::Flow& f : flows) {
-    // Non-decreasing in Finalize() order, so plain (unsigned) deltas.
+    // Non-decreasing in (device, start) order, so plain (unsigned) deltas.
     enc.Uvarint(f.device - prev_device);
     prev_device = f.device;
   }
@@ -138,11 +158,8 @@ Encoder EncodeRestColumn(std::span<const core::Flow> flows) {
 RestColumns DecodeRestColumn(std::span<const std::byte> payload,
                              std::uint64_t expected_count) {
   Decoder dec(payload, "col-rest");
-  const std::uint64_t raw = dec.U64();
-  const std::uint64_t count = dec.U64();
-  if (count != expected_count || raw != count * kRestRawBytes) {
-    Corrupt("col-rest", "count disagrees with meta section");
-  }
+  const std::uint64_t count = ReadCount(dec, "col-rest", expected_count,
+                                       kRestRawBytes, kRestMinBytes);
   RestColumns out;
   out.duration.resize(count);
   out.device.resize(count);

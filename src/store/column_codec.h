@@ -10,14 +10,16 @@
 //   kColDomains     raw | u64 count | u32 dict_size | dict entries (uvarint
 //                   DomainIds, first-appearance order) | uvarint dict refs
 //   kColRest        raw | u64 count | duration f32[] | uvarint device deltas
-//                   (non-decreasing in finalize order) | server_ip u32[] |
+//                   (non-decreasing in (device, start) order) | server_ip u32[] |
 //                   server_port u16[] | proto u8[] | uvarint bytes_up |
 //                   uvarint bytes_down
 //
 // Every decoder is bounds-checked through detail::Decoder and cross-checks
-// its element count against the caller's expectation (the meta section), so
-// a corrupt-but-CRC-valid payload throws store::Error — it never silently
-// misreads. tests/store/codec_test.cc round-trips these on random inputs and
+// its element count against the caller's expectation (the meta section) and
+// against the fewest bytes per flow its column can take, before allocating,
+// so a corrupt-but-CRC-valid payload throws store::Error — it never silently
+// misreads or asks for memory the payload cannot fill.
+// tests/store/codec_test.cc round-trips these on random inputs and
 // byte-sweeps a compressed snapshot.
 #pragma once
 

@@ -1,4 +1,4 @@
-// LDS ("Lockdown Dataset Snapshot") on-disk format, version 5.
+// LDS ("Lockdown Dataset Snapshot") on-disk format, version 6.
 //
 // The write-once/analyze-many layer: the processed dataset the paper keeps
 // after discarding raw data (§3), serialized so every downstream analysis
@@ -16,8 +16,8 @@
 //
 //   kMeta          fixed 48B: counts, flow stride, provenance (students/seed)
 //   kFlows         num_flows x 40B fixed-stride core::Flow records, in
-//                  Dataset::Finalize() order — the mmap zero-copy target
-//   kDeviceOffsets CSR index, (num_devices+1) x u64
+//                  (device, start) order — the mmap zero-copy target
+//   kDeviceOffsets (v1-v5 only) CSR device index, (num_devices+1) x u64
 //   kStringPool    interned strings; the first num_domains entries are the
 //                  dataset's domain pool in DomainId order (entry 0 = "")
 //   kDevices       variable-length device records: pseudonymous id u64 |
@@ -59,8 +59,15 @@
 // them; per-device domain bytes are derived from the flow array instead
 // (core::DomainBytesTally).
 //
-// Version 5 is version 4 without kDayIndex. Writers only produce the current
-// version.
+// Version 5 is version 4 without kDayIndex.
+//
+// Version 6 is version 5 without kDeviceOffsets. The device index is a pure
+// function of the (device, start)-ordered flows, and core::Dataset derives
+// it in the same scan that checks that order on every load. A v1-v5 file
+// must still carry the section with the right size and CRC, and its stored
+// index must equal the derived one entry for entry, or the load fails.
+//
+// Writers only produce the current version.
 //
 // The flow record layout is frozen against core::Flow below; any change to
 // that struct is a format break and must bump kFormatVersion.
@@ -83,9 +90,10 @@ inline constexpr std::array<char, 8> kTrailerMagic = {'L', 'D', 'S', 'F', 'I', '
 // kDayIndex section and the optional columnar flow sections
 // (kColTimestamps/kColDomains/kColRest), and started recording codec ids in
 // the descriptor flags. Version 4 dropped the derivable per-device totals and
-// domain-bytes list from kDevices. Version 5 dropped kDayIndex. Versions 1-4
-// remain readable.
-inline constexpr std::uint32_t kFormatVersion = 5;
+// domain-bytes list from kDevices. Version 5 dropped kDayIndex. Version 6
+// dropped kDeviceOffsets, which the reader derives from the flows. Versions
+// 1-5 remain readable.
+inline constexpr std::uint32_t kFormatVersion = 6;
 inline constexpr std::uint32_t kMinReadVersion = 1;
 /// Written as a u32; reads back as something else on a mixed-endian copy.
 inline constexpr std::uint32_t kEndianMarker = 0x0A0B0C0Du;
@@ -101,7 +109,7 @@ inline constexpr std::size_t kStatsSectionSizeV1 = 7 * sizeof(std::uint64_t);
 enum class SectionKind : std::uint32_t {
   kMeta = 1,
   kFlows = 2,
-  kDeviceOffsets = 3,
+  kDeviceOffsets = 3,  ///< stored device index (v1-v5), checked against the flows
   kStringPool = 4,
   kDevices = 5,
   kStats = 6,
@@ -152,8 +160,8 @@ inline constexpr std::array<SectionDesc, 10> kSections = {{
      FlowStorage::kNone, nullptr},
     {SectionKind::kFlows, "flows", SectionCodec::kRaw, 1, kFormatVersion, false,
      FlowStorage::kRaw, nullptr},
-    {SectionKind::kDeviceOffsets, "device-offsets", SectionCodec::kRaw, 1,
-     kFormatVersion, true, FlowStorage::kNone, nullptr},
+    {SectionKind::kDeviceOffsets, "device-offsets", SectionCodec::kRaw, 1, 5,
+     true, FlowStorage::kNone, nullptr},
     {SectionKind::kStringPool, "string-pool", SectionCodec::kRaw, 1,
      kFormatVersion, true, FlowStorage::kNone, nullptr},
     {SectionKind::kDevices, "devices", SectionCodec::kRaw, 1, kFormatVersion,

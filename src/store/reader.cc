@@ -1,7 +1,7 @@
 #include <array>
 #include <bit>
 #include <chrono>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,6 +136,9 @@ class Reader::Impl {
     dev.ExpectDone();
 
     // --- Flows ---------------------------------------------------------------
+    // Either a view of the mapped section or an owned decoded array.
+    std::span<const core::Flow> mapped;
+    std::vector<core::Flow> decoded;
     if (HasSection(SectionKind::kFlows)) {
       const std::span<const std::byte> flow_bytes = Section(SectionKind::kFlows);
       const bool zero_copy_eligible = kHostIsLittleEndian;
@@ -143,19 +146,17 @@ class Reader::Impl {
         Fail("zero-copy load unavailable on a big-endian host");
       }
       if (options.mode != LoadMode::kCopy && zero_copy_eligible) {
-        const std::span<const core::Flow> flows{
-            reinterpret_cast<const core::Flow*>(flow_bytes.data()),
-            static_cast<std::size_t>(info_.num_flows)};
-        ds.BorrowFlows(flows, map_);
+        mapped = {reinterpret_cast<const core::Flow*>(flow_bytes.data()),
+                  static_cast<std::size_t>(info_.num_flows)};
         out.zero_copy = true;
         if (lockdown::obs::MetricsEnabled()) {
           lockdown::obs::GetCounter("store/load_zero_copy", "loads").Increment();
         }
       } else {
         detail::Decoder dec(flow_bytes, "flows");
-        ds.ReserveFlows(static_cast<std::size_t>(info_.num_flows));
+        decoded.reserve(static_cast<std::size_t>(info_.num_flows));
         for (std::uint64_t i = 0; i < info_.num_flows; ++i) {
-          core::Flow f;
+          core::Flow& f = decoded.emplace_back();
           f.start_offset_s = dec.U32();
           f.duration_s = dec.F32();
           f.device = dec.U32();
@@ -166,7 +167,6 @@ class Reader::Impl {
           (void)dec.U8();  // padding byte
           f.bytes_up = dec.U64();
           f.bytes_down = dec.U64();
-          ds.AddFlow(f);
         }
         dec.ExpectDone();
         if (lockdown::obs::MetricsEnabled()) {
@@ -185,9 +185,9 @@ class Reader::Impl {
           Section(SectionKind::kColDomains), info_.num_flows);
       const detail::RestColumns rest = detail::DecodeRestColumn(
           Section(SectionKind::kColRest), info_.num_flows);
-      ds.ReserveFlows(static_cast<std::size_t>(info_.num_flows));
-      for (std::uint64_t i = 0; i < info_.num_flows; ++i) {
-        core::Flow f;
+      decoded.reserve(ts.size());
+      for (std::size_t i = 0; i < ts.size(); ++i) {
+        core::Flow& f = decoded.emplace_back();
         f.start_offset_s = ts[i];
         f.duration_s = rest.duration[i];
         f.device = rest.device[i];
@@ -197,45 +197,32 @@ class Reader::Impl {
         f.proto = rest.proto[i];
         f.bytes_up = rest.bytes_up[i];
         f.bytes_down = rest.bytes_down[i];
-        ds.AddFlow(f);
       }
       if (lockdown::obs::MetricsEnabled()) {
         lockdown::obs::GetCounter("store/load_columnar", "loads").Increment();
       }
     }
-
-    // Per-flow references must be in range and the array must be in
-    // Finalize() order before any analysis indexes by them — a CRC-valid but
-    // ill-formed file must fail here, not as UB (or a silently wrong figure)
-    // in a consumer. The figure passes binary-search timestamps per device,
-    // so the sort order is part of the format contract.
-    const std::span<const core::Flow> loaded = ds.flows();
-    for (std::size_t i = 0; i < loaded.size(); ++i) {
-      const core::Flow& f = loaded[i];
-      if (f.device >= info_.num_devices) Fail("flow references invalid device");
-      if (f.domain >= info_.num_domains) Fail("flow references invalid domain");
-      if (i > 0) {
-        const core::Flow& p = loaded[i - 1];
-        if (p.device > f.device ||
-            (p.device == f.device && p.start_offset_s > f.start_offset_s)) {
-          Fail("flows not in finalize order");
-        }
-      }
-    }
-
-    // --- CSR device index ----------------------------------------------------
-    const std::span<const std::byte> csr = Section(SectionKind::kDeviceOffsets);
-    std::vector<std::uint64_t> offsets(info_.num_devices + 1);
-    if constexpr (kHostIsLittleEndian) {
-      std::memcpy(offsets.data(), csr.data(), csr.size());
-    } else {
-      detail::Decoder dec(csr, "device-offsets");
-      for (std::uint64_t& v : offsets) v = dec.U64();
-    }
+    // The dataset checks every flow's references and the (device, start)
+    // order as it derives the device index, so a CRC-valid but ill-formed
+    // file fails here, not as UB or a wrong figure in a consumer.
     try {
-      ds.RestoreDeviceIndex(std::move(offsets));
-    } catch (const std::invalid_argument&) {
-      Fail("inconsistent device index section");
+      if (out.zero_copy) {
+        ds.BorrowFlows(mapped, map_);
+      } else {
+        ds.SetFlows(std::move(decoded));
+      }
+    } catch (const std::invalid_argument& e) {
+      Fail(e.what());
+    }
+
+    // --- Legacy stored device index (v1-v5) ----------------------------------
+    // Its size is checked with the structure; it must also equal the index
+    // the flows give, entry for entry.
+    if (HasSection(SectionKind::kDeviceOffsets)) {
+      detail::Decoder csr(Section(SectionKind::kDeviceOffsets), "device-offsets");
+      for (const std::uint64_t offset : ds.device_offsets()) {
+        if (csr.U64() != offset) Fail("inconsistent device index section");
+      }
     }
 
     // --- Stats ---------------------------------------------------------------
@@ -266,21 +253,6 @@ class Reader::Impl {
     }
 
     return out;
-  }
-
-  /// Deep invariant check beyond checksums: CSR agreement with the flows
-  /// (Load itself already rejects out-of-order flows).
-  void VerifyInvariants() const {
-    const LoadedSnapshot snap = Load({LoadMode::kAuto, false});
-    const core::Dataset& ds = snap.collection.dataset;
-    const auto flows = ds.flows();
-    const auto offsets = ds.device_offsets();
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-      const core::DeviceIndex d = flows[i].device;
-      if (i < offsets[d] || i >= offsets[d + 1]) {
-        Fail("device index disagrees with flow ordering");
-      }
-    }
   }
 
  private:
@@ -466,15 +438,18 @@ class Reader::Impl {
            " (this build uses " + std::to_string(kFlowStride) + ")");
     }
     // Divide rather than multiply: a hostile count must not wrap into a
-    // match, since the loads view or reserve num_flows rows up front.
+    // match, since the loads view or allocate num_flows rows up front.
     if (has_flows &&
         (Section(SectionKind::kFlows).size() % kFlowStride != 0 ||
          Section(SectionKind::kFlows).size() / kFlowStride != info_.num_flows)) {
       Fail("flows section size disagrees with flow count");
     }
-    if (Section(SectionKind::kDeviceOffsets).size() !=
-        (info_.num_devices + 1) * sizeof(std::uint64_t)) {
-      Fail("device-offsets section size disagrees with device count");
+    if (HasSection(SectionKind::kDeviceOffsets)) {
+      const std::uint64_t csr_size = Section(SectionKind::kDeviceOffsets).size();
+      if (csr_size % sizeof(std::uint64_t) != 0 ||
+          csr_size / sizeof(std::uint64_t) != info_.num_devices + 1) {
+        Fail("device-offsets section size disagrees with device count");
+      }
     }
     const std::size_t want_stats =
         info_.version >= 2 ? kStatsSectionSize : kStatsSectionSizeV1;
@@ -509,12 +484,10 @@ SnapshotInfo InspectSnapshot(const std::filesystem::path& path) {
   return Reader(path).info();
 }
 
-void Reader::VerifyInvariants() const { impl_->VerifyInvariants(); }
-
 void VerifySnapshot(const std::filesystem::path& path) {
   const Reader reader(path);
   reader.VerifyChecksums();
-  reader.VerifyInvariants();
+  (void)reader.Load({LoadMode::kAuto, false});
 }
 
 }  // namespace lockdown::store

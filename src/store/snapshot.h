@@ -9,7 +9,9 @@
 // Loading memory-maps the file and, on little-endian hosts, hands the fixed
 // stride flow array to the Dataset zero-copy (the mapping stays alive inside
 // the Dataset); variable-length sections (devices, string pool) are decoded
-// portably. Every load validates magic, version, endianness, section bounds
+// portably. The Dataset derives its device index from the flows in the scan
+// that checks their references and (device, start) order; no index is
+// stored. Every load validates magic, version, endianness, section bounds
 // and per-section CRC32C checksums and throws store::Error with a precise
 // message on truncation or corruption — never undefined behavior.
 #pragma once
@@ -114,8 +116,7 @@ class Writer {
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
-  /// Encodes and writes all sections of `result`. The dataset must be
-  /// finalized. Call once per Writer.
+  /// Encodes and writes all sections of `result`. Call once per Writer.
   void WriteCollection(const core::CollectionResult& result,
                        const SnapshotMeta& meta = {},
                        const SaveOptions& options = {});
@@ -141,10 +142,9 @@ class Reader {
   [[nodiscard]] const SnapshotInfo& info() const noexcept;
   /// CRC32C-checks every section payload; throws Error on any mismatch.
   void VerifyChecksums() const;
-  /// Full decode plus deep invariants (flow ordering, CSR agreement) that
-  /// analyses silently depend on; throws Error on the first violation.
-  void VerifyInvariants() const;
-  /// Full decode into a CollectionResult. May be called multiple times.
+  /// Full decode into a CollectionResult: every flow's references and the
+  /// (device, start) order are checked as the dataset derives its device
+  /// index. May be called multiple times.
   [[nodiscard]] LoadedSnapshot Load(const LoadOptions& options = {}) const;
 
  private:
@@ -167,7 +167,7 @@ void SaveSnapshot(const std::filesystem::path& path,
 /// Header/section-table metadata only (no payload CRC pass, no decode).
 [[nodiscard]] SnapshotInfo InspectSnapshot(const std::filesystem::path& path);
 
-/// Full integrity check: structure, checksums, and a complete decode.
+/// Full integrity check: structure, checksums, and one complete load.
 /// Throws Error describing the first problem found.
 void VerifySnapshot(const std::filesystem::path& path);
 

@@ -162,17 +162,6 @@ detail::Encoder EncodeStats(const core::CollectionStats& stats) {
   return enc;
 }
 
-detail::Encoder EncodeDeviceOffsets(std::span<const std::uint64_t> offsets) {
-  detail::Encoder enc;
-  enc.Reserve(offsets.size() * sizeof(std::uint64_t));
-  if constexpr (std::endian::native == std::endian::little) {
-    enc.Bytes(std::as_bytes(offsets));
-  } else {
-    for (const std::uint64_t v : offsets) enc.U64(v);
-  }
-  return enc;
-}
-
 }  // namespace
 
 class Writer::Impl {
@@ -198,7 +187,6 @@ class Writer::Impl {
                        const SnapshotMeta& meta, const SaveOptions& options) {
     if (written_) throw Error("WriteCollection called twice");
     const core::Dataset& ds = result.dataset;
-    if (!ds.finalized()) throw Error("cannot snapshot a non-finalized dataset");
     written_ = true;
     OBS_SPAN("store/save");
     CrcTimer crc_timer;
@@ -212,7 +200,6 @@ class Writer::Impl {
     const detail::Encoder pool_enc = pool.Encode(ds.num_domains());
     const detail::Encoder meta_enc = EncodeMeta(ds, meta);
     const detail::Encoder stats_enc = EncodeStats(result.stats);
-    const detail::Encoder csr = EncodeDeviceOffsets(ds.device_offsets());
     const auto flows = ds.flows();
     detail::Encoder col_ts;
     detail::Encoder col_dom;
@@ -228,7 +215,6 @@ class Writer::Impl {
       bodies[static_cast<std::size_t>(kind) - 1] = &enc;
     };
     put(SectionKind::kMeta, meta_enc);
-    put(SectionKind::kDeviceOffsets, csr);
     put(SectionKind::kStringPool, pool_enc);
     put(SectionKind::kDevices, devices);
     put(SectionKind::kStats, stats_enc);

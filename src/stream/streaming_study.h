@@ -34,8 +34,9 @@
 //
 // Determinism: every sketch update is order-independent (register max,
 // bottom-k with a total order, integer adds), so each device's offers are
-// applied under one mutex as the device completes. Output is bit-identical
-// at any thread count for the same seed and budget.
+// applied to the one bank under its mutex as the device completes; no
+// sketch is ever merged. Output is bit-identical at any thread count for
+// the same seed and budget.
 #pragma once
 
 #include <array>

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
-#include "util/rng.h"
+#include "sorted_flows.h"
 
 namespace lockdown::core {
 namespace {
@@ -50,11 +54,8 @@ TEST(Dataset, FlowsOfDeviceAfterFinalize) {
   const DeviceIndex a = ds.AddDevice(privacy::DeviceId{1});
   const DeviceIndex b = ds.AddDevice(privacy::DeviceId{2});
   const DeviceIndex c = ds.AddDevice(privacy::DeviceId{3});
-  ds.AddFlow(MakeFlow(b, 300));
-  ds.AddFlow(MakeFlow(a, 200));
-  ds.AddFlow(MakeFlow(b, 100));
-  ds.AddFlow(MakeFlow(a, 50));
-  ds.Finalize();
+  testing::SetFlowsSorted(ds, {MakeFlow(b, 300), MakeFlow(a, 200),
+                               MakeFlow(b, 100), MakeFlow(a, 50)});
   const auto a_flows = ds.FlowsOfDevice(a);
   ASSERT_EQ(a_flows.size(), 2u);
   EXPECT_EQ(a_flows[0].start_offset_s, 50u);  // time-sorted per device
@@ -64,102 +65,69 @@ TEST(Dataset, FlowsOfDeviceAfterFinalize) {
   EXPECT_EQ(ds.num_flows(), 4u);
 }
 
-// Finalize must produce exactly the order of one global stable sort by
-// (device, start): ties on both keys keep insertion order. Flows carry their
-// insertion rank in bytes_up so any reordering of ties shows.
-TEST(Dataset, FinalizeMatchesGlobalStableSortReference) {
-  constexpr DeviceIndex kDevices = 9;  // device 4 never gets a flow
-  util::Pcg32 rng(2020);
-  std::vector<Flow> base;
-  for (int i = 0; i < 3000; ++i) {
-    DeviceIndex dev = rng.NextBounded(kDevices);
-    if (dev == 4) dev = 5;
-    base.push_back(MakeFlow(dev, rng.NextBounded(24)));  // many start ties
-  }
-  const auto by_device_start = [](const Flow& a, const Flow& b) {
-    if (a.device != b.device) return a.device < b.device;
-    return a.start_offset_s < b.start_offset_s;
-  };
-  std::vector<std::vector<Flow>> orders = {base, base, base, base};
-  std::stable_sort(orders[1].begin(), orders[1].end(), by_device_start);
-  std::reverse(orders[2].begin(), orders[2].end());
-  std::stable_sort(orders[3].begin(), orders[3].end(),
-                   [](const Flow& a, const Flow& b) { return a.device > b.device; });
-  for (std::size_t o = 0; o < orders.size(); ++o) {
-    std::vector<Flow>& order = orders[o];
-    for (std::size_t i = 0; i < order.size(); ++i) order[i].bytes_up = i;
-    Dataset ds;
-    for (DeviceIndex d = 0; d < kDevices; ++d) ds.AddDevice(privacy::DeviceId{d});
-    ds.ReserveFlows(order.size());
-    for (const Flow& f : order) ds.AddFlow(f);
-    ds.Finalize();
-
-    std::vector<Flow> want = order;
-    std::stable_sort(want.begin(), want.end(), by_device_start);
-    ASSERT_TRUE(std::equal(want.begin(), want.end(), ds.flows().begin(),
-                           ds.flows().end()))
-        << "insertion order " << o;
-    std::size_t at = 0;
-    for (DeviceIndex d = 0; d < kDevices; ++d) {
-      const auto slice = ds.FlowsOfDevice(d);
-      EXPECT_EQ(slice.data(), ds.flows().data() + at) << "device " << d;
-      for (const Flow& f : slice) EXPECT_EQ(f.device, d);
-      at += slice.size();
+// SetFlows and BorrowFlows run the same scan: it rejects every ill-formed
+// array, leaving the dataset as it was, and derives the CSR index of a
+// well-formed one, zero-flow devices included.
+TEST(Dataset, SetFlowsChecksAndDerivesTheIndex) {
+  const auto give = [](Dataset& ds, const std::vector<Flow>& flows, bool borrow) {
+    if (borrow) {
+      auto owner = std::make_shared<const std::vector<Flow>>(flows);
+      const std::span<const Flow> view(*owner);
+      ds.BorrowFlows(view, std::move(owner));
+    } else {
+      ds.SetFlows(flows);
     }
-    EXPECT_TRUE(ds.FlowsOfDevice(4).empty());
-    EXPECT_EQ(at, ds.num_flows());
+  };
+  const auto offsets = [](const Dataset& ds) {
+    return std::vector<std::uint64_t>(ds.device_offsets().begin(),
+                                      ds.device_offsets().end());
+  };
+  for (const bool borrow : {false, true}) {
+    SCOPED_TRACE(borrow ? "borrowed" : "owned");
+    // Devices 0, 2 and 4 of five have no flows: first, middle and last.
+    Dataset ds;
+    for (DeviceIndex d = 0; d < 5; ++d) ds.AddDevice(privacy::DeviceId{d + 1});
+    const DomainId zoom = ds.InternDomain("zoom.us");
+    EXPECT_EQ(offsets(ds), (std::vector<std::uint64_t>{0, 0, 0, 0, 0, 0}));
+    const std::vector<Flow> good = {MakeFlow(1, 10), MakeFlow(1, 10, zoom),
+                                    MakeFlow(1, 40), MakeFlow(3, 5),
+                                    MakeFlow(3, 5)};
+    give(ds, good, borrow);
+    EXPECT_EQ(offsets(ds), (std::vector<std::uint64_t>{0, 0, 3, 3, 5, 5}));
+    EXPECT_TRUE(std::ranges::equal(ds.flows(), good));
+    EXPECT_EQ(ds.FlowsOfDevice(3).data(), ds.flows().data() + 3);
+    for (const DeviceIndex d : {0u, 2u, 4u}) EXPECT_TRUE(ds.FlowsOfDevice(d).empty());
+
+    // Each rejection class, on an otherwise well-formed array.
+    const std::vector<std::vector<Flow>> bad = {
+        {MakeFlow(1, 10), MakeFlow(5, 20)},        // device out of range
+        {MakeFlow(1, 10, 2)},                      // domain out of range
+        {MakeFlow(3, 10), MakeFlow(1, 20)},        // devices decrease
+        {MakeFlow(1, 10), MakeFlow(1, 9)},         // start decreases in a device
+        {MakeFlow(1, 10), MakeFlow(3, 5), MakeFlow(3, 4)},
+    };
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+      EXPECT_THROW(give(ds, bad[i], borrow), std::invalid_argument) << "case " << i;
+      EXPECT_EQ(ds.num_flows(), good.size()) << "case " << i;
+      EXPECT_EQ(offsets(ds), (std::vector<std::uint64_t>{0, 0, 3, 3, 5, 5}));
+    }
+
+    // A device added after the flows gets an empty slice at the end.
+    EXPECT_EQ(ds.AddDevice(privacy::DeviceId{99}), 5u);
+    EXPECT_EQ(offsets(ds), (std::vector<std::uint64_t>{0, 0, 3, 3, 5, 5, 5}));
+    EXPECT_TRUE(ds.FlowsOfDevice(5).empty());
+
+    // An empty dataset: no devices, no flows, the one-entry index.
+    Dataset empty;
+    give(empty, {}, borrow);
+    EXPECT_EQ(offsets(empty), (std::vector<std::uint64_t>{0}));
+    EXPECT_EQ(empty.num_flows(), 0u);
+    EXPECT_THROW(give(empty, {MakeFlow(0, 1)}, borrow), std::invalid_argument);
   }
-}
-
-// The pipeline's one-write path: flows already bucketed by device, each
-// bucket in insertion order, end in exactly Finalize's order.
-TEST(Dataset, AdoptDeviceBucketsMatchesFinalize) {
-  constexpr DeviceIndex kDevices = 9;  // device 4 never gets a flow
-  util::Pcg32 rng(2021);
-  std::vector<Flow> order;
-  for (int i = 0; i < 3000; ++i) {
-    DeviceIndex dev = rng.NextBounded(kDevices);
-    if (dev == 4) dev = 5;
-    order.push_back(MakeFlow(dev, rng.NextBounded(24)));  // many start ties
-    order.back().bytes_up = static_cast<std::uint64_t>(i);
-  }
-  Dataset finalized;
-  Dataset adopted;
-  for (DeviceIndex d = 0; d < kDevices; ++d) {
-    finalized.AddDevice(privacy::DeviceId{d});
-    adopted.AddDevice(privacy::DeviceId{d});
-  }
-  for (const Flow& f : order) finalized.AddFlow(f);
-  finalized.Finalize();
-
-  std::vector<std::uint64_t> offsets(kDevices + 1, 0);
-  for (const Flow& f : order) ++offsets[f.device + 1];
-  for (DeviceIndex d = 1; d <= kDevices; ++d) offsets[d] += offsets[d - 1];
-  std::vector<std::uint64_t> next(offsets.begin(), offsets.end() - 1);
-  std::vector<Flow> buckets(order.size());
-  for (const Flow& f : order) buckets[next[f.device]++] = f;
-  adopted.AdoptDeviceBuckets(std::move(buckets), offsets);
-
-  ASSERT_TRUE(adopted.finalized());
-  EXPECT_TRUE(std::equal(finalized.flows().begin(), finalized.flows().end(),
-                         adopted.flows().begin(), adopted.flows().end()));
-  EXPECT_TRUE(std::equal(finalized.device_offsets().begin(), finalized.device_offsets().end(),
-                         adopted.device_offsets().begin(), adopted.device_offsets().end()));
-
-  Dataset bad;
-  bad.AddDevice(privacy::DeviceId{1});
-  EXPECT_THROW(bad.AdoptDeviceBuckets(std::vector<Flow>(3), {0, 2}), std::invalid_argument);
-}
-
-TEST(Dataset, FlowsOfDeviceThrowsBeforeFinalize) {
-  Dataset ds;
-  const DeviceIndex a = ds.AddDevice(privacy::DeviceId{1});
-  EXPECT_THROW((void)ds.FlowsOfDevice(a), std::logic_error);
 }
 
 TEST(Dataset, FlowsOfDeviceBoundsChecked) {
   Dataset ds;
-  ds.Finalize();
   EXPECT_THROW((void)ds.FlowsOfDevice(0), std::out_of_range);
 }
 

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "sim/generator.h"
 #include "world/oui_db.h"
 
 #include "dataset_equal.h"
+#include "sorted_flows.h"
 
 namespace lockdown::core {
 namespace {
@@ -294,6 +297,47 @@ TEST_F(PipelineTest, DifferentSeedsProduceDifferentPseudonyms) {
   const auto anon2 = MeasurementPipeline::MakeAnonymizer(cfg2);
   const net::MacAddress mac(0x123456789ABCULL);
   EXPECT_NE(anon1.AnonymizeMac(mac), anon2.AnonymizeMac(mac));
+}
+
+// The dataset's flow array is one global stable sort by (device, start) of
+// the kept flows in input order, at any thread count. Each input flow
+// carries its input rank in bytes_up, which Process copies verbatim, so the
+// kept flows in input order can be recovered from the dataset itself; the
+// reversed input gives the per-device slice sorts unsorted runs and ties in
+// the opposite order.
+TEST(Pipeline, DatasetIsStableDeviceStartSortOfKeptFlows) {
+  const StudyConfig config = StudyConfig::Small(12, 2020);
+  const RawInputs captured = MeasurementPipeline::Capture(config);
+  const privacy::Anonymizer anon = MeasurementPipeline::MakeAnonymizer(config);
+  for (const bool reversed : {false, true}) {
+    RawInputs inputs = captured;
+    if (reversed) std::reverse(inputs.flows.begin(), inputs.flows.end());
+    for (std::size_t i = 0; i < inputs.flows.size(); ++i) inputs.flows[i].bytes_up = i;
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "reversed=" << reversed
+                                        << " threads=" << threads);
+      const CollectionResult result =
+          MeasurementPipeline::Process(inputs, anon, config.visitor_min_days, threads);
+      const auto flows = result.dataset.flows();
+      ASSERT_GT(flows.size(), 10000u);
+      std::vector<Flow> want(flows.begin(), flows.end());
+      std::sort(want.begin(), want.end(), [](const Flow& a, const Flow& b) {
+        return a.bytes_up < b.bytes_up;
+      });
+      ASSERT_TRUE(std::adjacent_find(want.begin(), want.end(),
+                                     [](const Flow& a, const Flow& b) {
+                                       return a.bytes_up == b.bytes_up;
+                                     }) == want.end());
+      testing::StableSortByDeviceStart(want);
+      ASSERT_TRUE(std::ranges::equal(want, flows));
+      // Ties on (device, start) exist, so their order is under test too.
+      EXPECT_TRUE(std::adjacent_find(flows.begin(), flows.end(),
+                                     [](const Flow& a, const Flow& b) {
+                                       return a.device == b.device &&
+                                              a.start_offset_s == b.start_offset_s;
+                                     }) != flows.end());
+    }
+  }
 }
 
 }  // namespace

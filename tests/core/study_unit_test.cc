@@ -4,7 +4,11 @@
 // sums).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/study.h"
+
+#include "sorted_flows.h"
 
 namespace lockdown::core {
 namespace {
@@ -58,7 +62,7 @@ class StudyBuilder {
     f.server_port = 443;
     f.bytes_down = bytes_down;
     f.bytes_up = bytes_up;
-    ds_.AddFlow(f);
+    flows_.push_back(f);
   }
 
   /// Marks the device post-shutdown with a token April flow.
@@ -68,12 +72,13 @@ class StudyBuilder {
   }
 
   LockdownStudy Build() {
-    ds_.Finalize();
+    testing::SetFlowsSorted(ds_, flows_);
     return LockdownStudy(ds_, world::ServiceCatalog::Default());
   }
 
  private:
   Dataset ds_;
+  std::vector<Flow> flows_;
   std::uint64_t next_id_ = 1;
 };
 

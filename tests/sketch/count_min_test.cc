@@ -86,61 +86,6 @@ TEST(CountMinSketch, ExactWhenCollisionFree) {
   }
 }
 
-TEST(CountMinSketch, MergeEqualsCombinedStream) {
-  CountMinSketch whole(64, 4, 5);
-  CountMinSketch left(64, 4, 5);
-  CountMinSketch right(64, 4, 5);
-  util::Pcg32 rng(5, 2);
-  for (int i = 0; i < 4000; ++i) {
-    const std::uint64_t key = rng.Next() % 900;
-    const std::uint64_t count = 1 + rng.Next() % 50;
-    whole.Add(key, count);
-    (i % 3 == 0 ? left : right).Add(key, count);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.total(), whole.total());
-  for (std::uint64_t key = 0; key < 900; ++key) {
-    EXPECT_EQ(left.Estimate(key), whole.Estimate(key));
-  }
-}
-
-TEST(CountMinSketch, MergeAssociativeAndCommutative) {
-  const auto make = [](std::uint64_t salt) {
-    CountMinSketch cms(48, 3, 9);
-    util::Pcg32 rng(salt, 0);
-    for (int i = 0; i < 1000; ++i) cms.Add(rng.Next() % 300, 1 + rng.Next() % 9);
-    return cms;
-  };
-  const auto a = make(1);
-  const auto b = make(2);
-  const auto c = make(3);
-
-  auto ab_c = a;
-  ab_c.Merge(b);
-  ab_c.Merge(c);
-  auto bc = b;
-  bc.Merge(c);
-  auto a_bc = a;
-  a_bc.Merge(bc);
-  auto cba = c;
-  cba.Merge(b);
-  cba.Merge(a);
-
-  EXPECT_EQ(ab_c.total(), a_bc.total());
-  EXPECT_EQ(ab_c.total(), cba.total());
-  for (std::uint64_t key = 0; key < 300; ++key) {
-    EXPECT_EQ(ab_c.Estimate(key), a_bc.Estimate(key));
-    EXPECT_EQ(ab_c.Estimate(key), cba.Estimate(key));
-  }
-}
-
-TEST(CountMinSketch, MergeRejectsMismatch) {
-  CountMinSketch a(64, 4, 5);
-  EXPECT_THROW(a.Merge(CountMinSketch(32, 4, 5)), MergeError);
-  EXPECT_THROW(a.Merge(CountMinSketch(64, 3, 5)), MergeError);
-  EXPECT_THROW(a.Merge(CountMinSketch(64, 4, 6)), MergeError);
-}
-
 TEST(CountMinSketch, MemoryBytesCoversCells) {
   CountMinSketch cms(1024, 4, 1);
   EXPECT_GE(cms.MemoryBytes(), 1024u * 4u * sizeof(std::uint64_t));

@@ -72,51 +72,6 @@ TEST(HyperLogLog, DeterministicAcrossInstances) {
   }
 }
 
-TEST(HyperLogLog, MergeEqualsUnion) {
-  auto whole = HyperLogLog::Seeded(12, 3);
-  auto left = HyperLogLog::Seeded(12, 3);
-  auto right = HyperLogLog::Seeded(12, 3);
-  for (std::uint64_t i = 0; i < 20000; ++i) {
-    whole.Add(i);
-    (i % 2 == 0 ? left : right).Add(i);
-  }
-  left.Merge(right);
-  EXPECT_DOUBLE_EQ(left.Estimate(), whole.Estimate());
-}
-
-TEST(HyperLogLog, MergeAssociativeAndCommutative) {
-  const auto make = [](std::uint64_t lo, std::uint64_t hi) {
-    auto hll = HyperLogLog::Seeded(10, 5);
-    for (std::uint64_t i = lo; i < hi; ++i) hll.Add(i);
-    return hll;
-  };
-  const auto a = make(0, 3000);
-  const auto b = make(2000, 6000);
-  const auto c = make(5000, 9000);
-
-  auto ab_c = a;
-  ab_c.Merge(b);
-  ab_c.Merge(c);
-  auto bc = b;
-  bc.Merge(c);
-  auto a_bc = a;
-  a_bc.Merge(bc);
-  auto cba = c;
-  cba.Merge(b);
-  cba.Merge(a);
-
-  for (std::size_t i = 0; i < ab_c.registers().size(); ++i) {
-    EXPECT_EQ(ab_c.registers()[i], a_bc.registers()[i]);
-    EXPECT_EQ(ab_c.registers()[i], cba.registers()[i]);
-  }
-}
-
-TEST(HyperLogLog, MergeRejectsMismatch) {
-  auto a = HyperLogLog::Seeded(10, 1);
-  EXPECT_THROW(a.Merge(HyperLogLog::Seeded(11, 1)), MergeError);
-  EXPECT_THROW(a.Merge(HyperLogLog::Seeded(10, 2)), MergeError);
-}
-
 TEST(HyperLogLog, MemoryBytesScalesWithPrecision) {
   EXPECT_GE(HyperLogLog::Seeded(12, 1).MemoryBytes(), std::size_t{4096});
   EXPECT_LT(HyperLogLog::Seeded(6, 1).MemoryBytes(), std::size_t{4096});

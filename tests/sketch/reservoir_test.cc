@@ -72,54 +72,6 @@ TEST(ReservoirSample, OrderIndependent) {
   ExpectSameEntries(forward, strided);
 }
 
-TEST(ReservoirSample, MergeEqualsCombinedStream) {
-  const auto key = DeriveKey(13, 4);
-  ReservoirSample whole(40, key);
-  ReservoirSample left(40, key);
-  ReservoirSample right(40, key);
-  for (std::uint64_t i = 0; i < 3000; ++i) {
-    whole.Add(i, static_cast<double>(i % 17));
-    (i % 2 == 0 ? left : right).Add(i, static_cast<double>(i % 17));
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.seen(), whole.seen());
-  ExpectSameEntries(left, whole);
-}
-
-TEST(ReservoirSample, MergeAssociativeAndCommutative) {
-  const auto key = DeriveKey(21, 0);
-  const auto make = [&key](std::uint64_t lo, std::uint64_t hi) {
-    ReservoirSample sample(25, key);
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      sample.Add(i, static_cast<double>(i) * 0.25);
-    }
-    return sample;
-  };
-  const auto a = make(0, 1000);
-  const auto b = make(1000, 2500);
-  const auto c = make(2500, 4000);
-
-  auto ab_c = a;
-  ab_c.Merge(b);
-  ab_c.Merge(c);
-  auto bc = b;
-  bc.Merge(c);
-  auto a_bc = a;
-  a_bc.Merge(bc);
-  auto cba = c;
-  cba.Merge(b);
-  cba.Merge(a);
-
-  ExpectSameEntries(ab_c, a_bc);
-  ExpectSameEntries(ab_c, cba);
-}
-
-TEST(ReservoirSample, MergeRejectsMismatch) {
-  auto a = ReservoirSample::Seeded(10, 1);
-  EXPECT_THROW(a.Merge(ReservoirSample::Seeded(11, 1)), MergeError);
-  EXPECT_THROW(a.Merge(ReservoirSample::Seeded(10, 2)), MergeError);
-}
-
 TEST(ReservoirSample, UniformityChiSquaredAcrossSeeds) {
   // Sample k=200 of n=2000 keys, repeating over independent seeds, and
   // count how often each key bucket is selected. Under uniformity the

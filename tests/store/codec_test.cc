@@ -23,6 +23,7 @@
 #include "store/column_codec.h"
 #include "store/format.h"
 #include "store/snapshot.h"
+#include "util/crc32c.h"
 
 #include "../core/dataset_equal.h"
 
@@ -78,7 +79,7 @@ TEST(VarintProperty, OverlongAndTruncatedEncodingsThrow) {
 
 // --- column round trips ------------------------------------------------------
 
-/// Random flow table in finalize order (sorted by device, then start) with
+/// Random flow table in (device, start) order with
 /// edge values mixed in — the encoder input contract.
 std::vector<Flow> RandomFlows(std::size_t n, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -98,7 +99,7 @@ std::vector<Flow> RandomFlows(std::size_t n, std::uint64_t seed) {
     f.bytes_up = rng();
     f.bytes_down = rng();
   }
-  // Within-device start order, as Finalize guarantees.
+  // (device, start) order, as a dataset holds its flows.
   std::stable_sort(flows.begin(), flows.end(), [](const Flow& a, const Flow& b) {
     return a.device != b.device ? a.device < b.device
                                 : a.start_offset_s < b.start_offset_s;
@@ -332,6 +333,95 @@ TEST_F(CompressedSnapshotTest, CompressedByteSweepNeverMisreads) {
   }
   EXPECT_GT(rejected, 0);
   EXPECT_GT(intact + salvaged + rejected, 0);
+}
+
+/// A column decoder must check its count against what the payload can hold
+/// before it allocates. Each column's count is raised to 2^62, 2^40 and one
+/// past what its remaining payload bytes can hold, with the raw-size prefix
+/// set to count x raw bytes per flow (wrapping) and the meta flow count to
+/// match, so only that check stands between the decoder and a vector of
+/// `count` entries. Each column is decoded on its own; the file, with all
+/// three columns patched and every CRC resealed, must fail to load and to
+/// verify.
+TEST_F(CompressedSnapshotTest, ColumnCountBeyondPayloadIsCorrupt) {
+  const auto path = *dir_ / "compressed.lds";
+  const SnapshotInfo info = InspectSnapshot(path);
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> clean((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  const auto put = [](std::vector<char>& bytes, std::size_t at, std::uint64_t v,
+                      int width) {
+    for (int b = 0; b < width; ++b) bytes[at + b] = static_cast<char>(v >> (8 * b));
+  };
+  const auto put_u64 = [&](std::vector<char>& bytes, std::size_t at, std::uint64_t v) {
+    put(bytes, at, v, 8);
+  };
+  const auto crc = [](const std::vector<char>& bytes, std::size_t at, std::size_t len) {
+    return util::Crc32c(std::as_bytes(std::span<const char>(bytes.data() + at, len)));
+  };
+  struct Column {
+    const char* name;
+    std::uint64_t raw_bytes;  ///< decoded bytes per flow
+    std::uint64_t min_bytes;  ///< fewest payload bytes per flow
+  };
+  const Column columns[] = {
+      {"col-timestamps", 4, 1}, {"col-domains", 4, 1}, {"col-rest", 31, 14}};
+  const auto section = [&](const char* name) {
+    for (const SectionInfo& s : info.sections) {
+      if (s.name == name) return s;
+    }
+    ADD_FAILURE() << "no " << name << " section";
+    return SectionInfo{};
+  };
+
+  for (const Column& column : columns) {
+    const SectionInfo s = section(column.name);
+    ASSERT_GT(s.size, 16u);
+    const std::uint64_t remaining = s.size - 16;  // after raw size and count
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 62, std::uint64_t{1} << 40, remaining + 1,
+          remaining / column.min_bytes + 1}) {
+      const auto begin = clean.begin() + static_cast<std::ptrdiff_t>(s.offset);
+      std::vector<char> bytes(begin, begin + static_cast<std::ptrdiff_t>(s.size));
+      put_u64(bytes, 0, count * column.raw_bytes);
+      put_u64(bytes, 8, count);
+      const auto payload = std::as_bytes(std::span<const char>(bytes));
+      const std::string what =
+          std::string(column.name) + " count " + std::to_string(count);
+      if (column.name == std::string("col-timestamps")) {
+        EXPECT_THROW((void)detail::DecodeTimestampColumn(payload, count), Error)
+            << what;
+      } else if (column.name == std::string("col-domains")) {
+        EXPECT_THROW((void)detail::DecodeDomainColumn(payload, count), Error) << what;
+      } else {
+        EXPECT_THROW((void)detail::DecodeRestColumn(payload, count), Error) << what;
+      }
+    }
+  }
+
+  const auto patched_path = *dir_ / "crafted_count.lds";
+  for (const std::uint64_t count : {std::uint64_t{1} << 62, std::uint64_t{1} << 40}) {
+    std::vector<char> bytes = clean;
+    put_u64(bytes, section("meta").offset, count);  // num_flows
+    for (const Column& column : columns) {
+      const SectionInfo s = section(column.name);
+      put_u64(bytes, s.offset, count * column.raw_bytes);
+      put_u64(bytes, s.offset + 8, count);
+    }
+    for (std::size_t i = 0; i < info.sections.size(); ++i) {
+      const SectionInfo& s = info.sections[i];
+      put(bytes, kHeaderSize + i * kSectionDescSize + 24,
+          crc(bytes, s.offset, s.size), 4);
+    }
+    put(bytes, bytes.size() - kTrailerSize + 8,
+        crc(bytes, 0, kHeaderSize + info.sections.size() * kSectionDescSize), 4);
+    std::ofstream(patched_path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    EXPECT_THROW((void)LoadSnapshot(patched_path), Error) << count;
+    EXPECT_THROW((void)LoadSnapshot(patched_path, {.salvage = true}), Error) << count;
+    EXPECT_THROW(VerifySnapshot(patched_path), Error) << count;
+  }
+  std::filesystem::remove(patched_path);
 }
 
 }  // namespace

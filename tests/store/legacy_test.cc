@@ -3,7 +3,10 @@
 // figures its writing build recorded — at 1 and 4 threads, and again after
 // re-saving it in the current format. The v4 fixture also pins how the
 // reader treats the day-index section that v5 dropped: checked, never
-// decoded, required of v3/v4 files and unknown to v5 ones.
+// decoded, required of v3/v4 files and unknown to v5 ones. The v5 fixture
+// pins the device-offsets section that v6 dropped: a v1-v5 file's stored
+// index must equal the one derived from its flows, and a v6 file may not
+// carry one.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -96,6 +99,7 @@ void ExpectRecordedFigures(const std::string& name, std::uint32_t version) {
   EXPECT_EQ(current.info.version, kFormatVersion);
   for (const SectionInfo& s : current.info.sections) {
     EXPECT_NE(s.name, "day-index") << name << " re-saved";
+    EXPECT_NE(s.name, "device-offsets") << name << " re-saved";
   }
   EXPECT_EQ(Render(current.collection, 1), recorded) << name << " re-saved";
 }
@@ -110,6 +114,10 @@ TEST(LegacySnapshot, V3CompressedRendersRecordedFigures) {
 
 TEST(LegacySnapshot, V4RawRendersRecordedFigures) {
   ExpectRecordedFigures("v4_raw", 4);
+}
+
+TEST(LegacySnapshot, V5RawRendersRecordedFigures) {
+  ExpectRecordedFigures("v5_raw", 5);
 }
 
 TEST(LegacySnapshot, V4CorruptDayIndexFailsStrictAndSalvagesWithOneWarning) {
@@ -133,20 +141,60 @@ TEST(LegacySnapshot, V4CorruptDayIndexFailsStrictAndSalvagesWithOneWarning) {
   EXPECT_EQ(Render(snap.collection, 1), Recorded("v4_raw"));
 }
 
-TEST(LegacySnapshot, V5DescriptorClaimingDayIndexKindIsUnknown) {
-  const LoadedSnapshot legacy = LoadSnapshot(kLegacyDir / "v4_raw.lds");
-  const std::filesystem::path path = TempPath("v5_kind7");
-  SaveSnapshot(path, legacy.collection, legacy.info.meta);
-  const SnapshotInfo info = InspectSnapshot(path);
-  ASSERT_EQ(info.version, 5u);
-  std::string bytes = ReadBytes(path);
-  // The last descriptor (stats) now claims, in its leading kind field, the
-  // kind only v3/v4 may carry.
+/// Rewrites `file`'s last descriptor (stats) to claim, in its leading kind
+/// field, `kind`, and requires the load to reject the kind as unknown.
+void ExpectLastDescriptorKindUnknown(const std::filesystem::path& file,
+                                     std::uint32_t version, SectionKind kind) {
+  const SnapshotInfo info = InspectSnapshot(file);
+  ASSERT_EQ(info.version, version);
+  std::string bytes = ReadBytes(file);
   PutU32(bytes, kHeaderSize + (info.sections.size() - 1) * kSectionDescSize,
-         static_cast<std::uint32_t>(SectionKind::kDayIndex));
+         static_cast<std::uint32_t>(kind));
   ResealTable(bytes, info.sections.size());
+  const std::filesystem::path path = TempPath("kind_" + std::to_string(version));
   WriteBytes(path, bytes);
-  ExpectLoadError(path, "unknown section kind 7");
+  ExpectLoadError(path, "unknown section kind " +
+                            std::to_string(static_cast<std::uint32_t>(kind)));
+  std::filesystem::remove(path);
+}
+
+TEST(LegacySnapshot, V5DescriptorClaimingDayIndexKindIsUnknown) {
+  ExpectLastDescriptorKindUnknown(kLegacyDir / "v5_raw.lds", 5,
+                                  SectionKind::kDayIndex);
+}
+
+TEST(LegacySnapshot, V6DescriptorClaimingDeviceOffsetsKindIsUnknown) {
+  const LoadedSnapshot legacy = LoadSnapshot(kLegacyDir / "v5_raw.lds");
+  const std::filesystem::path path = TempPath("v6");
+  SaveSnapshot(path, legacy.collection, legacy.info.meta);
+  ExpectLastDescriptorKindUnknown(path, 6, SectionKind::kDeviceOffsets);
+  std::filesystem::remove(path);
+}
+
+TEST(LegacySnapshot, V5DeviceOffsetsDisagreeingWithFlowsIsRejected) {
+  const std::filesystem::path fixture = kLegacyDir / "v5_raw.lds";
+  const SnapshotInfo info = InspectSnapshot(fixture);
+  std::size_t slot = info.sections.size();
+  for (std::size_t i = 0; i < info.sections.size(); ++i) {
+    if (info.sections[i].name == "device-offsets") slot = i;
+  }
+  ASSERT_LT(slot, info.sections.size());
+  const SectionInfo& csr = info.sections[slot];
+  ASSERT_EQ(csr.size, (info.num_devices + 1) * 8);
+  ASSERT_GE(info.num_devices, 2u);
+  // Move the boundary between devices 0 and 1 by one flow: still monotone
+  // and in range, so only the comparison with the derived index catches it.
+  std::string bytes = ReadBytes(fixture);
+  bytes[csr.offset + 8] = static_cast<char>(bytes[csr.offset + 8] + 1);
+  PutU32(bytes, kHeaderSize + slot * kSectionDescSize + 24,
+         util::Crc32c(std::as_bytes(
+             std::span<const char>(bytes.data() + csr.offset, csr.size))));
+  ResealTable(bytes, info.sections.size());
+  const std::filesystem::path path = TempPath("v5_bad_offsets");
+  WriteBytes(path, bytes);
+  ExpectLoadError(path, "inconsistent device index section");
+  EXPECT_THROW((void)LoadSnapshot(path, {.mode = LoadMode::kCopy}), Error);
+  EXPECT_THROW(VerifySnapshot(path), Error);
   std::filesystem::remove(path);
 }
 

@@ -92,9 +92,7 @@ TEST(SnapshotRoundTrip, ZeroCopyAndPortablePathsAgree) {
   const LoadedSnapshot copied =
       LoadSnapshot(Campus().file, {LoadMode::kCopy, true});
   EXPECT_TRUE(mmaped.zero_copy);
-  EXPECT_TRUE(mmaped.collection.dataset.flows_borrowed());
   EXPECT_FALSE(copied.zero_copy);
-  EXPECT_FALSE(copied.collection.dataset.flows_borrowed());
   core::testing::ExpectSameDataset(mmaped.collection.dataset, copied.collection.dataset);
 }
 
@@ -149,9 +147,19 @@ TEST(SnapshotRoundTrip, OverwritesExistingFileAtomically) {
   fs::remove(target);
 }
 
-TEST(SnapshotWriter, RejectsNonFinalizedDataset) {
-  core::CollectionResult unfinalized;
-  EXPECT_THROW(SaveSnapshot(Campus().dir / "nope.lds", unfinalized, {}), Error);
+// A dataset's device index is valid from construction on, so even an empty
+// collection is a snapshot: no devices, no flows, the one-entry index.
+TEST(SnapshotWriter, EmptyCollectionRoundTrips) {
+  const core::CollectionResult empty;
+  for (const bool compress : {false, true}) {
+    const fs::path p = Campus().dir / "empty.lds";
+    SaveSnapshot(p, empty, {}, {.compress = compress});
+    VerifySnapshot(p);
+    const LoadedSnapshot snap = LoadSnapshot(p);
+    core::testing::ExpectSameCollection(empty, snap.collection);
+    EXPECT_EQ(snap.collection.dataset.device_offsets().size(), 1u);
+    fs::remove(p);
+  }
 }
 
 // --- Corruption and truncation ------------------------------------------------
@@ -199,7 +207,7 @@ TEST(SnapshotCorruption, TruncationRejectedAtEveryBoundary) {
 
 TEST(SnapshotCorruption, FlippedByteInEverySectionRejected) {
   const SnapshotInfo info = InspectSnapshot(Campus().file);
-  ASSERT_EQ(info.sections.size(), 6u);  // the six classic sections
+  ASSERT_EQ(info.sections.size(), 5u);  // meta, flows, string pool, devices, stats
   for (const SectionInfo& section : info.sections) {
     if (section.size == 0) continue;
     const fs::path p = ScratchCopy("flip_" + section.name + ".lds");

@@ -14,6 +14,7 @@
 #include "world/catalog.h"
 
 #include "../core/figure_render.h"
+#include "../core/sorted_flows.h"
 
 namespace lockdown::stream {
 namespace {
@@ -85,6 +86,7 @@ core::Dataset SyntheticLargeDataset() {
   for (int i = 0; i < 200; ++i) {
     domains.push_back(ds.InternDomain("svc" + std::to_string(i) + ".example"));
   }
+  std::vector<core::Flow> flows;
   constexpr int kDevices = 600;
   constexpr int kFlowsPerDevice = 350;
   for (int d = 0; d < kDevices; ++d) {
@@ -101,10 +103,10 @@ core::Dataset SyntheticLargeDataset() {
       f.server_ip = net::Ipv4Address{0x0A000000U + static_cast<std::uint32_t>(i)};
       f.bytes_up = 1000 + static_cast<std::uint64_t>(i) * 17;
       f.bytes_down = 50000 + static_cast<std::uint64_t>(d) * 31;
-      ds.AddFlow(f);
+      flows.push_back(f);
     }
   }
-  ds.Finalize();
+  core::testing::SetFlowsSorted(ds, std::move(flows));
   return ds;
 }
 

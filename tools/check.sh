@@ -19,8 +19,10 @@
 # logs with the deterministic FaultInjector (seeds {1,2,3} x rates
 # {0.1%, 1%}), and asserts tolerant ingest completes (exit 0) where strict
 # ingest fails with the documented exit codes (3 = over error budget,
-# 4 = corrupt snapshot without fallback). The clean export converted to
-# CRLF line ends must pass strict ingest with the same analyze output.
+# 4 = corrupt snapshot without fallback), also for a compressed snapshot
+# whose resealed flow counts claim more flows than its columns can hold.
+# The clean export converted to CRLF line ends must pass strict ingest with
+# the same analyze output.
 # Malformed numeric flag values (NaN rates, trailing garbage, an over-cap
 # --threads) must exit 1.
 #
@@ -194,6 +196,54 @@ if [[ "${mode}" == "all" || "${mode}" == "--fault-only" ]]; then
     --ingest-mode tolerant
   rm "${work}/badsnap/dataset.lds"
   rm "${work}/clean/dataset.lds"
+
+  echo "=== fault: crafted flow counts -> tolerant falls back, strict exits 4 ==="
+  # A compressed snapshot whose meta and column flow counts claim 2^62
+  # flows, every CRC resealed: the column decoders must reject the count
+  # before allocating for it.
+  cp -r "${work}/clean" "${work}/badcount"
+  "${cli}" snapshot save --out "${work}/badcount/dataset.lds" --compress \
+    --logs "${work}/clean" --students 60 --seed 11 >/dev/null
+  python3 - "${work}/badcount/dataset.lds" <<'PY'
+import struct, sys
+
+def crc32c(data):
+    table = []
+    for i in range(256):
+        c = i
+        for _ in range(8):
+            c = (c >> 1) ^ 0x82F63B78 if c & 1 else c >> 1
+        table.append(c)
+    crc = 0xFFFFFFFF
+    for b in data:
+        crc = table[(crc ^ b) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFF
+
+path = sys.argv[1]
+data = bytearray(open(path, "rb").read())
+count = 1 << 62
+# Section kind -> decoded bytes per flow of its raw-size prefix (0: meta).
+raw_bytes = {1: 0, 8: 4, 9: 4, 10: 31}
+(num_sections,) = struct.unpack_from("<I", data, 20)
+for i in range(num_sections):
+    desc = 64 + 32 * i
+    kind, _, offset, size = struct.unpack_from("<IIQQ", data, desc)
+    if kind not in raw_bytes:
+        continue
+    if kind == 1:
+        struct.pack_into("<Q", data, offset, count)  # meta num_flows
+    else:
+        struct.pack_into("<QQ", data, offset,
+                         (count * raw_bytes[kind]) % (1 << 64), count)
+    struct.pack_into("<I", data, desc + 24, crc32c(data[offset:offset + size]))
+table_end = 64 + 32 * num_sections
+struct.pack_into("<I", data, len(data) - 8, crc32c(data[:table_end]))
+open(path, "wb").write(data)
+PY
+  expect_exit 4 "${cli}" analyze --logs "${work}/badcount" --students 60 --seed 11
+  expect_exit 0 "${cli}" analyze --logs "${work}/badcount" --students 60 --seed 11 \
+    --ingest-mode tolerant
+  rm -r "${work}/badcount"
 
   echo "=== fault: CRLF logs -> strict analyze exits 0 with the LF figures ==="
   # A trailing \r puts every conn.log row outside the parser's common shape,
