@@ -80,8 +80,9 @@ class Dataset {
   /// device; throws std::invalid_argument otherwise, keeping the previous
   /// flows.
   void SetFlows(std::vector<Flow> flows);
-  /// SetFlows over an externally owned array (e.g. an mmap'd LDS section),
-  /// without copying. `keepalive` owns the backing memory and is held for
+  /// SetFlows over an externally owned array (an mmap'd LDS section, or the
+  /// page-mapped array pipeline pass 3 or a decoding load fills), without
+  /// copying. `keepalive` owns the backing memory and is held for
   /// the dataset's lifetime.
   void BorrowFlows(std::span<const Flow> flows,
                    std::shared_ptr<const void> keepalive);

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <ostream>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -187,10 +190,10 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
   // order over the original flow sequence, so the dataset is byte-identical
   // to a serial build at any thread count. A first scan numbers the devices
   // and counts their kept flows, which fixes each device's slice of the
-  // dataset's flow array; the second writes each flow once, into its
-  // device's slice in flow order. A stable sort of each slice by start then
-  // gives the (device, start) order Dataset::SetFlows requires, ties in
-  // flow order.
+  // dataset's flow array; the second constructs each flow once, in place in
+  // its device's slice in flow order. A stable sort of each slice by start
+  // then gives the (device, start) order Dataset::BorrowFlows requires, ties
+  // in flow order.
   Dataset& ds = result.dataset;
   std::vector<DeviceIndex> device_index(num_macs, kUnassigned);
   std::vector<DomainId> domain_of(mapper.num_names(), kUnassigned);
@@ -219,29 +222,48 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
     }
     for (std::size_t d = 1; d < offsets.size(); ++d) offsets[d] += offsets[d - 1];
 
-    std::vector<Flow> flows(offsets.back());
+    // Fresh pages, so nothing is written before a flow is placed; the raw
+    // flows and the per-flow tables give their pages back chunk by chunk as
+    // the placement passes them, so the two flow arrays are never both
+    // whole in memory.
+    const std::size_t kept = offsets.back();
+    const std::shared_ptr<Flow[]> placed = util::MapArray<Flow>(kept);
+    const std::span<Flow> flows(placed.get(), kept);
     std::vector<std::uint64_t> next(offsets.begin(), offsets.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const DeviceIndex dev = slots[i];
-      if (dev == kUnassigned) continue;
-      DomainId domain = kNoDomain;
-      if (names[i] != dns::IpToDomainMapper::kNoName) {
-        DomainId& interned = domain_of[names[i]];
-        if (interned == kUnassigned) interned = ds.InternDomain(mapper.name(names[i]));
-        domain = interned;
-      }
+    const auto release = [](const auto& table, std::size_t begin, std::size_t end) {
+      util::ReleasePages(std::as_bytes(std::span(table).subspan(begin, end - begin)));
+    };
+    for (std::size_t begin = 0; begin < n; begin += kFlowGrain) {
+      const std::size_t end = std::min(n, begin + kFlowGrain);
+      for (std::size_t i = begin; i < end; ++i) {
+        const DeviceIndex dev = slots[i];
+        if (dev == kUnassigned) continue;
+        DomainId domain = kNoDomain;
+        if (names[i] != dns::IpToDomainMapper::kNoName) {
+          DomainId& interned = domain_of[names[i]];
+          if (interned == kUnassigned) {
+            interned = ds.InternDomain(mapper.name(names[i]));
+          }
+          domain = interned;
+        }
 
-      const flow::FlowRecord& rec = inputs.flows[i];
-      Flow& f = flows[next[dev]++];
-      f.start_offset_s = static_cast<std::uint32_t>(rec.start - study_start);
-      f.duration_s = static_cast<float>(rec.duration_s);
-      f.device = dev;
-      f.domain = domain;
-      f.server_ip = rec.server_ip;
-      f.server_port = rec.server_port;
-      f.proto = static_cast<std::uint8_t>(rec.proto);
-      f.bytes_up = rec.bytes_up;
-      f.bytes_down = rec.bytes_down;
+        const flow::FlowRecord& rec = inputs.flows[i];
+        // Value-initialized first, so the padding byte is zero as in a
+        // decoded snapshot.
+        Flow& f = *::new (&flows[next[dev]++]) Flow();
+        f.start_offset_s = static_cast<std::uint32_t>(rec.start - study_start);
+        f.duration_s = static_cast<float>(rec.duration_s);
+        f.device = dev;
+        f.domain = domain;
+        f.server_ip = rec.server_ip;
+        f.server_port = rec.server_port;
+        f.proto = static_cast<std::uint8_t>(rec.proto);
+        f.bytes_up = rec.bytes_up;
+        f.bytes_down = rec.bytes_down;
+      }
+      release(inputs.flows, begin, end);
+      release(slots, begin, end);
+      release(names, begin, end);
     }
     // The raw flows and per-flow tables are done; free them before the
     // slice sorts take their scratch buffers.
@@ -258,7 +280,7 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
         std::stable_sort(first, last, by_start);
       }
     }
-    ds.SetFlows(std::move(flows));
+    ds.BorrowFlows(flows, placed);
   }
 
   // --- User-Agent sightings ----------------------------------------------------
@@ -291,11 +313,20 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
 CapturedFlows CaptureFlows(sim::TrafficGenerator& generator,
                            const world::ServiceCatalog& catalog) {
   OBS_SPAN("sim/generate");
+  // The assembler's records go to fixed blocks that never grow, each its own
+  // page mapping; a growing array would copy all records so far into a
+  // block twice their size while the old one is still live.
+  constexpr std::size_t kBlockRecords = 65536;  // 3 MiB
+  using Block = std::vector<flow::FlowRecord, util::PageAllocator<flow::FlowRecord>>;
+  std::vector<Block> blocks;
   CapturedFlows captured;
-  flow::Assembler assembler(flow::AssemblerConfig{},
-                            [&captured](const flow::FlowRecord& rec) {
-                              captured.flows.push_back(rec);
-                            });
+  const auto append = [&blocks](const flow::FlowRecord& rec) {
+    if (blocks.empty() || blocks.back().size() == kBlockRecords) {
+      blocks.emplace_back().reserve(kBlockRecords);
+    }
+    blocks.back().push_back(rec);
+  };
+  flow::Assembler assembler(flow::AssemblerConfig{}, append);
   generator.Run([&](const flow::TapEvent& ev) {
     // Tap exclusion list (§3): traffic to these networks is never mirrored.
     const auto svc = catalog.FindByIp(ev.tuple.dst_ip);
@@ -306,6 +337,14 @@ CapturedFlows CaptureFlows(sim::TrafficGenerator& generator,
     assembler.Ingest(ev);
   });
   assembler.Finish();
+  // One exactly sized array; each block is unmapped as soon as it is copied.
+  std::size_t total = 0;
+  for (const Block& block : blocks) total += block.size();
+  captured.flows.reserve(total);
+  for (Block& block : blocks) {
+    captured.flows.insert(captured.flows.end(), block.begin(), block.end());
+    Block().swap(block);
+  }
   return captured;
 }
 

@@ -81,6 +81,8 @@ struct CapturedFlows {
 /// Runs `generator` through the tap exclusion list (§3) into the flow
 /// assembler: the capture stage shared by MeasurementPipeline::Collect and
 /// ExportLogs. The generator's DHCP, DNS and UA logs are filled afterwards.
+/// Records collect in fixed page-mapped blocks that never grow, and end in
+/// one exactly sized `flows`, each block unmapped once copied.
 [[nodiscard]] CapturedFlows CaptureFlows(sim::TrafficGenerator& generator,
                                          const world::ServiceCatalog& catalog);
 
@@ -101,6 +103,11 @@ class MeasurementPipeline {
   /// Runs only the processing stages (attribution, anonymization, visitor
   /// filtering) over pre-collected inputs. `stats.raw_flows` and
   /// `stats.tap_excluded` reflect the inputs as given.
+  ///
+  /// The raw flows leave memory as the dataset fills: the final placement
+  /// builds the dataset's flow array on fresh pages and hands each finished
+  /// chunk of the raw flows and the per-flow tables back to the kernel
+  /// (util::ReleasePages), so the two flow arrays are never both resident.
   ///
   /// `threads` shards the attribution and retention/DNS-mapping passes
   /// across a thread pool (0 = LOCKDOWN_THREADS/hardware; see

@@ -1,10 +1,7 @@
 #include "dhcp/normalizer.h"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <bit>
-#include <new>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -19,17 +16,6 @@ constexpr std::size_t HashIp(std::uint32_t ip) noexcept {
 }
 
 }  // namespace
-
-void* IpToMacNormalizer::MapPages(std::size_t bytes) {
-  if (bytes == 0) return nullptr;
-  void* pages = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (pages == MAP_FAILED) throw std::bad_alloc();
-  return pages;
-}
-
-void IpToMacNormalizer::UnmapPages(void* pages, std::size_t bytes) noexcept {
-  if (pages != nullptr) munmap(pages, bytes);
-}
 
 IpToMacNormalizer::IpToMacNormalizer(std::span<const Lease> log) {
   if (log.size() >= UINT32_MAX) {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "dhcp/lease.h"
+#include "util/memstats.h"
 
 namespace lockdown::dhcp {
 
@@ -108,25 +109,12 @@ class IpToMacNormalizer {
   [[nodiscard]] std::uint32_t LastStartedBy(std::uint32_t begin, std::uint32_t end,
                                             util::Timestamp ts) const noexcept;
 
-  /// Backs the index arrays with their own page mappings instead of malloc.
-  /// Freeing a multi-MiB malloc block raises glibc's dynamic mmap threshold,
-  /// and blocks of that size allocated later (the snapshot load, the next
-  /// capture) then stay in the heap: on a second 1200-student campus job in
-  /// one process that cost about 14 MiB of peak RSS.
-  template <typename T>
-  struct PageAllocator {
-    using value_type = T;
-    T* allocate(std::size_t n) { return static_cast<T*>(MapPages(n * sizeof(T))); }
-    void deallocate(T* p, std::size_t n) noexcept { UnmapPages(p, n * sizeof(T)); }
-    friend bool operator==(const PageAllocator&, const PageAllocator&) = default;
-  };
-  static void* MapPages(std::size_t bytes);
-  static void UnmapPages(void* pages, std::size_t bytes) noexcept;
-
+  // The index arrays sit on their own page mappings, not the malloc heap
+  // (util::PageAllocator says why).
   /// Grouped by IP, each group by (start, log order).
-  std::vector<Interval, PageAllocator<Interval>> intervals_;
+  std::vector<Interval, util::PageAllocator<Interval>> intervals_;
   /// Power-of-two size, load <= 1/2.
-  std::vector<Group, PageAllocator<Group>> table_;
+  std::vector<Group, util::PageAllocator<Group>> table_;
   std::vector<net::MacAddress> macs_;  ///< by slot
   std::size_t num_ips_ = 0;
 };

@@ -16,46 +16,49 @@
 //
 // Every decoder is bounds-checked through detail::Decoder and cross-checks
 // its element count against the caller's expectation (the meta section) and
-// against the fewest bytes per flow its column can take, before allocating,
-// so a corrupt-but-CRC-valid payload throws store::Error — it never silently
-// misreads or asks for memory the payload cannot fill.
+// against the fewest bytes per flow its column can take, so a
+// corrupt-but-CRC-valid payload throws store::Error — it never silently
+// misreads. A load runs CheckColumnCount on all three columns before it
+// sizes the flow array, so a hostile count never asks for memory the
+// payload cannot fill; each decoder then writes its fields straight into
+// that array, so no per-column copy of the flows exists.
 // tests/store/codec_test.cc round-trips these on random inputs and
 // byte-sweeps a compressed snapshot.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/dataset.h"
 #include "store/codec.h"
+#include "store/format.h"
 
 namespace lockdown::store::detail {
 
 [[nodiscard]] Encoder EncodeTimestampColumn(std::span<const core::Flow> flows);
 [[nodiscard]] Encoder EncodeDomainColumn(std::span<const core::Flow> flows);
+/// Reserves its exact size up front, so the encode never grows its buffer.
 [[nodiscard]] Encoder EncodeRestColumn(std::span<const core::Flow> flows);
 
 /// Reads the leading u64 raw-size field of a coded payload (0 when the
 /// payload is too short even for that).
 [[nodiscard]] std::uint64_t PeekRawSize(std::span<const std::byte> payload) noexcept;
 
-[[nodiscard]] std::vector<std::uint32_t> DecodeTimestampColumn(
-    std::span<const std::byte> payload, std::uint64_t expected_count);
-[[nodiscard]] std::vector<std::uint32_t> DecodeDomainColumn(
-    std::span<const std::byte> payload, std::uint64_t expected_count);
+/// Checks the count prefix of a flow column's payload (`column` is
+/// kColTimestamps, kColDomains or kColRest) against `expected_count` and
+/// against what the payload can hold, without decoding; throws store::Error
+/// otherwise.
+void CheckColumnCount(SectionKind column, std::span<const std::byte> payload,
+                      std::uint64_t expected_count);
 
-/// The non-timestamp, non-domain flow fields.
-struct RestColumns {
-  std::vector<float> duration;
-  std::vector<std::uint32_t> device;
-  std::vector<std::uint32_t> server_ip;
-  std::vector<std::uint16_t> server_port;
-  std::vector<std::uint8_t> proto;
-  std::vector<std::uint64_t> bytes_up;
-  std::vector<std::uint64_t> bytes_down;
-};
-[[nodiscard]] RestColumns DecodeRestColumn(std::span<const std::byte> payload,
-                                           std::uint64_t expected_count);
+/// Each decoder checks that its column holds exactly flows.size() flows and
+/// writes its fields of every flow: start_offset_s; domain; and the rest
+/// (duration, device, server, port, proto, byte counts).
+void DecodeTimestampColumn(std::span<const std::byte> payload,
+                           std::span<core::Flow> flows);
+void DecodeDomainColumn(std::span<const std::byte> payload,
+                        std::span<core::Flow> flows);
+void DecodeRestColumn(std::span<const std::byte> payload,
+                      std::span<core::Flow> flows);
 
 }  // namespace lockdown::store::detail

@@ -1,6 +1,8 @@
 #include <array>
 #include <bit>
 #include <chrono>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -13,6 +15,7 @@
 #include "store/mmap_file.h"
 #include "store/snapshot.h"
 #include "util/crc32c.h"
+#include "util/memstats.h"
 
 namespace lockdown::store {
 
@@ -121,6 +124,11 @@ class Reader::Impl {
         (void)dev.U64();  // flow_count
       }
       const std::uint32_t num_uas = dev.U32();
+      // Each is a 4-byte string ref: a count the section cannot hold must
+      // fail as corruption before it sizes the reservation.
+      if (num_uas > dev.remaining() / 4) {
+        Fail("device user-agent count exceeds the devices section");
+      }
       obs.user_agents.reserve(num_uas);
       for (std::uint32_t u = 0; u < num_uas; ++u) {
         obs.user_agents.emplace_back(StringAt(strings, dev.U32()));
@@ -136,9 +144,18 @@ class Reader::Impl {
     dev.ExpectDone();
 
     // --- Flows ---------------------------------------------------------------
-    // Either a view of the mapped section or an owned decoded array.
-    std::span<const core::Flow> mapped;
-    std::vector<core::Flow> decoded;
+    // Either a view of the mapped section or an array decoded onto fresh
+    // pages (util::MapArray); the dataset borrows it either way.
+    std::span<const core::Flow> flows;
+    std::shared_ptr<const void> owner;
+    const auto map_flows = [&] {
+      const auto n = static_cast<std::size_t>(info_.num_flows);
+      std::shared_ptr<core::Flow[]> array = util::MapArray<core::Flow>(n);
+      const std::span<core::Flow> decoded(array.get(), n);
+      flows = decoded;
+      owner = std::move(array);
+      return decoded;
+    };
     if (HasSection(SectionKind::kFlows)) {
       const std::span<const std::byte> flow_bytes = Section(SectionKind::kFlows);
       const bool zero_copy_eligible = kHostIsLittleEndian;
@@ -146,17 +163,17 @@ class Reader::Impl {
         Fail("zero-copy load unavailable on a big-endian host");
       }
       if (options.mode != LoadMode::kCopy && zero_copy_eligible) {
-        mapped = {reinterpret_cast<const core::Flow*>(flow_bytes.data()),
-                  static_cast<std::size_t>(info_.num_flows)};
+        flows = {reinterpret_cast<const core::Flow*>(flow_bytes.data()),
+                 static_cast<std::size_t>(info_.num_flows)};
+        owner = map_;
         out.zero_copy = true;
         if (lockdown::obs::MetricsEnabled()) {
           lockdown::obs::GetCounter("store/load_zero_copy", "loads").Increment();
         }
       } else {
+        // ParseStructure checked num_flows against the section size.
         detail::Decoder dec(flow_bytes, "flows");
-        decoded.reserve(static_cast<std::size_t>(info_.num_flows));
-        for (std::uint64_t i = 0; i < info_.num_flows; ++i) {
-          core::Flow& f = decoded.emplace_back();
+        for (core::Flow& f : map_flows()) {
           f.start_offset_s = dec.U32();
           f.duration_s = dec.F32();
           f.device = dec.U32();
@@ -174,30 +191,22 @@ class Reader::Impl {
         }
       }
     } else {
-      // Columnar (compressed) flow storage: always decoded into an owned
-      // array; the varint streams cannot back a zero-copy view.
+      // Columnar (compressed) flow storage: each column decodes straight
+      // into one array; the varint streams cannot back a zero-copy view.
       if (options.mode == LoadMode::kMmap) {
         Fail("zero-copy load unavailable: flows are stored compressed");
       }
-      const std::vector<std::uint32_t> ts = detail::DecodeTimestampColumn(
-          Section(SectionKind::kColTimestamps), info_.num_flows);
-      const std::vector<std::uint32_t> dom = detail::DecodeDomainColumn(
-          Section(SectionKind::kColDomains), info_.num_flows);
-      const detail::RestColumns rest = detail::DecodeRestColumn(
-          Section(SectionKind::kColRest), info_.num_flows);
-      decoded.reserve(ts.size());
-      for (std::size_t i = 0; i < ts.size(); ++i) {
-        core::Flow& f = decoded.emplace_back();
-        f.start_offset_s = ts[i];
-        f.duration_s = rest.duration[i];
-        f.device = rest.device[i];
-        f.domain = dom[i];
-        f.server_ip = net::Ipv4Address(rest.server_ip[i]);
-        f.server_port = rest.server_port[i];
-        f.proto = rest.proto[i];
-        f.bytes_up = rest.bytes_up[i];
-        f.bytes_down = rest.bytes_down[i];
-      }
+      const std::span<const std::byte> ts = Section(SectionKind::kColTimestamps);
+      const std::span<const std::byte> dom = Section(SectionKind::kColDomains);
+      const std::span<const std::byte> rest = Section(SectionKind::kColRest);
+      // Every column's count must pass before the array is sized by it.
+      detail::CheckColumnCount(SectionKind::kColTimestamps, ts, info_.num_flows);
+      detail::CheckColumnCount(SectionKind::kColDomains, dom, info_.num_flows);
+      detail::CheckColumnCount(SectionKind::kColRest, rest, info_.num_flows);
+      const std::span<core::Flow> decoded = map_flows();
+      detail::DecodeTimestampColumn(ts, decoded);
+      detail::DecodeDomainColumn(dom, decoded);
+      detail::DecodeRestColumn(rest, decoded);
       if (lockdown::obs::MetricsEnabled()) {
         lockdown::obs::GetCounter("store/load_columnar", "loads").Increment();
       }
@@ -206,11 +215,7 @@ class Reader::Impl {
     // order as it derives the device index, so a CRC-valid but ill-formed
     // file fails here, not as UB or a wrong figure in a consumer.
     try {
-      if (out.zero_copy) {
-        ds.BorrowFlows(mapped, map_);
-      } else {
-        ds.SetFlows(std::move(decoded));
-      }
+      ds.BorrowFlows(flows, std::move(owner));
     } catch (const std::invalid_argument& e) {
       Fail(e.what());
     }

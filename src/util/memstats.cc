@@ -1,6 +1,7 @@
 #include "util/memstats.h"
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <unistd.h>
 #endif
@@ -38,6 +39,32 @@ void ReleaseFreeHeap() noexcept {
 #if defined(__GLIBC__)
   malloc_trim(0);
 #endif
+}
+
+void ReleasePages(std::span<const std::byte> bytes) noexcept {
+#if defined(__linux__)
+  static const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(bytes.data());
+  const std::uintptr_t first = (begin + page - 1) / page * page;
+  const std::uintptr_t last = (begin + bytes.size()) / page * page;
+  if (first < last) {
+    madvise(reinterpret_cast<void*>(first), last - first, MADV_DONTNEED);
+  }
+#else
+  (void)bytes;
+#endif
+}
+
+void* MapPages(std::size_t bytes) {
+  if (bytes == 0) return nullptr;
+  void* pages = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) throw std::bad_alloc();
+  return pages;
+}
+
+void UnmapPages(void* pages, std::size_t bytes) noexcept {
+  if (pages != nullptr) munmap(pages, bytes);
 }
 
 std::size_t CurrentRssBytes() noexcept {

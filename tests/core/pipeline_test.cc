@@ -304,38 +304,46 @@ TEST_F(PipelineTest, DifferentSeedsProduceDifferentPseudonyms) {
 // carries its input rank in bytes_up, which Process copies verbatim, so the
 // kept flows in input order can be recovered from the dataset itself; the
 // reversed input gives the per-device slice sorts unsorted runs and ties in
-// the opposite order.
+// the opposite order. Inputs cut to one flow either side of the 16,384-flow
+// chunks whose raw pages pass 3 releases as it goes, and to three chunks
+// plus one, put every release edge under the sanitizer tiers.
 TEST(Pipeline, DatasetIsStableDeviceStartSortOfKeptFlows) {
-  const StudyConfig config = StudyConfig::Small(12, 2020);
+  const StudyConfig config = StudyConfig::Small(16, 2020);
   const RawInputs captured = MeasurementPipeline::Capture(config);
   const privacy::Anonymizer anon = MeasurementPipeline::MakeAnonymizer(config);
-  for (const bool reversed : {false, true}) {
-    RawInputs inputs = captured;
-    if (reversed) std::reverse(inputs.flows.begin(), inputs.flows.end());
-    for (std::size_t i = 0; i < inputs.flows.size(); ++i) inputs.flows[i].bytes_up = i;
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE(::testing::Message() << "reversed=" << reversed
-                                        << " threads=" << threads);
-      const CollectionResult result =
-          MeasurementPipeline::Process(inputs, anon, config.visitor_min_days, threads);
-      const auto flows = result.dataset.flows();
-      ASSERT_GT(flows.size(), 10000u);
-      std::vector<Flow> want(flows.begin(), flows.end());
-      std::sort(want.begin(), want.end(), [](const Flow& a, const Flow& b) {
-        return a.bytes_up < b.bytes_up;
-      });
-      ASSERT_TRUE(std::adjacent_find(want.begin(), want.end(),
-                                     [](const Flow& a, const Flow& b) {
-                                       return a.bytes_up == b.bytes_up;
-                                     }) == want.end());
-      testing::StableSortByDeviceStart(want);
-      ASSERT_TRUE(std::ranges::equal(want, flows));
-      // Ties on (device, start) exist, so their order is under test too.
-      EXPECT_TRUE(std::adjacent_find(flows.begin(), flows.end(),
-                                     [](const Flow& a, const Flow& b) {
-                                       return a.device == b.device &&
-                                              a.start_offset_s == b.start_offset_s;
-                                     }) != flows.end());
+  ASSERT_GT(captured.flows.size(), 49153u);
+  for (const std::size_t length : {captured.flows.size(), std::size_t{16383},
+                                   std::size_t{16384}, std::size_t{16385},
+                                   std::size_t{49153}}) {
+    for (const bool reversed : {false, true}) {
+      RawInputs inputs = captured;
+      if (reversed) std::reverse(inputs.flows.begin(), inputs.flows.end());
+      inputs.flows.resize(length);
+      for (std::size_t i = 0; i < length; ++i) inputs.flows[i].bytes_up = i;
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << "length=" << length << " reversed="
+                                          << reversed << " threads=" << threads);
+        const CollectionResult result = MeasurementPipeline::Process(
+            inputs, anon, config.visitor_min_days, threads);
+        const auto flows = result.dataset.flows();
+        ASSERT_GT(flows.size(), length / 2);
+        std::vector<Flow> want(flows.begin(), flows.end());
+        std::sort(want.begin(), want.end(), [](const Flow& a, const Flow& b) {
+          return a.bytes_up < b.bytes_up;
+        });
+        ASSERT_TRUE(std::adjacent_find(want.begin(), want.end(),
+                                       [](const Flow& a, const Flow& b) {
+                                         return a.bytes_up == b.bytes_up;
+                                       }) == want.end());
+        testing::StableSortByDeviceStart(want);
+        ASSERT_TRUE(std::ranges::equal(want, flows));
+        // Ties on (device, start) exist, so their order is under test too.
+        EXPECT_TRUE(std::adjacent_find(flows.begin(), flows.end(),
+                                       [](const Flow& a, const Flow& b) {
+                                         return a.device == b.device &&
+                                                a.start_offset_s == b.start_offset_s;
+                                       }) != flows.end());
+      }
     }
   }
 }

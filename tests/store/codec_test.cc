@@ -113,10 +113,10 @@ TEST(ColumnCodec, TimestampColumnRoundTrips) {
     const auto flows = RandomFlows(n, 10 + n);
     const detail::Encoder enc = detail::EncodeTimestampColumn(flows);
     EXPECT_EQ(detail::PeekRawSize(enc.bytes()), n * 4);
-    const auto decoded = detail::DecodeTimestampColumn(enc.bytes(), n);
-    ASSERT_EQ(decoded.size(), n);
+    std::vector<Flow> decoded(n);
+    detail::DecodeTimestampColumn(enc.bytes(), decoded);
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(decoded[i], flows[i].start_offset_s) << i;
+      ASSERT_EQ(decoded[i].start_offset_s, flows[i].start_offset_s) << i;
     }
   }
 }
@@ -126,10 +126,10 @@ TEST(ColumnCodec, DomainColumnRoundTrips) {
                               std::size_t{5000}}) {
     const auto flows = RandomFlows(n, 20 + n);
     const detail::Encoder enc = detail::EncodeDomainColumn(flows);
-    const auto decoded = detail::DecodeDomainColumn(enc.bytes(), n);
-    ASSERT_EQ(decoded.size(), n);
+    std::vector<Flow> decoded(n);
+    detail::DecodeDomainColumn(enc.bytes(), decoded);
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(decoded[i], flows[i].domain) << i;
+      ASSERT_EQ(decoded[i].domain, flows[i].domain) << i;
     }
   }
 }
@@ -139,19 +139,38 @@ TEST(ColumnCodec, RestColumnRoundTrips) {
                               std::size_t{5000}}) {
     const auto flows = RandomFlows(n, 30 + n);
     const detail::Encoder enc = detail::EncodeRestColumn(flows);
-    const detail::RestColumns rest = detail::DecodeRestColumn(enc.bytes(), n);
-    ASSERT_EQ(rest.device.size(), n);
+    std::vector<Flow> decoded(n);
+    detail::DecodeRestColumn(enc.bytes(), decoded);
     for (std::size_t i = 0; i < n; ++i) {
       const Flow& f = flows[i];
-      ASSERT_EQ(rest.duration[i], f.duration_s) << i;
-      ASSERT_EQ(rest.device[i], f.device) << i;
-      ASSERT_EQ(rest.server_ip[i], f.server_ip.value()) << i;
-      ASSERT_EQ(rest.server_port[i], f.server_port) << i;
-      ASSERT_EQ(rest.proto[i], f.proto) << i;
-      ASSERT_EQ(rest.bytes_up[i], f.bytes_up) << i;
-      ASSERT_EQ(rest.bytes_down[i], f.bytes_down) << i;
+      ASSERT_EQ(decoded[i].duration_s, f.duration_s) << i;
+      ASSERT_EQ(decoded[i].device, f.device) << i;
+      ASSERT_EQ(decoded[i].server_ip, f.server_ip) << i;
+      ASSERT_EQ(decoded[i].server_port, f.server_port) << i;
+      ASSERT_EQ(decoded[i].proto, f.proto) << i;
+      ASSERT_EQ(decoded[i].bytes_up, f.bytes_up) << i;
+      ASSERT_EQ(decoded[i].bytes_down, f.bytes_down) << i;
     }
   }
+}
+
+/// The three decoders together rebuild the flows, and a decode into an
+/// array of another length is a count mismatch.
+TEST(ColumnCodec, ColumnsDecodeIntoOneFlowArray) {
+  const auto flows = RandomFlows(3000, 40);
+  const detail::Encoder ts = detail::EncodeTimestampColumn(flows);
+  const detail::Encoder dom = detail::EncodeDomainColumn(flows);
+  const detail::Encoder rest = detail::EncodeRestColumn(flows);
+  std::vector<Flow> decoded(flows.size());
+  detail::DecodeTimestampColumn(ts.bytes(), decoded);
+  detail::DecodeDomainColumn(dom.bytes(), decoded);
+  detail::DecodeRestColumn(rest.bytes(), decoded);
+  EXPECT_EQ(decoded, flows);
+
+  std::vector<Flow> shorter(flows.size() - 1);
+  EXPECT_THROW(detail::DecodeTimestampColumn(ts.bytes(), shorter), Error);
+  EXPECT_THROW(detail::DecodeDomainColumn(dom.bytes(), shorter), Error);
+  EXPECT_THROW(detail::DecodeRestColumn(rest.bytes(), shorter), Error);
 }
 
 // --- decoder fuzz ------------------------------------------------------------
@@ -178,23 +197,18 @@ TEST(ColumnCodecFuzz, MutatedPayloadsNeverCrash) {
       payload[rng() % payload.size()] ^=
           static_cast<std::byte>(1 + rng() % 255);
     }
+    std::vector<Flow> out(flows.size());
     try {
       switch (round % 3) {
-        case 0: {
-          const auto v = detail::DecodeTimestampColumn(payload, flows.size());
-          ASSERT_EQ(v.size(), flows.size());
+        case 0:
+          detail::DecodeTimestampColumn(payload, out);
           break;
-        }
-        case 1: {
-          const auto v = detail::DecodeDomainColumn(payload, flows.size());
-          ASSERT_EQ(v.size(), flows.size());
+        case 1:
+          detail::DecodeDomainColumn(payload, out);
           break;
-        }
-        default: {
-          const auto v = detail::DecodeRestColumn(payload, flows.size());
-          ASSERT_EQ(v.device.size(), flows.size());
+        default:
+          detail::DecodeRestColumn(payload, out);
           break;
-        }
       }
       ++decoded;
     } catch (const Error&) {
@@ -218,14 +232,13 @@ TEST(ColumnCodecFuzz, TruncatedPayloadsThrow) {
          {std::size_t{0}, std::size_t{7}, payload.size() / 2,
           payload.size() - 1}) {
       const auto cut = payload.first(keep);
+      std::vector<Flow> out(flows.size());
       if (enc == &ts) {
-        EXPECT_THROW((void)detail::DecodeTimestampColumn(cut, flows.size()),
-                     Error);
+        EXPECT_THROW(detail::DecodeTimestampColumn(cut, out), Error);
       } else if (enc == &dom) {
-        EXPECT_THROW((void)detail::DecodeDomainColumn(cut, flows.size()),
-                     Error);
+        EXPECT_THROW(detail::DecodeDomainColumn(cut, out), Error);
       } else {
-        EXPECT_THROW((void)detail::DecodeRestColumn(cut, flows.size()), Error);
+        EXPECT_THROW(detail::DecodeRestColumn(cut, out), Error);
       }
     }
   }
@@ -335,14 +348,15 @@ TEST_F(CompressedSnapshotTest, CompressedByteSweepNeverMisreads) {
   EXPECT_GT(intact + salvaged + rejected, 0);
 }
 
-/// A column decoder must check its count against what the payload can hold
-/// before it allocates. Each column's count is raised to 2^62, 2^40 and one
-/// past what its remaining payload bytes can hold, with the raw-size prefix
-/// set to count x raw bytes per flow (wrapping) and the meta flow count to
-/// match, so only that check stands between the decoder and a vector of
-/// `count` entries. Each column is decoded on its own; the file, with all
-/// three columns patched and every CRC resealed, must fail to load and to
-/// verify.
+/// A load must check every column's count against what the payload can
+/// hold before it sizes the flow array. Each column's count is raised to
+/// 2^62, 2^40 and one past what its remaining payload bytes can hold, with
+/// the raw-size prefix set to count x raw bytes per flow (wrapping) and the
+/// meta flow count to match, so only that check stands between the load and
+/// an array of `count` flows. Each column is checked on its own; the file,
+/// with all three columns patched, or only col-rest (the last decoded), and
+/// every CRC resealed, must fail to load and to verify with store::Error —
+/// never std::bad_alloc or std::length_error.
 TEST_F(CompressedSnapshotTest, ColumnCountBeyondPayloadIsCorrupt) {
   const auto path = *dir_ / "compressed.lds";
   const SnapshotInfo info = InspectSnapshot(path);
@@ -360,12 +374,15 @@ TEST_F(CompressedSnapshotTest, ColumnCountBeyondPayloadIsCorrupt) {
     return util::Crc32c(std::as_bytes(std::span<const char>(bytes.data() + at, len)));
   };
   struct Column {
+    SectionKind kind;
     const char* name;
     std::uint64_t raw_bytes;  ///< decoded bytes per flow
     std::uint64_t min_bytes;  ///< fewest payload bytes per flow
   };
   const Column columns[] = {
-      {"col-timestamps", 4, 1}, {"col-domains", 4, 1}, {"col-rest", 31, 14}};
+      {SectionKind::kColTimestamps, "col-timestamps", 4, 1},
+      {SectionKind::kColDomains, "col-domains", 4, 1},
+      {SectionKind::kColRest, "col-rest", 31, 14}};
   const auto section = [&](const char* name) {
     for (const SectionInfo& s : info.sections) {
       if (s.name == name) return s;
@@ -386,40 +403,39 @@ TEST_F(CompressedSnapshotTest, ColumnCountBeyondPayloadIsCorrupt) {
       put_u64(bytes, 0, count * column.raw_bytes);
       put_u64(bytes, 8, count);
       const auto payload = std::as_bytes(std::span<const char>(bytes));
-      const std::string what =
-          std::string(column.name) + " count " + std::to_string(count);
-      if (column.name == std::string("col-timestamps")) {
-        EXPECT_THROW((void)detail::DecodeTimestampColumn(payload, count), Error)
-            << what;
-      } else if (column.name == std::string("col-domains")) {
-        EXPECT_THROW((void)detail::DecodeDomainColumn(payload, count), Error) << what;
-      } else {
-        EXPECT_THROW((void)detail::DecodeRestColumn(payload, count), Error) << what;
-      }
+      EXPECT_THROW(detail::CheckColumnCount(column.kind, payload, count), Error)
+          << column.name << " count " << count;
     }
   }
 
   const auto patched_path = *dir_ / "crafted_count.lds";
-  for (const std::uint64_t count : {std::uint64_t{1} << 62, std::uint64_t{1} << 40}) {
-    std::vector<char> bytes = clean;
-    put_u64(bytes, section("meta").offset, count);  // num_flows
-    for (const Column& column : columns) {
-      const SectionInfo s = section(column.name);
-      put_u64(bytes, s.offset, count * column.raw_bytes);
-      put_u64(bytes, s.offset + 8, count);
+  for (const bool rest_only : {false, true}) {
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 62, std::uint64_t{1} << 40}) {
+      std::vector<char> bytes = clean;
+      put_u64(bytes, section("meta").offset, count);  // num_flows
+      for (const Column& column : columns) {
+        if (rest_only && column.kind != SectionKind::kColRest) continue;
+        const SectionInfo s = section(column.name);
+        put_u64(bytes, s.offset, count * column.raw_bytes);
+        put_u64(bytes, s.offset + 8, count);
+      }
+      for (std::size_t i = 0; i < info.sections.size(); ++i) {
+        const SectionInfo& s = info.sections[i];
+        put(bytes, kHeaderSize + i * kSectionDescSize + 24,
+            crc(bytes, s.offset, s.size), 4);
+      }
+      put(bytes, bytes.size() - kTrailerSize + 8,
+          crc(bytes, 0, kHeaderSize + info.sections.size() * kSectionDescSize), 4);
+      std::ofstream(patched_path, std::ios::binary | std::ios::trunc)
+          .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      const std::string what =
+          (rest_only ? "col-rest only, count " : "all columns, count ") +
+          std::to_string(count);
+      EXPECT_THROW((void)LoadSnapshot(patched_path), Error) << what;
+      EXPECT_THROW((void)LoadSnapshot(patched_path, {.salvage = true}), Error) << what;
+      EXPECT_THROW(VerifySnapshot(patched_path), Error) << what;
     }
-    for (std::size_t i = 0; i < info.sections.size(); ++i) {
-      const SectionInfo& s = info.sections[i];
-      put(bytes, kHeaderSize + i * kSectionDescSize + 24,
-          crc(bytes, s.offset, s.size), 4);
-    }
-    put(bytes, bytes.size() - kTrailerSize + 8,
-        crc(bytes, 0, kHeaderSize + info.sections.size() * kSectionDescSize), 4);
-    std::ofstream(patched_path, std::ios::binary | std::ios::trunc)
-        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    EXPECT_THROW((void)LoadSnapshot(patched_path), Error) << count;
-    EXPECT_THROW((void)LoadSnapshot(patched_path, {.salvage = true}), Error) << count;
-    EXPECT_THROW(VerifySnapshot(patched_path), Error) << count;
   }
   std::filesystem::remove(patched_path);
 }

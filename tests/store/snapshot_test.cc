@@ -277,6 +277,60 @@ TEST(SnapshotCorruption, WrappedFlowCountRejected) {
   fs::remove(p);
 }
 
+TEST(SnapshotCorruption, DeviceUaCountBeyondPayloadIsCorrupt) {
+  // Device 0's user-agent count (after its u64 id, u32 OUI and u8 flags) is
+  // raised past what the devices section can hold as 4-byte refs, with every
+  // CRC resealed, in a current raw file and in the v5 fixture. The count
+  // must fail as corruption before it sizes a reservation: 0xFFFFFFFF would
+  // ask for ~128 GiB.
+  const fs::path sources[] = {Campus().file,
+                              fs::path(LOCKDOWN_LEGACY_DIR) / "v5_raw.lds"};
+  for (const fs::path& source : sources) {
+    const SnapshotInfo info = InspectSnapshot(source);
+    std::string clean;
+    {
+      std::ifstream in(source, std::ios::binary);
+      clean.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    std::size_t devices = info.sections.size();
+    for (std::size_t i = 0; i < info.sections.size(); ++i) {
+      if (info.sections[i].name == "devices") devices = i;
+    }
+    ASSERT_LT(devices, info.sections.size()) << source;
+    const SectionInfo& dev = info.sections[devices];
+    constexpr std::uint64_t kUaCountAt = 8 + 4 + 1;
+    ASSERT_GT(dev.size, kUaCountAt + 4) << source;
+    const std::uint64_t remaining = dev.size - kUaCountAt - 4;
+    for (const std::uint64_t count :
+         {std::uint64_t{0xFFFFFFFF}, remaining / 4 + 1}) {
+      std::string bytes = clean;
+      const auto put_u32 = [&](std::size_t at, std::uint64_t v) {
+        for (int b = 0; b < 4; ++b) bytes[at + b] = static_cast<char>(v >> (8 * b));
+      };
+      const auto crc = [&](std::size_t at, std::size_t len) {
+        return util::Crc32c(
+            std::as_bytes(std::span<const char>(bytes.data() + at, len)));
+      };
+      put_u32(dev.offset + kUaCountAt, count);
+      put_u32(kHeaderSize + devices * kSectionDescSize + 24,
+              crc(dev.offset, dev.size));
+      put_u32(bytes.size() - kTrailerSize + 8,
+              crc(0, kHeaderSize + info.sections.size() * kSectionDescSize));
+      const fs::path p = Campus().dir / "ua_count.lds";
+      {
+        std::ofstream out(p, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      }
+      const std::string what = source.filename().string() + " count " +
+                               std::to_string(count);
+      EXPECT_THROW((void)LoadSnapshot(p), Error) << what;
+      EXPECT_THROW((void)LoadSnapshot(p, {.salvage = true}), Error) << what;
+      EXPECT_THROW(VerifySnapshot(p), Error) << what;
+      fs::remove(p);
+    }
+  }
+}
+
 TEST(SnapshotCorruption, VerifySnapshotAcceptsCleanFile) {
   EXPECT_NO_THROW(VerifySnapshot(Campus().file));
 }

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstddef>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -34,6 +38,35 @@ TEST(Memstats, PeakTracksLargeAllocations) {
   const std::size_t after = PeakRssBytes();
   EXPECT_GE(after, before);
   EXPECT_GT(after, kBytes / 2);
+}
+
+TEST(Memstats, ReleasePagesTouchesOnlyWholeInteriorPages) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t size = 8 * page;
+  const std::shared_ptr<std::byte[]> buffer = MapArray<std::byte>(size);
+  const std::span<std::byte> bytes(buffer.get(), size);
+  std::memset(bytes.data(), 0xAB, size);
+  std::vector<bool> released(size, false);
+  const auto release = [&](std::size_t begin, std::size_t end,
+                           std::size_t first_page, std::size_t last_page) {
+    ReleasePages(bytes.subspan(begin, end - begin));
+    for (std::size_t i = first_page * page; i < last_page * page; ++i) {
+      released[i] = true;
+    }
+  };
+  release(page / 2, 3 * page + 100, 1, 3);       // unaligned: pages 1 and 2
+  release(4 * page + 10, 4 * page + 1000, 0, 0);  // inside one page
+  release(5 * page + 5, 5 * page + 5, 0, 0);      // empty
+  release(6 * page, 7 * page, 6, 7);              // exactly page 6
+  ReleasePages({});
+  for (std::size_t i = 0; i < size; ++i) {
+#if defined(__linux__)
+    const std::byte want = released[i] ? std::byte{0} : std::byte{0xAB};
+#else
+    const std::byte want{0xAB};
+#endif
+    ASSERT_EQ(bytes[i], want) << "byte " << i;
+  }
 }
 
 TEST(Memstats, PublishRssGaugesSetsBothGauges) {

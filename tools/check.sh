@@ -197,14 +197,14 @@ if [[ "${mode}" == "all" || "${mode}" == "--fault-only" ]]; then
   rm "${work}/badsnap/dataset.lds"
   rm "${work}/clean/dataset.lds"
 
-  echo "=== fault: crafted flow counts -> tolerant falls back, strict exits 4 ==="
-  # A compressed snapshot whose meta and column flow counts claim 2^62
-  # flows, every CRC resealed: the column decoders must reject the count
-  # before allocating for it.
-  cp -r "${work}/clean" "${work}/badcount"
-  "${cli}" snapshot save --out "${work}/badcount/dataset.lds" --compress \
-    --logs "${work}/clean" --students 60 --seed 11 >/dev/null
-  python3 - "${work}/badcount/dataset.lds" <<'PY'
+  # craft MODE FILE: patches a count in an LDS snapshot and reseals every
+  # CRC, so only the reader's count checks stand between the file and an
+  # allocation sized by the count. MODE `flows`: the meta and column flow
+  # counts of a --compress file claim 2^62 flows. MODE `uas`: device 0's
+  # user-agent count (after its u64 id, u32 OUI and u8 flags) claims
+  # 0xFFFFFFFF 4-byte refs, ~128 GiB.
+  craft() {
+    python3 - "$1" "$2" <<'PY'
 import struct, sys
 
 def crc32c(data):
@@ -219,31 +219,58 @@ def crc32c(data):
         crc = table[(crc ^ b) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFF
 
-path = sys.argv[1]
+mode, path = sys.argv[1], sys.argv[2]
 data = bytearray(open(path, "rb").read())
 count = 1 << 62
 # Section kind -> decoded bytes per flow of its raw-size prefix (0: meta).
 raw_bytes = {1: 0, 8: 4, 9: 4, 10: 31}
+devices_kind = 5
+patched = False
 (num_sections,) = struct.unpack_from("<I", data, 20)
 for i in range(num_sections):
     desc = 64 + 32 * i
     kind, _, offset, size = struct.unpack_from("<IIQQ", data, desc)
-    if kind not in raw_bytes:
-        continue
-    if kind == 1:
-        struct.pack_into("<Q", data, offset, count)  # meta num_flows
+    if mode == "flows" and kind in raw_bytes:
+        if kind == 1:
+            struct.pack_into("<Q", data, offset, count)  # meta num_flows
+        else:
+            struct.pack_into("<QQ", data, offset,
+                             (count * raw_bytes[kind]) % (1 << 64), count)
+    elif mode == "uas" and kind == devices_kind:
+        struct.pack_into("<I", data, offset + 8 + 4 + 1, 0xFFFFFFFF)
     else:
-        struct.pack_into("<QQ", data, offset,
-                         (count * raw_bytes[kind]) % (1 << 64), count)
+        continue
+    patched = True
     struct.pack_into("<I", data, desc + 24, crc32c(data[offset:offset + size]))
+if not patched:
+    sys.exit("craft: nothing to patch in " + path)
 table_end = 64 + 32 * num_sections
 struct.pack_into("<I", data, len(data) - 8, crc32c(data[:table_end]))
 open(path, "wb").write(data)
 PY
+  }
+
+  echo "=== fault: crafted flow counts -> tolerant falls back, strict exits 4 ==="
+  # The column decoders must reject the count before allocating for it.
+  cp -r "${work}/clean" "${work}/badcount"
+  "${cli}" snapshot save --out "${work}/badcount/dataset.lds" --compress \
+    --logs "${work}/clean" --students 60 --seed 11 >/dev/null
+  craft flows "${work}/badcount/dataset.lds"
   expect_exit 4 "${cli}" analyze --logs "${work}/badcount" --students 60 --seed 11
   expect_exit 0 "${cli}" analyze --logs "${work}/badcount" --students 60 --seed 11 \
     --ingest-mode tolerant
   rm -r "${work}/badcount"
+
+  echo "=== fault: crafted user-agent count -> tolerant falls back, strict exits 4 ==="
+  # The device decode must reject the count before reserving for it.
+  cp -r "${work}/clean" "${work}/baduas"
+  "${cli}" snapshot save --out "${work}/baduas/dataset.lds" \
+    --logs "${work}/clean" --students 60 --seed 11 >/dev/null
+  craft uas "${work}/baduas/dataset.lds"
+  expect_exit 4 "${cli}" analyze --logs "${work}/baduas" --students 60 --seed 11
+  expect_exit 0 "${cli}" analyze --logs "${work}/baduas" --students 60 --seed 11 \
+    --ingest-mode tolerant
+  rm -r "${work}/baduas"
 
   echo "=== fault: CRLF logs -> strict analyze exits 0 with the LF figures ==="
   # A trailing \r puts every conn.log row outside the parser's common shape,
