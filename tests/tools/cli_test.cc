@@ -139,9 +139,14 @@ TEST(CliUsage, EveryPublicFlagIsDocumented) {
   const std::string flags = HelpSection(RunCli("--help").out, "flags:");
   ASSERT_FALSE(flags.empty());
   for (const lockdown::cli::FlagRow& row : lockdown::cli::kFlags) {
-    std::string head = "\n  " + std::string(row.name);
-    if (!row.value.empty()) head += " " + std::string(row.value);
-    EXPECT_NE(flags.find(head + " "), std::string::npos)
+    std::string head = "\n  ";
+    head += row.name;
+    if (!row.value.empty()) {
+      head += ' ';
+      head += row.value;
+    }
+    head += ' ';
+    EXPECT_NE(flags.find(head), std::string::npos)
         << "the help's flags: section does not list " << row.name;
   }
 }

@@ -196,8 +196,12 @@ inline std::string UsageText() {
   std::string text(kCommandsText);
   text += "\nflags:\n";
   for (const FlagRow& row : kFlags) {
-    std::string head = "  " + std::string(row.name);
-    if (!row.value.empty()) head += " " + std::string(row.value);
+    std::string head = "  ";
+    head += row.name;
+    if (!row.value.empty()) {
+      head += ' ';
+      head += row.value;
+    }
     head.resize(std::max(head.size() + 1, kHelpColumn), ' ');
     text += head;
     for (const char c : row.help) {
