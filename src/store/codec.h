@@ -1,7 +1,7 @@
-// Bounds-checked little-endian encode/decode helpers for the LDS metadata
-// sections. Bulk payloads (the flow array, the CSR index) take memcpy fast
-// paths on little-endian hosts in reader.cc/writer.cc; everything else goes
-// through these so the format is host-endianness-independent.
+// Bounds-checked little-endian encode/decode helpers for every LDS section,
+// field by field, so the format is host-endianness-independent. The one
+// count rule: a count read from a file sizes an allocation or a loop only as
+// the BoundedCount that Decoder::Count or Bound returns.
 #pragma once
 
 #include <bit>
@@ -57,6 +57,19 @@ class Encoder {
   std::vector<std::byte> buf_;
 };
 
+/// A count no larger than the bytes it describes can hold: zero by default,
+/// any other value only from Decoder.
+class BoundedCount {
+ public:
+  BoundedCount() noexcept = default;
+  [[nodiscard]] std::size_t value() const noexcept { return n_; }
+
+ private:
+  friend class Decoder;
+  explicit BoundedCount(std::size_t n) noexcept : n_(n) {}
+  std::size_t n_ = 0;
+};
+
 /// Cursor over a section's bytes; every read is bounds-checked and overruns
 /// throw store::Error naming the section.
 class Decoder {
@@ -92,6 +105,24 @@ class Decoder {
   [[nodiscard]] std::string_view Str(std::size_t n) {
     const auto b = Take(n);
     return {reinterpret_cast<const char*>(b.data()), b.size()};
+  }
+
+  /// Checks that `count` items, each taking at least `min_bytes_per_item`
+  /// (> 0) of the bytes not yet read, fit in them; throws store::Error
+  /// otherwise. It divides, so no count can wrap into a pass.
+  [[nodiscard]] BoundedCount Bound(std::uint64_t count,
+                                   std::size_t min_bytes_per_item,
+                                   const char* item) const {
+    if (count > remaining() / min_bytes_per_item) {
+      throw Error(std::string(section_) + " section size disagrees with " +
+                  item + " count");
+    }
+    return BoundedCount(static_cast<std::size_t>(count));
+  }
+  /// Reads a u32 count and bounds it by the bytes after it, as Bound does.
+  [[nodiscard]] BoundedCount Count(std::size_t min_bytes_per_item,
+                                   const char* item) {
+    return Bound(U32(), min_bytes_per_item, item);
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept {

@@ -3,57 +3,40 @@
 #include <bit>
 #include <cstddef>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <unordered_map>
-
-#include "store/format.h"
 
 namespace lockdown::store::detail {
 
 namespace {
 
-/// What ReadCount checks a column's count prefix against: the decoded
-/// size the column advertises in its raw-size prefix (what the equivalent
-/// raw section would occupy, in per-flow field bytes) and the fewest payload
-/// bytes one flow can take in it.
+/// What ReadCount checks a column's raw-size prefix against: the decoded
+/// size of one flow's fields in the equivalent raw section.
 struct ColumnLayout {
   const char* section;
   std::uint64_t raw_bytes;
-  std::uint64_t min_bytes;
 };
-/// A one-byte varint delta.
-constexpr ColumnLayout kTimestamps{"col-timestamps", 4, 1};
-/// A one-byte varint dictionary ref.
-constexpr ColumnLayout kDomains{"col-domains", 4, 1};
-/// The 40-byte flow minus start, domain and padding; f32 duration, one-byte
-/// device delta, u32 server_ip, u16 port, u8 proto and two one-byte byte
-/// counts.
-constexpr ColumnLayout kRest{"col-rest", 31, 14};
+constexpr ColumnLayout kTimestamps{"col-timestamps", 4};
+constexpr ColumnLayout kDomains{"col-domains", 4};
+/// The 40-byte flow minus start, domain and padding.
+constexpr ColumnLayout kRest{"col-rest", 31};
 
 [[noreturn]] void Corrupt(const char* section, const std::string& what) {
   throw Error(std::string(section) + " section: " + what);
 }
 
-/// Reads a column's raw-size and count prefix and checks the count against
-/// the meta section's and against what the rest of the payload can hold,
-/// so no caller sizes a flow array by a count the payload cannot fill.
-/// Divides rather than multiplies, so a hostile count cannot wrap into a
-/// match.
-std::uint64_t ReadCount(Decoder& dec, const ColumnLayout& column,
-                        std::uint64_t expected_count) {
+/// Reads a column's raw-size and count prefix and checks both against the
+/// flows the caller decodes into.
+void ReadCount(Decoder& dec, const ColumnLayout& column,
+               std::uint64_t expected_count) {
   const std::uint64_t raw = dec.U64();
   const std::uint64_t count = dec.U64();
   if (count != expected_count) {
     Corrupt(column.section, "count disagrees with meta section");
   }
-  if (count > dec.remaining() / column.min_bytes) {
-    Corrupt(column.section, "count exceeds what the payload can hold");
-  }
   if (raw % column.raw_bytes != 0 || raw / column.raw_bytes != count) {
     Corrupt(column.section, "raw size disagrees with count");
   }
-  return count;
 }
 
 /// Bytes Encoder::Uvarint writes for `v`.
@@ -77,23 +60,10 @@ Encoder EncodeTimestampColumn(std::span<const core::Flow> flows) {
   return enc;
 }
 
-void CheckColumnCount(SectionKind column, std::span<const std::byte> payload,
-                      std::uint64_t expected_count) {
-  const ColumnLayout* layout = nullptr;
-  switch (column) {
-    case SectionKind::kColTimestamps: layout = &kTimestamps; break;
-    case SectionKind::kColDomains: layout = &kDomains; break;
-    case SectionKind::kColRest: layout = &kRest; break;
-    default: throw std::invalid_argument("CheckColumnCount: not a flow column");
-  }
-  Decoder dec(payload, layout->section);
-  (void)ReadCount(dec, *layout, expected_count);
-}
-
 void DecodeTimestampColumn(std::span<const std::byte> payload,
                            std::span<core::Flow> flows) {
   Decoder dec(payload, kTimestamps.section);
-  (void)ReadCount(dec, kTimestamps, flows.size());
+  ReadCount(dec, kTimestamps, flows.size());
   std::int64_t prev = 0;
   for (core::Flow& f : flows) {
     const std::int64_t ts = prev + dec.Svarint();
@@ -132,25 +102,26 @@ Encoder EncodeDomainColumn(std::span<const core::Flow> flows) {
 void DecodeDomainColumn(std::span<const std::byte> payload,
                         std::span<core::Flow> flows) {
   Decoder dec(payload, kDomains.section);
-  const std::uint64_t count = ReadCount(dec, kDomains, flows.size());
-  const std::uint32_t dict_size = dec.U32();
-  if (count > 0 && dict_size == 0) {
+  ReadCount(dec, kDomains, flows.size());
+  // Each entry is a varint of at least one byte.
+  const BoundedCount dict_size = dec.Count(1, "dictionary entry");
+  if (!flows.empty() && dict_size.value() == 0) {
     Corrupt(kDomains.section, "empty dictionary with nonzero flow count");
   }
-  if (dict_size > count) {
+  if (dict_size.value() > flows.size()) {
     Corrupt(kDomains.section, "dictionary larger than the flow count");
   }
-  std::vector<std::uint32_t> dict(dict_size);
-  for (std::uint32_t i = 0; i < dict_size; ++i) {
+  std::vector<std::uint32_t> dict(dict_size.value());
+  for (std::uint32_t& entry : dict) {
     const std::uint64_t id = dec.Uvarint();
     if (id > std::numeric_limits<std::uint32_t>::max()) {
       Corrupt(kDomains.section, "dictionary entry out of u32 range");
     }
-    dict[i] = static_cast<std::uint32_t>(id);
+    entry = static_cast<std::uint32_t>(id);
   }
   for (core::Flow& f : flows) {
     const std::uint64_t ref = dec.Uvarint();
-    if (ref >= dict_size) Corrupt(kDomains.section, "dictionary ref out of range");
+    if (ref >= dict.size()) Corrupt(kDomains.section, "dictionary ref out of range");
     f.domain = dict[ref];
   }
   dec.ExpectDone();
@@ -187,7 +158,7 @@ Encoder EncodeRestColumn(std::span<const core::Flow> flows) {
 void DecodeRestColumn(std::span<const std::byte> payload,
                       std::span<core::Flow> flows) {
   Decoder dec(payload, kRest.section);
-  (void)ReadCount(dec, kRest, flows.size());
+  ReadCount(dec, kRest, flows.size());
   for (core::Flow& f : flows) f.duration_s = dec.F32();
   std::uint64_t device = 0;
   for (core::Flow& f : flows) {
@@ -206,12 +177,7 @@ void DecodeRestColumn(std::span<const std::byte> payload,
 }
 
 std::uint64_t PeekRawSize(std::span<const std::byte> payload) noexcept {
-  if (payload.size() < 8) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(payload[static_cast<std::size_t>(i)]) << (8 * i);
-  }
-  return v;
+  return payload.size() < 8 ? 0 : Decoder(payload, "coded").U64();
 }
 
 }  // namespace lockdown::store::detail

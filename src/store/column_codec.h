@@ -15,13 +15,13 @@
 //                   uvarint bytes_down
 //
 // Every decoder is bounds-checked through detail::Decoder and cross-checks
-// its element count against the caller's expectation (the meta section) and
-// against the fewest bytes per flow its column can take, so a
+// its count prefix against the flows it decodes into, so a
 // corrupt-but-CRC-valid payload throws store::Error — it never silently
-// misreads. A load runs CheckColumnCount on all three columns before it
-// sizes the flow array, so a hostile count never asks for memory the
-// payload cannot fill; each decoder then writes its fields straight into
-// that array, so no per-column copy of the flows exists.
+// misreads. Those flows are sized by the meta flow count, which the reader
+// bounds by each column's fewest bytes per flow (kSections' flow_bytes)
+// when it opens the file, so no count asks for memory the payload cannot
+// fill; each decoder writes its fields straight into that one array, so no
+// per-column copy of the flows exists.
 // tests/store/codec_test.cc round-trips these on random inputs and
 // byte-sweeps a compressed snapshot.
 #pragma once
@@ -31,7 +31,6 @@
 
 #include "core/dataset.h"
 #include "store/codec.h"
-#include "store/format.h"
 
 namespace lockdown::store::detail {
 
@@ -43,13 +42,6 @@ namespace lockdown::store::detail {
 /// Reads the leading u64 raw-size field of a coded payload (0 when the
 /// payload is too short even for that).
 [[nodiscard]] std::uint64_t PeekRawSize(std::span<const std::byte> payload) noexcept;
-
-/// Checks the count prefix of a flow column's payload (`column` is
-/// kColTimestamps, kColDomains or kColRest) against `expected_count` and
-/// against what the payload can hold, without decoding; throws store::Error
-/// otherwise.
-void CheckColumnCount(SectionKind column, std::span<const std::byte> payload,
-                      std::uint64_t expected_count);
 
 /// Each decoder checks that its column holds exactly flows.size() flows and
 /// writes its fields of every flow: start_offset_s; domain; and the rest

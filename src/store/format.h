@@ -14,6 +14,11 @@
 // whether those versions require them. The writer emits its rows in table
 // order and the reader checks every descriptor against it.
 //
+// Every count a file states, in the header, the meta section or a section's
+// own records, is bounded by the bytes it describes before it sizes an
+// allocation or a loop (detail::Decoder::Count and Bound in codec.h); a
+// row's flow_bytes is that bound for the meta flow count.
+//
 //   kMeta          fixed 48B: counts, flow stride, provenance (students/seed)
 //   kFlows         num_flows x 40B fixed-stride core::Flow records, in
 //                  (device, start) order — the mmap zero-copy target
@@ -105,6 +110,7 @@ inline constexpr std::size_t kTrailerSize = 16;
 inline constexpr std::size_t kMetaSectionSize = 48;
 inline constexpr std::size_t kStatsSectionSize = 9 * sizeof(std::uint64_t);
 inline constexpr std::size_t kStatsSectionSizeV1 = 7 * sizeof(std::uint64_t);
+inline constexpr std::size_t kFlowStride = 40;
 
 enum class SectionKind : std::uint32_t {
   kMeta = 1,
@@ -143,6 +149,10 @@ struct SectionDesc {
   std::uint32_t last_version;
   bool required;                 ///< every file of those versions has it
   FlowStorage storage;
+  /// The fewest payload bytes one flow takes in a flow-storage section
+  /// (exactly this many in kFlows; after the 16-byte prefix in a column);
+  /// 0 in the others. The reader bounds the meta flow count by it.
+  std::uint32_t flow_bytes;
   /// What a salvage load notes when the section fails its CRC; null when
   /// that fails the load.
   const char* salvage;
@@ -155,27 +165,30 @@ struct SectionDesc {
 /// Every section kind this build knows, row i describing kind i + 1. The
 /// writer lays out the rows the current version carries in this order.
 inline constexpr std::array<SectionDesc, 10> kSections = {{
-    // kind, name, codec, versions, required, storage, salvage note
+    // kind, name, codec, versions, required, storage, flow bytes, salvage note
     {SectionKind::kMeta, "meta", SectionCodec::kRaw, 1, kFormatVersion, true,
-     FlowStorage::kNone, nullptr},
+     FlowStorage::kNone, 0, nullptr},
     {SectionKind::kFlows, "flows", SectionCodec::kRaw, 1, kFormatVersion, false,
-     FlowStorage::kRaw, nullptr},
+     FlowStorage::kRaw, kFlowStride, nullptr},
     {SectionKind::kDeviceOffsets, "device-offsets", SectionCodec::kRaw, 1, 5,
-     true, FlowStorage::kNone, nullptr},
+     true, FlowStorage::kNone, 0, nullptr},
     {SectionKind::kStringPool, "string-pool", SectionCodec::kRaw, 1,
-     kFormatVersion, true, FlowStorage::kNone, nullptr},
+     kFormatVersion, true, FlowStorage::kNone, 0, nullptr},
     {SectionKind::kDevices, "devices", SectionCodec::kRaw, 1, kFormatVersion,
-     true, FlowStorage::kNone, nullptr},
+     true, FlowStorage::kNone, 0, nullptr},
     {SectionKind::kStats, "stats", SectionCodec::kRaw, 1, kFormatVersion, true,
-     FlowStorage::kNone, "stats zero-filled"},
+     FlowStorage::kNone, 0, "stats zero-filled"},
     {SectionKind::kDayIndex, "day-index", SectionCodec::kDeltaVarint, 3, 4,
-     true, FlowStorage::kNone, "day index skipped"},
+     true, FlowStorage::kNone, 0, "day index skipped"},
+    // Fewest flow bytes: a one-byte delta; a one-byte ref; f32 duration, a
+    // one-byte device delta, u32 server_ip, u16 port, u8 proto, two one-byte
+    // byte counts.
     {SectionKind::kColTimestamps, "col-timestamps", SectionCodec::kDeltaVarint,
-     3, kFormatVersion, false, FlowStorage::kColumnar, nullptr},
+     3, kFormatVersion, false, FlowStorage::kColumnar, 1, nullptr},
     {SectionKind::kColDomains, "col-domains", SectionCodec::kDictionary, 3,
-     kFormatVersion, false, FlowStorage::kColumnar, nullptr},
+     kFormatVersion, false, FlowStorage::kColumnar, 1, nullptr},
     {SectionKind::kColRest, "col-rest", SectionCodec::kPacked, 3,
-     kFormatVersion, false, FlowStorage::kColumnar, nullptr},
+     kFormatVersion, false, FlowStorage::kColumnar, 14, nullptr},
 }};
 
 /// The row of section kind `kind`, or null for a kind this build does not
@@ -218,11 +231,9 @@ static_assert(MaxSectionCount(2) == 6, "v1/v2 files hold exactly six sections");
 }
 
 // --- Frozen core::Flow layout (the zero-copy contract) -----------------------
-// The kFlows section stores exactly this layout with the padding byte at
-// offset 23 written as zero; an mmap'd section can be reinterpreted as a
-// core::Flow array on little-endian hosts.
-inline constexpr std::size_t kFlowStride = 40;
-
+// The kFlows section stores exactly kFlowStride bytes per flow in this
+// layout, with the padding byte at offset 23 written as zero; an mmap'd
+// section can be reinterpreted as a core::Flow array on little-endian hosts.
 static_assert(std::is_trivially_copyable_v<core::Flow>);
 static_assert(std::is_standard_layout_v<core::Flow>);
 static_assert(sizeof(core::Flow) == kFlowStride);

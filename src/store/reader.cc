@@ -101,7 +101,7 @@ class Reader::Impl {
 
     // --- String pool ---------------------------------------------------------
     const std::vector<std::string_view> strings = DecodeStringPool();
-    for (std::size_t i = 1; i < info_.num_domains; ++i) {
+    for (std::size_t i = 1; i < num_domains_.value(); ++i) {
       const core::DomainId id = ds.InternDomain(strings[i]);
       if (id != i) Fail("duplicate domain in string pool");
     }
@@ -112,7 +112,7 @@ class Reader::Impl {
     // the usual bounds and string-ref checks and discarded.
     const bool legacy_totals = info_.version < 4;
     detail::Decoder dev(Section(SectionKind::kDevices), "devices");
-    for (std::uint64_t i = 0; i < info_.num_devices; ++i) {
+    for (std::size_t i = 0; i < num_devices_.value(); ++i) {
       const core::DeviceIndex idx = ds.AddDevice(privacy::DeviceId{dev.U64()});
       classify::DeviceObservations& obs = ds.device_mutable(idx).observations;
       obs.oui = dev.U32();
@@ -120,22 +120,18 @@ class Reader::Impl {
       if (flags > 1) Fail("corrupt device flags");
       obs.locally_administered = flags != 0;
       if (legacy_totals) {
-        (void)dev.U64();  // total_bytes
-        (void)dev.U64();  // flow_count
+        (void)dev.Bytes(16);  // total_bytes, flow_count
       }
-      const std::uint32_t num_uas = dev.U32();
-      // Each is a 4-byte string ref: a count the section cannot hold must
-      // fail as corruption before it sizes the reservation.
-      if (num_uas > dev.remaining() / 4) {
-        Fail("device user-agent count exceeds the devices section");
-      }
-      obs.user_agents.reserve(num_uas);
-      for (std::uint32_t u = 0; u < num_uas; ++u) {
+      // Each user agent is a 4-byte string ref.
+      const detail::BoundedCount num_uas = dev.Count(4, "user-agent");
+      obs.user_agents.reserve(num_uas.value());
+      for (std::size_t u = 0; u < num_uas.value(); ++u) {
         obs.user_agents.emplace_back(StringAt(strings, dev.U32()));
       }
       if (legacy_totals) {
-        const std::uint32_t num_domains = dev.U32();
-        for (std::uint32_t d = 0; d < num_domains; ++d) {
+        // Each entry is a 4-byte domain ref and its u64 bytes.
+        const detail::BoundedCount num_domains = dev.Count(12, "domain");
+        for (std::size_t d = 0; d < num_domains.value(); ++d) {
           (void)StringAt(strings, dev.U32());
           (void)dev.U64();  // bytes
         }
@@ -149,9 +145,9 @@ class Reader::Impl {
     std::span<const core::Flow> flows;
     std::shared_ptr<const void> owner;
     const auto map_flows = [&] {
-      const auto n = static_cast<std::size_t>(info_.num_flows);
-      std::shared_ptr<core::Flow[]> array = util::MapArray<core::Flow>(n);
-      const std::span<core::Flow> decoded(array.get(), n);
+      std::shared_ptr<core::Flow[]> array =
+          util::MapArray<core::Flow>(num_flows_.value());
+      const std::span<core::Flow> decoded(array.get(), num_flows_.value());
       flows = decoded;
       owner = std::move(array);
       return decoded;
@@ -164,14 +160,13 @@ class Reader::Impl {
       }
       if (options.mode != LoadMode::kCopy && zero_copy_eligible) {
         flows = {reinterpret_cast<const core::Flow*>(flow_bytes.data()),
-                 static_cast<std::size_t>(info_.num_flows)};
+                 num_flows_.value()};
         owner = map_;
         out.zero_copy = true;
         if (lockdown::obs::MetricsEnabled()) {
           lockdown::obs::GetCounter("store/load_zero_copy", "loads").Increment();
         }
       } else {
-        // ParseStructure checked num_flows against the section size.
         detail::Decoder dec(flow_bytes, "flows");
         for (core::Flow& f : map_flows()) {
           f.start_offset_s = dec.U32();
@@ -196,17 +191,10 @@ class Reader::Impl {
       if (options.mode == LoadMode::kMmap) {
         Fail("zero-copy load unavailable: flows are stored compressed");
       }
-      const std::span<const std::byte> ts = Section(SectionKind::kColTimestamps);
-      const std::span<const std::byte> dom = Section(SectionKind::kColDomains);
-      const std::span<const std::byte> rest = Section(SectionKind::kColRest);
-      // Every column's count must pass before the array is sized by it.
-      detail::CheckColumnCount(SectionKind::kColTimestamps, ts, info_.num_flows);
-      detail::CheckColumnCount(SectionKind::kColDomains, dom, info_.num_flows);
-      detail::CheckColumnCount(SectionKind::kColRest, rest, info_.num_flows);
       const std::span<core::Flow> decoded = map_flows();
-      detail::DecodeTimestampColumn(ts, decoded);
-      detail::DecodeDomainColumn(dom, decoded);
-      detail::DecodeRestColumn(rest, decoded);
+      detail::DecodeTimestampColumn(Section(SectionKind::kColTimestamps), decoded);
+      detail::DecodeDomainColumn(Section(SectionKind::kColDomains), decoded);
+      detail::DecodeRestColumn(Section(SectionKind::kColRest), decoded);
       if (lockdown::obs::MetricsEnabled()) {
         lockdown::obs::GetCounter("store/load_columnar", "loads").Increment();
       }
@@ -282,18 +270,15 @@ class Reader::Impl {
   }
 
   [[nodiscard]] std::vector<std::string_view> DecodeStringPool() const {
-    const std::span<const std::byte> payload = Section(SectionKind::kStringPool);
-    detail::Decoder dec(payload, "string-pool");
-    const std::uint32_t num_strings = dec.U32();
+    detail::Decoder dec(Section(SectionKind::kStringPool), "string-pool");
+    // Each string has a u64 end offset, after the u64 start of the first.
+    const detail::BoundedCount num_strings = dec.Count(8, "string");
     const std::uint32_t num_domains = dec.U32();
-    if (num_domains != info_.num_domains || num_domains > num_strings ||
+    if (num_domains != info_.num_domains || num_domains > num_strings.value() ||
         num_domains == 0) {
       Fail("string pool domain count mismatch");
     }
-    if (dec.remaining() < (static_cast<std::uint64_t>(num_strings) + 1) * 8) {
-      Fail("truncated string-pool section");
-    }
-    std::vector<std::uint64_t> offsets(static_cast<std::size_t>(num_strings) + 1);
+    std::vector<std::uint64_t> offsets(num_strings.value() + 1);
     for (std::uint64_t& v : offsets) v = dec.U64();
     const std::uint64_t blob_size = dec.remaining();
     if (offsets.front() != 0 || offsets.back() != blob_size ||
@@ -301,8 +286,8 @@ class Reader::Impl {
       Fail("corrupt string pool offsets");
     }
     const std::string_view blob = dec.Str(static_cast<std::size_t>(blob_size));
-    std::vector<std::string_view> strings(num_strings);
-    for (std::uint32_t i = 0; i < num_strings; ++i) {
+    std::vector<std::string_view> strings(num_strings.value());
+    for (std::size_t i = 0; i < strings.size(); ++i) {
       strings[i] = blob.substr(static_cast<std::size_t>(offsets[i]),
                                static_cast<std::size_t>(offsets[i + 1] - offsets[i]));
     }
@@ -351,12 +336,12 @@ class Reader::Impl {
     const std::uint64_t table_offset = hdr.U64();
     if (table_offset != kHeaderSize) Fail("bad section table offset");
 
-    const std::uint64_t table_end =
-        kHeaderSize + static_cast<std::uint64_t>(section_count) * kSectionDescSize;
-    if (file.size() < table_end + kTrailerSize) {
-      Fail("file too small for its section table");
-    }
     const std::uint64_t trailer_offset = file.size() - kTrailerSize;
+    detail::Decoder table(file.subspan(kHeaderSize, trailer_offset - kHeaderSize),
+                          "section table");
+    const detail::BoundedCount sections =
+        table.Bound(section_count, kSectionDescSize, "section");
+    const std::uint64_t table_end = kHeaderSize + sections.value() * kSectionDescSize;
 
     detail::Decoder trailer(file.subspan(trailer_offset, kTrailerSize), "trailer");
     for (const char expected : kTrailerMagic) {
@@ -369,10 +354,8 @@ class Reader::Impl {
       Fail("header/section table checksum mismatch");
     }
 
-    detail::Decoder table(file.subspan(kHeaderSize, table_end - kHeaderSize),
-                          "section table");
     kind_slot_.fill(-1);
-    for (std::uint32_t i = 0; i < section_count; ++i) {
+    for (std::size_t i = 0; i < sections.value(); ++i) {
       const std::uint32_t kind = table.U32();
       const std::uint32_t flags = table.U32();
       const std::uint64_t offset = table.U64();
@@ -442,20 +425,32 @@ class Reader::Impl {
       Fail("incompatible flow stride " + std::to_string(info_.flow_stride) +
            " (this build uses " + std::to_string(kFlowStride) + ")");
     }
-    // Divide rather than multiply: a hostile count must not wrap into a
-    // match, since the loads view or allocate num_flows rows up front.
-    if (has_flows &&
-        (Section(SectionKind::kFlows).size() % kFlowStride != 0 ||
-         Section(SectionKind::kFlows).size() / kFlowStride != info_.num_flows)) {
-      Fail("flows section size disagrees with flow count");
-    }
-    if (HasSection(SectionKind::kDeviceOffsets)) {
-      const std::uint64_t csr_size = Section(SectionKind::kDeviceOffsets).size();
-      if (csr_size % sizeof(std::uint64_t) != 0 ||
-          csr_size / sizeof(std::uint64_t) != info_.num_devices + 1) {
-        Fail("device-offsets section size disagrees with device count");
+    // Each meta count is bounded by the section it sizes: flows by the raw
+    // section (exactly) or each column past its raw-size and count prefix.
+    for (const SectionDesc& desc : kSections) {
+      if (desc.flow_bytes == 0 || !HasSection(desc.kind)) continue;
+      detail::Decoder dec(Section(desc.kind), desc.name);
+      if (desc.storage == FlowStorage::kColumnar) (void)dec.Bytes(16);
+      num_flows_ = dec.Bound(info_.num_flows, desc.flow_bytes, "flow");
+      if (desc.storage == FlowStorage::kRaw &&
+          dec.remaining() != num_flows_.value() * kFlowStride) {
+        Fail("flows section size disagrees with flow count");
       }
     }
+    // u64 id, u32 OUI, u8 flags and u32 UA count; v1-v3 add two u64 totals
+    // and a u32 domain count.
+    num_devices_ = detail::Decoder(Section(SectionKind::kDevices), "devices")
+                       .Bound(info_.num_devices, info_.version < 4 ? 37 : 17,
+                              "device");
+    if (HasSection(SectionKind::kDeviceOffsets) &&
+        Section(SectionKind::kDeviceOffsets).size() !=
+            (num_devices_.value() + 1) * sizeof(std::uint64_t)) {
+      Fail("device-offsets section size disagrees with device count");
+    }
+    // After the two u32 counts, each domain has a u64 string offset.
+    detail::Decoder pool(Section(SectionKind::kStringPool), "string-pool");
+    (void)pool.Bytes(8);
+    num_domains_ = pool.Bound(info_.num_domains, 8, "domain");
     const std::size_t want_stats =
         info_.version >= 2 ? kStatsSectionSize : kStatsSectionSizeV1;
     if (Section(SectionKind::kStats).size() != want_stats) {
@@ -466,6 +461,8 @@ class Reader::Impl {
   std::filesystem::path path_;
   std::shared_ptr<const MmapFile> map_;
   SnapshotInfo info_;
+  /// The meta counts, each bounded by the section it sizes.
+  detail::BoundedCount num_flows_, num_devices_, num_domains_;
   std::vector<ParsedSection> sections_;  ///< in section-table order
   std::array<int, kSections.size()> kind_slot_{};  ///< kind-1 -> sections_ slot
 };

@@ -23,9 +23,9 @@
 #include "store/column_codec.h"
 #include "store/format.h"
 #include "store/snapshot.h"
-#include "util/crc32c.h"
 
 #include "../core/dataset_equal.h"
+#include "snapshot_patch.h"
 
 namespace lockdown::store {
 namespace {
@@ -348,31 +348,22 @@ TEST_F(CompressedSnapshotTest, CompressedByteSweepNeverMisreads) {
   EXPECT_GT(intact + salvaged + rejected, 0);
 }
 
-/// A load must check every column's count against what the payload can
-/// hold before it sizes the flow array. Each column's count is raised to
-/// 2^62, 2^40 and one past what its remaining payload bytes can hold, with
-/// the raw-size prefix set to count x raw bytes per flow (wrapping) and the
-/// meta flow count to match, so only that check stands between the load and
-/// an array of `count` flows. Each column is checked on its own; the file,
-/// with all three columns patched, or only col-rest (the last decoded), and
-/// every CRC resealed, must fail to load and to verify with store::Error —
-/// never std::bad_alloc or std::length_error.
+/// A flow count must be bounded by what every column can hold before it
+/// sizes the flow array. Each column is checked on its own: past its 16-byte
+/// raw-size and count prefix, its payload bounds a count by its kSections
+/// row's fewest bytes per flow, and 2^62, 2^40, one past its remaining bytes
+/// and one past what they hold at that many bytes per flow all fail that
+/// bound. In the file, with every CRC resealed:
+///   - a meta flow count one past one column's bound fails as soon as the
+///     file is opened;
+///   - one column's own count raised to those values (its raw-size prefix
+///     set to count x raw bytes per flow, wrapping) fails the load, naming
+///     that column;
+///   - the meta count with all three columns, or only col-rest (the last
+///     decoded), raised to 2^62 or 2^40 fails to open, load and verify.
+/// Every failure is store::Error, never std::bad_alloc or std::length_error.
 TEST_F(CompressedSnapshotTest, ColumnCountBeyondPayloadIsCorrupt) {
-  const auto path = *dir_ / "compressed.lds";
-  const SnapshotInfo info = InspectSnapshot(path);
-  std::ifstream in(path, std::ios::binary);
-  const std::vector<char> clean((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  const auto put = [](std::vector<char>& bytes, std::size_t at, std::uint64_t v,
-                      int width) {
-    for (int b = 0; b < width; ++b) bytes[at + b] = static_cast<char>(v >> (8 * b));
-  };
-  const auto put_u64 = [&](std::vector<char>& bytes, std::size_t at, std::uint64_t v) {
-    put(bytes, at, v, 8);
-  };
-  const auto crc = [](const std::vector<char>& bytes, std::size_t at, std::size_t len) {
-    return util::Crc32c(std::as_bytes(std::span<const char>(bytes.data() + at, len)));
-  };
+  const testing::PatchedSnapshot clean(*dir_ / "compressed.lds");
   struct Column {
     SectionKind kind;
     const char* name;
@@ -383,61 +374,75 @@ TEST_F(CompressedSnapshotTest, ColumnCountBeyondPayloadIsCorrupt) {
       {SectionKind::kColTimestamps, "col-timestamps", 4, 1},
       {SectionKind::kColDomains, "col-domains", 4, 1},
       {SectionKind::kColRest, "col-rest", 31, 14}};
-  const auto section = [&](const char* name) {
-    for (const SectionInfo& s : info.sections) {
-      if (s.name == name) return s;
+  const std::uint64_t num_flows = clean.info().num_flows;
+  const auto path = *dir_ / "crafted_count.lds";
+  const auto expect_corrupt = [&](const testing::PatchedSnapshot& file,
+                                  const std::string& what,
+                                  const std::string& message_part) {
+    file.Write(path);
+    try {
+      (void)LoadSnapshot(path);
+      ADD_FAILURE() << what << " loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(message_part), std::string::npos)
+          << what << ": " << e.what();
     }
-    ADD_FAILURE() << "no " << name << " section";
-    return SectionInfo{};
+    EXPECT_THROW((void)LoadSnapshot(path, {.salvage = true}), Error) << what;
+    EXPECT_THROW(VerifySnapshot(path), Error) << what;
   };
 
   for (const Column& column : columns) {
-    const SectionInfo s = section(column.name);
+    const SectionDesc& row = *FindSection(static_cast<std::uint32_t>(column.kind));
+    ASSERT_EQ(row.flow_bytes, column.min_bytes) << column.name;
+    const SectionInfo& s = clean.section(column.name);
     ASSERT_GT(s.size, 16u);
     const std::uint64_t remaining = s.size - 16;  // after raw size and count
+    const auto payload = std::as_bytes(std::span<const char>(
+        clean.bytes().data() + s.offset, static_cast<std::size_t>(s.size)));
+    detail::Decoder dec(payload, column.name);
+    (void)dec.Bytes(16);
+    EXPECT_EQ(dec.Bound(num_flows, row.flow_bytes, "flow").value(), num_flows);
+
+    testing::PatchedSnapshot meta_only = clean;
+    meta_only.Put(clean.section("meta").offset, remaining / column.min_bytes + 1, 8);
+    meta_only.Reseal();
+    meta_only.Write(path);
+    EXPECT_THROW((void)InspectSnapshot(path), Error) << column.name;
+
     for (const std::uint64_t count :
          {std::uint64_t{1} << 62, std::uint64_t{1} << 40, remaining + 1,
           remaining / column.min_bytes + 1}) {
-      const auto begin = clean.begin() + static_cast<std::ptrdiff_t>(s.offset);
-      std::vector<char> bytes(begin, begin + static_cast<std::ptrdiff_t>(s.size));
-      put_u64(bytes, 0, count * column.raw_bytes);
-      put_u64(bytes, 8, count);
-      const auto payload = std::as_bytes(std::span<const char>(bytes));
-      EXPECT_THROW(detail::CheckColumnCount(column.kind, payload, count), Error)
-          << column.name << " count " << count;
+      const std::string what =
+          std::string(column.name) + " count " + std::to_string(count);
+      EXPECT_THROW((void)dec.Bound(count, row.flow_bytes, "flow"), Error) << what;
+      testing::PatchedSnapshot file = clean;
+      file.Put(s.offset, count * column.raw_bytes, 8);
+      file.Put(s.offset + 8, count, 8);
+      file.Reseal();
+      expect_corrupt(file, what, column.name);
     }
   }
 
-  const auto patched_path = *dir_ / "crafted_count.lds";
   for (const bool rest_only : {false, true}) {
     for (const std::uint64_t count :
          {std::uint64_t{1} << 62, std::uint64_t{1} << 40}) {
-      std::vector<char> bytes = clean;
-      put_u64(bytes, section("meta").offset, count);  // num_flows
+      testing::PatchedSnapshot file = clean;
+      file.Put(clean.section("meta").offset, count, 8);  // num_flows
       for (const Column& column : columns) {
         if (rest_only && column.kind != SectionKind::kColRest) continue;
-        const SectionInfo s = section(column.name);
-        put_u64(bytes, s.offset, count * column.raw_bytes);
-        put_u64(bytes, s.offset + 8, count);
+        const SectionInfo& s = clean.section(column.name);
+        file.Put(s.offset, count * column.raw_bytes, 8);
+        file.Put(s.offset + 8, count, 8);
       }
-      for (std::size_t i = 0; i < info.sections.size(); ++i) {
-        const SectionInfo& s = info.sections[i];
-        put(bytes, kHeaderSize + i * kSectionDescSize + 24,
-            crc(bytes, s.offset, s.size), 4);
-      }
-      put(bytes, bytes.size() - kTrailerSize + 8,
-          crc(bytes, 0, kHeaderSize + info.sections.size() * kSectionDescSize), 4);
-      std::ofstream(patched_path, std::ios::binary | std::ios::trunc)
-          .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      file.Reseal();
       const std::string what =
           (rest_only ? "col-rest only, count " : "all columns, count ") +
           std::to_string(count);
-      EXPECT_THROW((void)LoadSnapshot(patched_path), Error) << what;
-      EXPECT_THROW((void)LoadSnapshot(patched_path, {.salvage = true}), Error) << what;
-      EXPECT_THROW(VerifySnapshot(patched_path), Error) << what;
+      expect_corrupt(file, what, "section size disagrees with flow count");
+      EXPECT_THROW((void)InspectSnapshot(path), Error) << what;
     }
   }
-  std::filesystem::remove(patched_path);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // reader treats the day-index section that v5 dropped: checked, never
 // decoded, required of v3/v4 files and unknown to v5 ones. The v5 fixture
 // pins the device-offsets section that v6 dropped: a v1-v5 file's stored
-// index must equal the one derived from its flows, and a v6 file may not
-// carry one.
+// index must equal the one derived from its flows, its size must agree with
+// a device count the devices section bounds, and a v6 file may not carry
+// one.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,17 +15,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
-#include <span>
 #include <sstream>
 #include <string>
 
 #include "core/study.h"
 #include "store/format.h"
 #include "store/snapshot.h"
-#include "util/crc32c.h"
 
 #include "../core/figure_render.h"
+#include "snapshot_patch.h"
 
 namespace lockdown::store {
 namespace {
@@ -40,28 +39,6 @@ std::string Recorded(const std::string& name) {
 std::filesystem::path TempPath(const std::string& name) {
   return std::filesystem::temp_directory_path() /
          ("lockdown_legacy_" + name + "." + std::to_string(::getpid()) + ".lds");
-}
-
-std::string ReadBytes(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), {}};
-}
-
-void WriteBytes(const std::filesystem::path& path, const std::string& bytes) {
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-void PutU32(std::string& bytes, std::size_t at, std::uint32_t v) {
-  for (int b = 0; b < 4; ++b) bytes[at + b] = static_cast<char>(v >> (8 * b));
-}
-
-/// Rewrites the trailer CRC over the header and the first `sections`
-/// descriptors, so a patched table passes the structural checksum.
-void ResealTable(std::string& bytes, std::size_t sections) {
-  const std::size_t table_end = kHeaderSize + sections * kSectionDescSize;
-  PutU32(bytes, bytes.size() - kTrailerSize + 8,
-         util::Crc32c(std::as_bytes(std::span<const char>(bytes.data(), table_end))));
 }
 
 /// A strict load of `path` throws store::Error containing `what`.
@@ -121,16 +98,13 @@ TEST(LegacySnapshot, V5RawRendersRecordedFigures) {
 }
 
 TEST(LegacySnapshot, V4CorruptDayIndexFailsStrictAndSalvagesWithOneWarning) {
-  const std::filesystem::path fixture = kLegacyDir / "v4_raw.lds";
-  SectionInfo day_index;
-  for (const SectionInfo& s : InspectSnapshot(fixture).sections) {
-    if (s.name == "day-index") day_index = s;
-  }
+  testing::PatchedSnapshot file(kLegacyDir / "v4_raw.lds");
+  const SectionInfo& day_index = file.section("day-index");
   ASSERT_GT(day_index.size, 0u);
-  std::string bytes = ReadBytes(fixture);
-  bytes[day_index.offset + day_index.size / 2] ^= 0x40;
+  const std::uint64_t at = day_index.offset + day_index.size / 2;
+  file.Put(at, file.Get(at, 1) ^ 0x40, 1);  // not resealed
   const std::filesystem::path bad = TempPath("bad_day_index");
-  WriteBytes(bad, bytes);
+  file.Write(bad);
 
   ExpectLoadError(bad, "checksum mismatch in day-index");
   const LoadedSnapshot snap = LoadSnapshot(bad, {.salvage = true});
@@ -145,14 +119,12 @@ TEST(LegacySnapshot, V4CorruptDayIndexFailsStrictAndSalvagesWithOneWarning) {
 /// field, `kind`, and requires the load to reject the kind as unknown.
 void ExpectLastDescriptorKindUnknown(const std::filesystem::path& file,
                                      std::uint32_t version, SectionKind kind) {
-  const SnapshotInfo info = InspectSnapshot(file);
-  ASSERT_EQ(info.version, version);
-  std::string bytes = ReadBytes(file);
-  PutU32(bytes, kHeaderSize + (info.sections.size() - 1) * kSectionDescSize,
-         static_cast<std::uint32_t>(kind));
-  ResealTable(bytes, info.sections.size());
+  testing::PatchedSnapshot patched(file);
+  ASSERT_EQ(patched.info().version, version);
+  patched.Put(patched.descriptor("stats"), static_cast<std::uint32_t>(kind), 4);
+  patched.Reseal();
   const std::filesystem::path path = TempPath("kind_" + std::to_string(version));
-  WriteBytes(path, bytes);
+  patched.Write(path);
   ExpectLoadError(path, "unknown section kind " +
                             std::to_string(static_cast<std::uint32_t>(kind)));
   std::filesystem::remove(path);
@@ -172,26 +144,16 @@ TEST(LegacySnapshot, V6DescriptorClaimingDeviceOffsetsKindIsUnknown) {
 }
 
 TEST(LegacySnapshot, V5DeviceOffsetsDisagreeingWithFlowsIsRejected) {
-  const std::filesystem::path fixture = kLegacyDir / "v5_raw.lds";
-  const SnapshotInfo info = InspectSnapshot(fixture);
-  std::size_t slot = info.sections.size();
-  for (std::size_t i = 0; i < info.sections.size(); ++i) {
-    if (info.sections[i].name == "device-offsets") slot = i;
-  }
-  ASSERT_LT(slot, info.sections.size());
-  const SectionInfo& csr = info.sections[slot];
-  ASSERT_EQ(csr.size, (info.num_devices + 1) * 8);
-  ASSERT_GE(info.num_devices, 2u);
+  testing::PatchedSnapshot file(kLegacyDir / "v5_raw.lds");
+  const SectionInfo& csr = file.section("device-offsets");
+  ASSERT_EQ(csr.size, (file.info().num_devices + 1) * 8);
+  ASSERT_GE(file.info().num_devices, 2u);
   // Move the boundary between devices 0 and 1 by one flow: still monotone
   // and in range, so only the comparison with the derived index catches it.
-  std::string bytes = ReadBytes(fixture);
-  bytes[csr.offset + 8] = static_cast<char>(bytes[csr.offset + 8] + 1);
-  PutU32(bytes, kHeaderSize + slot * kSectionDescSize + 24,
-         util::Crc32c(std::as_bytes(
-             std::span<const char>(bytes.data() + csr.offset, csr.size))));
-  ResealTable(bytes, info.sections.size());
+  file.Put(csr.offset + 8, file.Get(csr.offset + 8, 8) + 1, 8);
+  file.Reseal();
   const std::filesystem::path path = TempPath("v5_bad_offsets");
-  WriteBytes(path, bytes);
+  file.Write(path);
   ExpectLoadError(path, "inconsistent device index section");
   EXPECT_THROW((void)LoadSnapshot(path, {.mode = LoadMode::kCopy}), Error);
   EXPECT_THROW(VerifySnapshot(path), Error);
@@ -199,17 +161,30 @@ TEST(LegacySnapshot, V5DeviceOffsetsDisagreeingWithFlowsIsRejected) {
 }
 
 TEST(LegacySnapshot, V4WithoutDayIndexIsRejected) {
-  const std::filesystem::path fixture = kLegacyDir / "v4_raw.lds";
-  const SnapshotInfo info = InspectSnapshot(fixture);
-  ASSERT_EQ(info.sections.back().name, "day-index");
+  testing::PatchedSnapshot file(kLegacyDir / "v4_raw.lds");
+  ASSERT_EQ(file.info().sections.back().name, "day-index");
   // Drop the last descriptor: one fewer in the header's count, table resealed.
-  const std::size_t kept = info.sections.size() - 1;
-  std::string bytes = ReadBytes(fixture);
-  PutU32(bytes, 20, static_cast<std::uint32_t>(kept));  // header section count
-  ResealTable(bytes, kept);
+  file.Put(20, file.info().sections.size() - 1, 4);  // header section count
+  file.Reseal();
   const std::filesystem::path path = TempPath("v4_no_day_index");
-  WriteBytes(path, bytes);
+  file.Write(path);
   ExpectLoadError(path, "missing day-index section");
+  std::filesystem::remove(path);
+}
+
+TEST(LegacySnapshot, DeviceCountWrapIsCorrupt) {
+  // num_devices + 1 wraps to 0 at 2^64 - 1, which an empty device-offsets
+  // section would match: the count must be bounded by the devices section
+  // before any check adds to it, so the file fails as soon as it is opened.
+  testing::PatchedSnapshot file(kLegacyDir / "v5_raw.lds");
+  file.Put(file.section("meta").offset + 8, ~std::uint64_t{0}, 8);  // num_devices
+  file.Put(file.descriptor("device-offsets") + 16, 0, 8);           // its size
+  file.Reseal();
+  const std::filesystem::path path = TempPath("v5_device_count_wrap");
+  file.Write(path);
+  EXPECT_THROW((void)InspectSnapshot(path), Error);
+  EXPECT_THROW((void)LoadSnapshot(path), Error);
+  EXPECT_THROW(VerifySnapshot(path), Error);
   std::filesystem::remove(path);
 }
 

@@ -16,10 +16,10 @@
 
 #include "core/study.h"
 #include "store/format.h"
-#include "util/crc32c.h"
 
 #include "../core/dataset_equal.h"
 #include "../core/figure_render.h"
+#include "snapshot_patch.h"
 
 namespace lockdown::store {
 namespace {
@@ -244,35 +244,13 @@ TEST(SnapshotCorruption, WrappedFlowCountRejected) {
   // section size in u64 arithmetic. Reseal the meta CRC and the table CRC so
   // only the count check stands between the file and a load that would
   // reserve (or mmap-view) 2^61 flows.
-  const SnapshotInfo info = InspectSnapshot(Campus().file);
-  const fs::path p = ScratchCopy("wrapped_count.lds");
-  std::string bytes;
-  {
-    std::ifstream in(p, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  const auto put_u32 = [&](std::size_t at, std::uint32_t v) {
-    for (int b = 0; b < 4; ++b) bytes[at + b] = static_cast<char>(v >> (8 * b));
-  };
-  const auto crc = [&](std::size_t at, std::size_t len) {
-    return util::Crc32c(std::as_bytes(std::span<const char>(bytes.data() + at, len)));
-  };
-  bool patched = false;
-  for (std::size_t i = 0; i < info.sections.size(); ++i) {
-    const SectionInfo& section = info.sections[i];
-    if (section.name != "meta") continue;
-    // num_flows is the first little-endian u64 of meta; add 2^61.
-    bytes[section.offset + 7] = static_cast<char>(bytes[section.offset + 7] ^ 0x20);
-    put_u32(kHeaderSize + i * kSectionDescSize + 24, crc(section.offset, section.size));
-    patched = true;
-  }
-  ASSERT_TRUE(patched);
-  const std::size_t table_end = kHeaderSize + info.sections.size() * kSectionDescSize;
-  put_u32(bytes.size() - kTrailerSize + 8, crc(0, table_end));
-  {
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  testing::PatchedSnapshot file(Campus().file);
+  // num_flows is the first little-endian u64 of meta; add 2^61.
+  const std::uint64_t at = file.section("meta").offset;
+  file.Put(at, file.Get(at, 8) ^ (std::uint64_t{1} << 61), 8);
+  file.Reseal();
+  const fs::path p = Campus().dir / "wrapped_count.lds";
+  file.Write(p);
   ExpectLoadError(p, "flows section size disagrees with flow count");
   fs::remove(p);
 }
@@ -286,41 +264,18 @@ TEST(SnapshotCorruption, DeviceUaCountBeyondPayloadIsCorrupt) {
   const fs::path sources[] = {Campus().file,
                               fs::path(LOCKDOWN_LEGACY_DIR) / "v5_raw.lds"};
   for (const fs::path& source : sources) {
-    const SnapshotInfo info = InspectSnapshot(source);
-    std::string clean;
-    {
-      std::ifstream in(source, std::ios::binary);
-      clean.assign(std::istreambuf_iterator<char>(in), {});
-    }
-    std::size_t devices = info.sections.size();
-    for (std::size_t i = 0; i < info.sections.size(); ++i) {
-      if (info.sections[i].name == "devices") devices = i;
-    }
-    ASSERT_LT(devices, info.sections.size()) << source;
-    const SectionInfo& dev = info.sections[devices];
+    const testing::PatchedSnapshot clean(source);
+    const SectionInfo& dev = clean.section("devices");
     constexpr std::uint64_t kUaCountAt = 8 + 4 + 1;
     ASSERT_GT(dev.size, kUaCountAt + 4) << source;
     const std::uint64_t remaining = dev.size - kUaCountAt - 4;
     for (const std::uint64_t count :
          {std::uint64_t{0xFFFFFFFF}, remaining / 4 + 1}) {
-      std::string bytes = clean;
-      const auto put_u32 = [&](std::size_t at, std::uint64_t v) {
-        for (int b = 0; b < 4; ++b) bytes[at + b] = static_cast<char>(v >> (8 * b));
-      };
-      const auto crc = [&](std::size_t at, std::size_t len) {
-        return util::Crc32c(
-            std::as_bytes(std::span<const char>(bytes.data() + at, len)));
-      };
-      put_u32(dev.offset + kUaCountAt, count);
-      put_u32(kHeaderSize + devices * kSectionDescSize + 24,
-              crc(dev.offset, dev.size));
-      put_u32(bytes.size() - kTrailerSize + 8,
-              crc(0, kHeaderSize + info.sections.size() * kSectionDescSize));
+      testing::PatchedSnapshot file = clean;
+      file.Put(dev.offset + kUaCountAt, count, 4);
+      file.Reseal();
       const fs::path p = Campus().dir / "ua_count.lds";
-      {
-        std::ofstream out(p, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      }
+      file.Write(p);
       const std::string what = source.filename().string() + " count " +
                                std::to_string(count);
       EXPECT_THROW((void)LoadSnapshot(p), Error) << what;

@@ -202,7 +202,9 @@ if [[ "${mode}" == "all" || "${mode}" == "--fault-only" ]]; then
   # allocation sized by the count. MODE `flows`: the meta and column flow
   # counts of a --compress file claim 2^62 flows. MODE `uas`: device 0's
   # user-agent count (after its u64 id, u32 OUI and u8 flags) claims
-  # 0xFFFFFFFF 4-byte refs, ~128 GiB.
+  # 0xFFFFFFFF 4-byte refs, ~128 GiB. MODE `devices` (a v1-v5 file): the meta
+  # device count claims 2^64 - 1 and the device-offsets section is emptied,
+  # so a reader that added one to the count would see it wrap to a match.
   craft() {
     python3 - "$1" "$2" <<'PY'
 import struct, sys
@@ -225,6 +227,7 @@ count = 1 << 62
 # Section kind -> decoded bytes per flow of its raw-size prefix (0: meta).
 raw_bytes = {1: 0, 8: 4, 9: 4, 10: 31}
 devices_kind = 5
+offsets_kind = 3
 patched = False
 (num_sections,) = struct.unpack_from("<I", data, 20)
 for i in range(num_sections):
@@ -238,6 +241,11 @@ for i in range(num_sections):
                              (count * raw_bytes[kind]) % (1 << 64), count)
     elif mode == "uas" and kind == devices_kind:
         struct.pack_into("<I", data, offset + 8 + 4 + 1, 0xFFFFFFFF)
+    elif mode == "devices" and kind == 1:
+        struct.pack_into("<Q", data, offset + 8, (1 << 64) - 1)  # num_devices
+    elif mode == "devices" and kind == offsets_kind:
+        size = 0
+        struct.pack_into("<Q", data, desc + 16, size)
     else:
         continue
     patched = True
@@ -271,6 +279,21 @@ PY
   expect_exit 0 "${cli}" analyze --logs "${work}/baduas" --students 60 --seed 11 \
     --ingest-mode tolerant
   rm -r "${work}/baduas"
+
+  echo "=== fault: crafted structure-time counts -> snapshot info and verify exit 4 ==="
+  # A count the file's bytes cannot hold fails when the file is opened, so
+  # info, which reads only the structure, rejects it too.
+  mkdir "${work}/structure"
+  "${cli}" snapshot save --out "${work}/structure/flows.lds" --compress \
+    --logs "${work}/clean" --students 60 --seed 11 >/dev/null
+  craft flows "${work}/structure/flows.lds"
+  cp tests/store/legacy/v5_raw.lds "${work}/structure/devices.lds"
+  craft devices "${work}/structure/devices.lds"
+  for crafted in flows devices; do
+    expect_exit 4 "${cli}" snapshot info "${work}/structure/${crafted}.lds"
+    expect_exit 4 "${cli}" snapshot verify "${work}/structure/${crafted}.lds"
+  done
+  rm -r "${work}/structure"
 
   echo "=== fault: CRLF logs -> strict analyze exits 0 with the LF figures ==="
   # A trailing \r puts every conn.log row outside the parser's common shape,

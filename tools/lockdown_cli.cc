@@ -475,7 +475,7 @@ int RunSnapshotVerify(const Options& opts) {
     std::cerr << "warning: stale tmp file: " << stale.string() << "\n";
   }
   const auto t0 = std::chrono::steady_clock::now();
-  store::VerifySnapshot(opts.file);  // throws on any problem -> exit 1 in main
+  store::VerifySnapshot(opts.file);  // throws on any problem -> exit 4 in main
   const store::SnapshotInfo info = store::InspectSnapshot(opts.file);
   std::cout << opts.file << ": OK (" << info.num_flows << " flows, "
             << info.num_devices << " devices, all checksums valid, "
