@@ -497,14 +497,19 @@ void AblationZoomAttribution(const core::Dataset& ds) {
   const auto media = catalog.FindByName("zoom-media");
   const auto legacy = catalog.FindByName("zoom-media-legacy");
 
+  // The domain tier, decided once per interned domain.
+  std::vector<bool> zoom_domain(ds.num_domains(), false);
+  for (core::DomainId d = 0; d < ds.num_domains(); ++d) {
+    zoom_domain[d] = matcher.MatchesDomain(ds.DomainName(d));
+  }
+
   // Ground truth: every flow whose server truly belongs to a Zoom service.
   std::uint64_t truth = 0, by_domain = 0, by_current_ip = 0, by_historical_ip = 0;
   for (const core::Flow& f : ds.flows()) {
     const auto svc = catalog.FindByIp(f.server_ip);
     if (svc != zoom && svc != media && svc != legacy) continue;
     truth += f.total_bytes();
-    const std::string_view host = ds.DomainName(f.domain);
-    if (!host.empty() && matcher.MatchesDomain(host)) {
+    if (zoom_domain[f.domain]) {
       by_domain += f.total_bytes();
     } else if (matcher.MatchesCurrentIp(f.server_ip)) {
       by_current_ip += f.total_bytes();

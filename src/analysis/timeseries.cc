@@ -1,7 +1,6 @@
 #include "analysis/timeseries.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace lockdown::analysis {
 
@@ -12,13 +11,6 @@ void DailySeries::Add(util::Timestamp ts, double value) noexcept {
 void DailySeries::AddDay(int day, double value) noexcept {
   if (day < 0 || day >= num_days()) return;
   values_[static_cast<std::size_t>(day)] += value;
-}
-
-void DailySeries::Merge(const DailySeries& other) {
-  if (other.values_.size() != values_.size()) {
-    throw std::invalid_argument("DailySeries::Merge: day-count mismatch");
-  }
-  for (std::size_t d = 0; d < values_.size(); ++d) values_[d] += other.values_[d];
 }
 
 DailySeries DailySeries::MovingAverage(int window) const {

@@ -22,10 +22,6 @@ class DailySeries {
   /// Adds to an explicit day index (ignored when out of range).
   void AddDay(int day, double value) noexcept;
 
-  /// Element-wise sum of another series into this one (sizes must match).
-  /// The parallel study folds per-shard partial series in chunk order.
-  void Merge(const DailySeries& other);
-
   [[nodiscard]] double at(int day) const { return values_.at(static_cast<std::size_t>(day)); }
   [[nodiscard]] int num_days() const noexcept { return static_cast<int>(values_.size()); }
   [[nodiscard]] std::span<const double> values() const noexcept { return values_; }

@@ -1,17 +1,6 @@
 #include "apps/social.h"
 
-#include "util/strings.h"
-
 namespace lockdown::apps {
-
-namespace {
-bool AnyMatch(std::string_view host, const std::vector<std::string>& domains) {
-  for (const std::string& d : domains) {
-    if (util::DomainMatches(host, d)) return true;
-  }
-  return false;
-}
-}  // namespace
 
 const char* ToString(SocialApp app) noexcept {
   switch (app) {
@@ -20,23 +9,6 @@ const char* ToString(SocialApp app) noexcept {
     case SocialApp::kTikTok: return "tiktok";
   }
   return "???";
-}
-
-SocialMediaSignatures::SocialMediaSignatures()
-    : facebook_domains_{"facebook.com", "facebook.net", "fbcdn.net"},
-      instagram_domains_{"instagram.com", "cdninstagram.com"},
-      tiktok_domains_{"tiktok.com", "tiktokv.com", "tiktokcdn.com", "muscdn.com"} {}
-
-bool SocialMediaSignatures::IsFacebookFamily(std::string_view host) const {
-  return AnyMatch(host, facebook_domains_) || AnyMatch(host, instagram_domains_);
-}
-
-bool SocialMediaSignatures::IsInstagramOnly(std::string_view host) const {
-  return AnyMatch(host, instagram_domains_);
-}
-
-bool SocialMediaSignatures::IsTikTok(std::string_view host) const {
-  return AnyMatch(host, tiktok_domains_);
 }
 
 }  // namespace lockdown::apps

@@ -1,5 +1,4 @@
-// Social-media signatures and the Facebook/Instagram disambiguation
-// heuristic (paper §5.2):
+// The Facebook/Instagram disambiguation heuristic (paper §5.2):
 //
 //  "the aforementioned Facebook domains serve content for both Facebook and
 //   Instagram services. We use a simple heuristic to differentiate... if any
@@ -7,14 +6,14 @@
 //   content (e.g. traffic from instagram.com), then we mark the entire
 //   session as an Instagram session. Otherwise, we mark the session as
 //   Facebook."
+//
+// Which domain belongs to which app is the service catalog's answer
+// (world::ServiceCatalog::FindByHost); the heuristic only reads it.
 #pragma once
 
-#include <string>
-#include <string_view>
-#include <vector>
+#include <cstdint>
 
 #include "apps/sessionizer.h"
-#include "apps/signature.h"
 
 namespace lockdown::apps {
 
@@ -22,47 +21,16 @@ enum class SocialApp : std::uint8_t { kFacebook, kInstagram, kTikTok };
 
 [[nodiscard]] const char* ToString(SocialApp app) noexcept;
 
-class SocialMediaSignatures {
- public:
-  /// The signatures the paper derived "manually analyz[ing] traffic from a
-  /// laptop and mobile device".
-  SocialMediaSignatures();
-
-  /// True if the host belongs to the Facebook *or* Instagram platform
-  /// (the shared-domain superset a session is first assembled from).
-  [[nodiscard]] bool IsFacebookFamily(std::string_view host) const;
-
-  /// True if the host serves Instagram-only content.
-  [[nodiscard]] bool IsInstagramOnly(std::string_view host) const;
-
-  /// True if the host belongs to TikTok.
-  [[nodiscard]] bool IsTikTok(std::string_view host) const;
-
-  /// Applies the disambiguation heuristic to a merged session, given a
-  /// predicate mapping the session's opaque domain tags back to hostnames.
-  template <typename HostOf>
-  [[nodiscard]] SocialApp ClassifySession(const Session& session,
-                                          HostOf&& host_of) const {
-    for (const std::uint32_t tag : session.domains) {
-      if (IsInstagramOnly(host_of(tag))) return SocialApp::kInstagram;
-    }
-    return SocialApp::kFacebook;
+/// Applies the disambiguation heuristic to a merged Facebook-family session,
+/// given a predicate telling whether a domain tag serves Instagram-only
+/// content.
+template <typename IsInstagramOnly>
+[[nodiscard]] SocialApp ClassifySession(const Session& session,
+                                        IsInstagramOnly&& instagram_only) {
+  for (const std::uint32_t tag : session.domains) {
+    if (instagram_only(tag)) return SocialApp::kInstagram;
   }
-
-  [[nodiscard]] const std::vector<std::string>& facebook_domains() const noexcept {
-    return facebook_domains_;
-  }
-  [[nodiscard]] const std::vector<std::string>& instagram_domains() const noexcept {
-    return instagram_domains_;
-  }
-  [[nodiscard]] const std::vector<std::string>& tiktok_domains() const noexcept {
-    return tiktok_domains_;
-  }
-
- private:
-  std::vector<std::string> facebook_domains_;   // shared + FB-specific
-  std::vector<std::string> instagram_domains_;  // Instagram-only
-  std::vector<std::string> tiktok_domains_;
-};
+  return SocialApp::kFacebook;
+}
 
 }  // namespace lockdown::apps

@@ -2,50 +2,22 @@
 
 #include <stdexcept>
 
-#include "util/strings.h"
-
 namespace lockdown::apps {
 
-ZoomMatcher::ZoomMatcher(std::vector<std::string> domains,
-                         std::vector<net::Cidr> current_ranges,
-                         std::vector<net::Cidr> historical_ranges)
-    : domains_(std::move(domains)),
-      current_(std::move(current_ranges)),
-      historical_(std::move(historical_ranges)) {}
-
-ZoomMatcher::ZoomMatcher(const world::ServiceCatalog& catalog) {
+ZoomMatcher::ZoomMatcher(const world::ServiceCatalog& catalog) : catalog_(&catalog) {
   const auto zoom = catalog.FindByName("zoom");
   const auto media = catalog.FindByName("zoom-media");
   const auto legacy = catalog.FindByName("zoom-media-legacy");
   if (!zoom || !media || !legacy) {
     throw std::invalid_argument("ZoomMatcher: catalog lacks zoom services");
   }
-  // The signature domain is the registrable zone, as the support page lists.
-  domains_.push_back("zoom.us");
-  (void)catalog.Get(*zoom);
-  current_.push_back(catalog.Get(*media).block);
-  historical_.push_back(catalog.Get(*legacy).block);
+  zoom_ = *zoom;
+  current_ = catalog.Get(*media).block;
+  historical_ = catalog.Get(*legacy).block;
 }
 
 bool ZoomMatcher::MatchesDomain(std::string_view host) const {
-  for (const std::string& d : domains_) {
-    if (util::DomainMatches(host, d)) return true;
-  }
-  return false;
-}
-
-bool ZoomMatcher::MatchesCurrentIp(net::Ipv4Address ip) const {
-  for (net::Cidr c : current_) {
-    if (c.Contains(ip)) return true;
-  }
-  return false;
-}
-
-bool ZoomMatcher::MatchesHistoricalIp(net::Ipv4Address ip) const {
-  for (net::Cidr c : historical_) {
-    if (c.Contains(ip)) return true;
-  }
-  return false;
+  return catalog_->FindByHost(host) == zoom_;
 }
 
 bool ZoomMatcher::IsZoom(std::string_view host, net::Ipv4Address server) const {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <string_view>
-#include <vector>
 
 #include "net/ipv4.h"
 #include "world/catalog.h"
@@ -15,14 +14,10 @@ namespace lockdown::apps {
 
 class ZoomMatcher {
  public:
-  /// Builds the matcher from explicit lists: the published domain list, the
-  /// current IP ranges, and the historical (wayback-recovered) ranges.
-  ZoomMatcher(std::vector<std::string> domains, std::vector<net::Cidr> current_ranges,
-              std::vector<net::Cidr> historical_ranges);
-
   /// Builds from the catalog (the reproduction's stand-in for the published
-  /// lists): "zoom" hosts, "zoom-media" block as current, "zoom-media-legacy"
-  /// as historical.
+  /// lists): the "zoom" service owns the domains, the "zoom-media" block is
+  /// the current relay list and "zoom-media-legacy" the historical one. The
+  /// catalog must outlive the matcher.
   explicit ZoomMatcher(const world::ServiceCatalog& catalog);
 
   /// True if the flow is Zoom traffic: its DNS-mapped hostname matches a
@@ -31,13 +26,18 @@ class ZoomMatcher {
   [[nodiscard]] bool IsZoom(std::string_view host, net::Ipv4Address server) const;
 
   [[nodiscard]] bool MatchesDomain(std::string_view host) const;
-  [[nodiscard]] bool MatchesCurrentIp(net::Ipv4Address ip) const;
-  [[nodiscard]] bool MatchesHistoricalIp(net::Ipv4Address ip) const;
+  [[nodiscard]] bool MatchesCurrentIp(net::Ipv4Address ip) const {
+    return current_.Contains(ip);
+  }
+  [[nodiscard]] bool MatchesHistoricalIp(net::Ipv4Address ip) const {
+    return historical_.Contains(ip);
+  }
 
  private:
-  std::vector<std::string> domains_;
-  std::vector<net::Cidr> current_;
-  std::vector<net::Cidr> historical_;
+  const world::ServiceCatalog* catalog_;
+  world::ServiceId zoom_ = world::kInvalidService;
+  net::Cidr current_;
+  net::Cidr historical_;
 };
 
 }  // namespace lockdown::apps

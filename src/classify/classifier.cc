@@ -30,7 +30,7 @@ Classification DeviceClassifier::Classify(
     const DeviceObservations& obs, std::span<const DomainBytes> domains) const {
   // 1. Traffic-dominance Switch rule (§5.3.2) — strongest evidence.
   if (switches_.IsSwitch(domains)) {
-    return {DeviceClass::kGameConsole, "nintendo-traffic"};
+    return {DeviceClass::kGameConsole, kSwitchTrafficEvidence};
   }
 
   // 2. User-Agent majority vote. UA strings are direct self-identification;

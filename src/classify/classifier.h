@@ -34,6 +34,10 @@ enum class DeviceClass : std::uint8_t {
 
 [[nodiscard]] const char* ToString(DeviceClass c) noexcept;
 
+/// Evidence of the §5.3.2 traffic rule (at least half the device's
+/// domain-attributed bytes on Nintendo servers), the classifier's first step.
+inline constexpr std::string_view kSwitchTrafficEvidence = "nintendo-traffic";
+
 struct Classification {
   DeviceClass device_class = DeviceClass::kUnknown;
   std::string_view evidence;  ///< which heuristic decided ("ua", "oui", ...)
@@ -44,7 +48,8 @@ class DeviceClassifier {
   DeviceClassifier(const world::OuiDatabase& ouis, IotDetector iot,
                    SwitchDetector switches);
 
-  /// Convenience: all heuristics built from the default databases/catalog.
+  /// Convenience: all heuristics built from the default OUI database and
+  /// `catalog`, which must outlive the classifier.
   [[nodiscard]] static DeviceClassifier Default(const world::ServiceCatalog& catalog);
 
   /// `domains` is the device's DNS-mapped traffic, one entry per domain.

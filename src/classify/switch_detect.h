@@ -4,8 +4,6 @@
 #pragma once
 
 #include <span>
-#include <string>
-#include <vector>
 
 #include "classify/observations.h"
 #include "world/catalog.h"
@@ -14,24 +12,23 @@ namespace lockdown::classify {
 
 class SwitchDetector {
  public:
-  /// Builds the Nintendo domain list from the catalog (the stand-in for the
-  /// 90DNS / SwitchBlocker lists the paper cross-checked against).
-  explicit SwitchDetector(const world::ServiceCatalog& catalog,
-                          double traffic_threshold = 0.5);
+  /// The Nintendo servers are the catalog's "nintendo-gameplay" and
+  /// "nintendo-services" hosts (the stand-in for the 90DNS / SwitchBlocker
+  /// lists the paper cross-checked against). The catalog must outlive the
+  /// detector.
+  explicit SwitchDetector(const world::ServiceCatalog& catalog);
 
-  /// Custom domain list (tests).
-  SwitchDetector(std::vector<std::string> nintendo_domains, double traffic_threshold);
-
-  /// True if at least `threshold` of the device's domain-attributed bytes
-  /// went to Nintendo servers. Devices with no attributed traffic never match.
+  /// True if at least half of the device's domain-attributed bytes went to
+  /// Nintendo servers. Devices with no attributed traffic never match.
   [[nodiscard]] bool IsSwitch(std::span<const DomainBytes> domains) const;
 
   /// Fraction of the device's domain-attributed bytes on Nintendo domains.
   [[nodiscard]] double NintendoShare(std::span<const DomainBytes> domains) const;
 
  private:
-  std::vector<std::string> domains_;
-  double threshold_;
+  const world::ServiceCatalog* catalog_;
+  world::ServiceId gameplay_;
+  world::ServiceId services_;
 };
 
 }  // namespace lockdown::classify

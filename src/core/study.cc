@@ -333,8 +333,9 @@ bool FigureEngine::ProcessDevice(DeviceIndex dev, Scratch& s, Grids& g) {
     std::array<double, 3> hours{};  // Facebook, Instagram, TikTok
     for (const apps::Session& session :
          apps::MergeSessions(std::move(s.fb_family[m]))) {
-      const apps::SocialApp app = ctx_.social().ClassifySession(
-          session, [this](std::uint32_t tag) { return dataset().DomainName(tag); });
+      const apps::SocialApp app = apps::ClassifySession(session, [this](DomainId tag) {
+        return ctx_.domain_flags(tag).instagram_only;
+      });
       hours[static_cast<std::size_t>(app)] += session.duration_s() / 3600.0;
     }
     for (const apps::Session& session : apps::MergeSessions(std::move(s.tiktok[m]))) {

@@ -51,6 +51,7 @@
 
 #include "analysis/stats.h"
 #include "analysis/timeseries.h"
+#include "apps/social.h"
 #include "core/dataset.h"
 #include "core/study_context.h"
 #include "util/thread_pool.h"

@@ -1,5 +1,8 @@
 #include "core/study_context.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "obs/obs.h"
 
 namespace lockdown::core {
@@ -39,29 +42,43 @@ StudyContext::StudyContext(const Dataset& dataset,
   OBS_SPAN("study/census");
   const std::size_t n = dataset.num_devices();
 
-  // Precompute per-domain application flags (slot-disjoint writes).
+  // Tag each interned domain once with the service that owns it
+  // (slot-disjoint writes).
+  const auto need = [&catalog](std::string_view name) -> world::ServiceId {
+    const auto id = catalog.FindByName(name);
+    if (!id) {
+      throw std::invalid_argument("StudyContext: catalog lacks service " +
+                                  std::string(name));
+    }
+    return *id;
+  };
+  const world::ServiceId zoom = need("zoom");
+  const world::ServiceId facebook = need("facebook");
+  const world::ServiceId instagram = need("instagram");
+  const world::ServiceId tiktok = need("tiktok");
+  const world::ServiceId steam = need("steam");
+  const world::ServiceId nintendo_gameplay = need("nintendo-gameplay");
   domain_flags_.resize(dataset.num_domains());
   pool.ParallelFor(dataset.num_domains(), kDeviceGrain,
                    [&](std::size_t, std::size_t begin, std::size_t end) {
                      for (std::size_t i = begin; i < end; ++i) {
-                       const std::string_view name =
-                           dataset.DomainName(static_cast<DomainId>(i));
-                       if (name.empty()) continue;
+                       const auto owner = catalog.FindByHost(
+                           dataset.DomainName(static_cast<DomainId>(i)));
+                       if (!owner) continue;
                        DomainFlags& f = domain_flags_[i];
-                       f.zoom = zoom_.MatchesDomain(name);
-                       f.fb_family = social_.IsFacebookFamily(name);
-                       f.instagram_only = social_.IsInstagramOnly(name);
-                       f.tiktok = social_.IsTikTok(name);
-                       f.steam = steam_.Matches(name);
-                       f.nintendo = nintendo_.IsNintendo(name);
-                       f.nintendo_gameplay = nintendo_.IsGameplay(name);
+                       f.zoom = *owner == zoom;
+                       f.fb_family = *owner == facebook || *owner == instagram;
+                       f.instagram_only = *owner == instagram;
+                       f.tiktok = *owner == tiktok;
+                       f.steam = *owner == steam;
+                       f.nintendo_gameplay = *owner == nintendo_gameplay;
                      }
                    });
 
   // Classify every device from its observations plus the per-domain bytes
-  // tallied from its flows; the same walk applies the §5.3.2 Switch rule (at
-  // least half the domain-attributed bytes on Nintendo domains). Each slot
-  // is written by exactly one chunk.
+  // tallied from its flows. The classifier's first step is the §5.3.2 Switch
+  // rule, so its verdict is the census's Switch bit. Each slot is written by
+  // exactly one chunk.
   const classify::DeviceClassifier classifier =
       classify::DeviceClassifier::Default(catalog);
   classifications_.resize(n);
@@ -72,20 +89,12 @@ StudyContext::StudyContext(const Dataset& dataset,
                      DomainBytesTally tally(dataset);
                      for (std::size_t i = begin; i < end; ++i) {
                        const auto dev = static_cast<DeviceIndex>(i);
-                       const auto domains = tally.Of(dev);
                        classifications_[i] = classifier.Classify(
-                           dataset.device(dev).observations, domains);
+                           dataset.device(dev).observations, tally.Of(dev));
                        report_class_[i] =
                            ReportClassOf(classifications_[i].device_class);
-                       std::uint64_t total = 0;
-                       std::uint64_t nintendo_bytes = 0;
-                       for (std::size_t k = 0; k < domains.size(); ++k) {
-                         total += domains[k].bytes;
-                         if (domain_flags_[tally.ids()[k]].nintendo) {
-                           nintendo_bytes += domains[k].bytes;
-                         }
-                       }
-                       is_switch_[i] = total > 0 && nintendo_bytes * 2 >= total;
+                       is_switch_[i] = classifications_[i].evidence ==
+                                       classify::kSwitchTrafficEvidence;
                      }
                    });
 
@@ -125,50 +134,37 @@ void StudyContext::ComputeSplit(util::ThreadPool& pool) {
   OBS_SPAN("study/split");
   // §4.2: February traffic of post-shutdown users, bytes-weighted midpoint,
   // CDNs excluded (handled inside the classifier via the geo database).
-  // Devices shard by chunk, so the per-shard classifiers hold disjoint keys
-  // and each device's accumulation runs in its serial (CSR) flow order.
+  // Each chunk's classifier sees only its own devices, each accumulated in
+  // its serial (CSR) flow order, and classifies them in the same pass.
   const std::size_t n = dataset_->num_devices();
-  const std::size_t num_chunks = util::ThreadPool::NumChunks(n, kDeviceGrain);
-  std::vector<geo::InternationalClassifier> shards(
-      num_chunks, geo::InternationalClassifier(geo_db_));
+  enum : std::uint8_t { kNoGeo = 0, kDomestic = 1, kInternational = 2 };
+  std::vector<std::uint8_t> verdicts(n, kNoGeo);
   pool.ParallelFor(n, kDeviceGrain,
-                   [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                     geo::InternationalClassifier& intl = shards[chunk];
+                   [&](std::size_t, std::size_t begin, std::size_t end) {
+                     geo::InternationalClassifier intl(geo_db_);
                      for (std::size_t i = begin; i < end; ++i) {
                        if (!is_post_shutdown_[i]) continue;
                        const auto dev = static_cast<DeviceIndex>(i);
                        // The classifier keys on opaque device ids; the dense
                        // dataset index works as that key directly.
+                       const privacy::DeviceId id{dev};
                        for (const Flow& f : dataset_->FlowsOfDevice(dev)) {
-                         intl.Observe(privacy::DeviceId{dev}, f.server_ip,
-                                      f.total_bytes(), Dataset::StartOf(f));
+                         intl.Observe(id, f.server_ip, f.total_bytes(),
+                                      Dataset::StartOf(f));
                        }
-                     }
-                   });
-  geo::InternationalClassifier intl(geo_db_);
-  for (std::size_t c = 0; c < num_chunks; ++c) intl.Merge(shards[c]);
-  shards.clear();
-
-  // Classify each cohort member; stage verdicts so the vector<bool> and the
-  // counters are filled serially in device order.
-  enum : std::uint8_t { kNoGeo = 0, kDomestic = 1, kInternational = 2 };
-  std::vector<std::uint8_t> verdicts(post_shutdown_.size(), kNoGeo);
-  pool.ParallelFor(post_shutdown_.size(), kDeviceGrain,
-                   [&](std::size_t, std::size_t begin, std::size_t end) {
-                     for (std::size_t k = begin; k < end; ++k) {
-                       const auto result =
-                           intl.Classify(privacy::DeviceId{post_shutdown_[k]});
+                       const auto result = intl.Classify(id);
                        if (!result) continue;
-                       verdicts[k] = result->international ? kInternational
+                       verdicts[i] = result->international ? kInternational
                                                            : kDomestic;
                      }
                    });
+  // Fill the vector<bool> and the counters serially in device order.
   split_.international.assign(n, false);
-  for (std::size_t k = 0; k < post_shutdown_.size(); ++k) {
-    if (verdicts[k] == kNoGeo) continue;  // no usable Feb traffic -> domestic
+  for (const DeviceIndex dev : post_shutdown_) {
+    if (verdicts[dev] == kNoGeo) continue;  // no usable Feb traffic -> domestic
     ++split_.num_with_geo;
-    if (verdicts[k] == kInternational) {
-      split_.international[post_shutdown_[k]] = true;
+    if (verdicts[dev] == kInternational) {
+      split_.international[dev] = true;
       ++split_.num_international;
     }
   }

@@ -9,15 +9,11 @@
 //
 // Determinism: construction shards across the caller's thread pool using the
 // fixed-chunk decomposition of util/thread_pool.h, with slot-disjoint writes
-// or chunk-ordered merges throughout, so the census is bit-identical at any
-// thread count.
+// throughout, so the census is bit-identical at any thread count.
 #pragma once
 
 #include <vector>
 
-#include "apps/nintendo.h"
-#include "apps/social.h"
-#include "apps/steam.h"
 #include "apps/zoom.h"
 #include "classify/classifier.h"
 #include "core/dataset.h"
@@ -57,14 +53,14 @@ inline constexpr int kNumReportClasses = 4;
 
 class StudyContext {
  public:
-  /// Per-domain application flags, precomputed over the interned domains.
+  /// Per-domain application flags, set once per interned domain from the
+  /// catalog service that owns it.
   struct DomainFlags {
     bool zoom = false;
-    bool fb_family = false;
-    bool instagram_only = false;
+    bool fb_family = false;       ///< owned by facebook or instagram
+    bool instagram_only = false;  ///< owned by instagram
     bool tiktok = false;
     bool steam = false;
-    bool nintendo = false;
     bool nintendo_gameplay = false;
   };
 
@@ -119,14 +115,11 @@ class StudyContext {
 
   [[nodiscard]] bool IsZoomFlow(const Flow& f) const noexcept;
 
-  /// True if the device is a Switch by the §5.3.2 traffic rule (at least
-  /// half its domain-attributed bytes go to Nintendo domains).
+  /// True if the classifier called the device a Switch by the §5.3.2
+  /// traffic rule (at least half its domain-attributed bytes go to Nintendo
+  /// domains).
   [[nodiscard]] bool IsSwitchDevice(DeviceIndex device) const noexcept {
     return is_switch_[device] != 0;
-  }
-
-  [[nodiscard]] const apps::SocialMediaSignatures& social() const noexcept {
-    return social_;
   }
 
   /// Spreads a flow's bytes uniformly over the hours it spans, calling
@@ -155,9 +148,6 @@ class StudyContext {
   const world::ServiceCatalog* catalog_;
   world::GeoDatabase geo_db_;
   apps::ZoomMatcher zoom_;
-  apps::SocialMediaSignatures social_;
-  apps::SteamSignature steam_;
-  apps::NintendoSignature nintendo_;
   std::vector<classify::Classification> classifications_;
   std::vector<ReportClass> report_class_;
   std::vector<DomainFlags> domain_flags_;  // indexed by DomainId

@@ -33,15 +33,6 @@ class MidpointAccumulator {
  public:
   void Add(world::GeoPoint p, double weight) noexcept;
 
-  /// Folds another accumulator's component sums into this one; used when
-  /// per-shard classifiers merge (see geo::InternationalClassifier::Merge).
-  void Merge(const MidpointAccumulator& other) noexcept {
-    sum_.x += other.sum_.x;
-    sum_.y += other.sum_.y;
-    sum_.z += other.sum_.z;
-    total_weight_ += other.total_weight_;
-  }
-
   [[nodiscard]] bool empty() const noexcept { return total_weight_ <= 0.0; }
   [[nodiscard]] double total_weight() const noexcept { return total_weight_; }
   [[nodiscard]] world::GeoPoint Midpoint() const noexcept { return ToGeoPoint(sum_); }

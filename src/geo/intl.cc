@@ -21,16 +21,6 @@ void InternationalClassifier::Observe(privacy::DeviceId device,
   acc_[device].Add(info->location, static_cast<double>(bytes));
 }
 
-void InternationalClassifier::Merge(const InternationalClassifier& other) {
-  // Keyed merge: each device appears once per shard, so visiting shard
-  // entries in hash order never reorders any single device's accumulation.
-  // lockdown-lint: allow(LD002)
-  for (const auto& [device, acc] : other.acc_) {
-    const auto [it, inserted] = acc_.try_emplace(device, acc);
-    if (!inserted) it->second.Merge(acc);
-  }
-}
-
 std::optional<DeviceGeoResult> InternationalClassifier::Classify(
     privacy::DeviceId device) const {
   const auto it = acc_.find(device);

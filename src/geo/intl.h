@@ -40,12 +40,6 @@ class InternationalClassifier {
   void Observe(privacy::DeviceId device, net::Ipv4Address server,
                std::uint64_t bytes, util::Timestamp ts);
 
-  /// Folds another classifier's accumulated observations into this one.
-  /// The parallel study shards devices across chunks (key sets disjoint);
-  /// a key present in both folds its component sums, which is commutative,
-  /// so merge order does not matter even then.
-  void Merge(const InternationalClassifier& other);
-
   /// Result for a device; nullopt if it had no usable February traffic
   /// (such devices are conservatively treated as domestic by callers).
   [[nodiscard]] std::optional<DeviceGeoResult> Classify(privacy::DeviceId device) const;

@@ -55,7 +55,7 @@ class Reader::Impl {
     if (obs::MetricsEnabled()) {
       obs::GetCounter("store/bytes_read", "bytes").Add(map_->bytes().size());
     }
-    ParseStructure();
+    NamingFile([this] { ParseStructure(); });
   }
 
   [[nodiscard]] const SnapshotInfo& info() const noexcept { return info_; }
@@ -73,13 +73,31 @@ class Reader::Impl {
 
   void VerifyChecksums() const {
     OBS_SPAN("store/verify_checksums");
-    for (std::size_t i = 0; i < sections_.size(); ++i) {
-      if (!SectionChecksumOk(i)) Fail(ChecksumMessage(i));
-    }
+    NamingFile([this] {
+      for (std::size_t i = 0; i < sections_.size(); ++i) {
+        if (!SectionChecksumOk(i)) Fail(ChecksumMessage(i));
+      }
+    });
   }
 
   [[nodiscard]] LoadedSnapshot Load(const LoadOptions& options) const {
     OBS_SPAN("store/load");
+    return NamingFile([&] { return Decode(options); });
+  }
+
+ private:
+  /// Runs `fn`, naming the file in any store::Error it throws: Fail and the
+  /// section decoders say what is wrong, this says where.
+  template <typename Fn>
+  auto NamingFile(Fn&& fn) const -> decltype(fn()) {
+    try {
+      return fn();
+    } catch (const Error& e) {
+      throw Error(path_, e);
+    }
+  }
+
+  [[nodiscard]] LoadedSnapshot Decode(const LoadOptions& options) const {
     LoadedSnapshot out;
     // A corrupt section fails the load, naming the section and offset,
     // unless the section table gives it a salvage note (the advisory stats,
@@ -248,10 +266,7 @@ class Reader::Impl {
     return out;
   }
 
- private:
-  [[noreturn]] void Fail(const std::string& message) const {
-    throw Error(path_.string() + ": " + message);
-  }
+  [[noreturn]] static void Fail(const std::string& message) { throw Error(message); }
 
   [[nodiscard]] bool HasSection(SectionKind kind) const noexcept {
     return kind_slot_[static_cast<std::size_t>(kind) - 1] >= 0;

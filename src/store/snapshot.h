@@ -21,6 +21,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -31,7 +32,14 @@ namespace lockdown::store {
 class Error : public std::runtime_error {
  public:
   explicit Error(const std::string& message)
-      : std::runtime_error("lds: " + message) {}
+      : std::runtime_error(std::string(kPrefix) + message) {}
+  /// `cause`, naming the file it came from: "lds: <file>: <cause>".
+  Error(const std::filesystem::path& file, const Error& cause)
+      : Error(file.string() + ": " +
+              std::string(std::string_view(cause.what()).substr(kPrefix.size()))) {}
+
+ private:
+  static constexpr std::string_view kPrefix = "lds: ";
 };
 
 /// Optional provenance recorded in the snapshot (0 = unknown): lets tools

@@ -2,57 +2,39 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <string>
+#include <vector>
+
+#include "world/catalog.h"
 
 namespace lockdown::apps {
 namespace {
 
+// Sessions over real catalog hosts; a tag is Instagram-only exactly when the
+// catalog's instagram service owns its host, as the census tags it.
 class SocialTest : public ::testing::Test {
  protected:
-  SocialMediaSignatures sigs_;
-  std::map<std::uint32_t, std::string> tag_to_host_;
+  std::vector<std::string> hosts_;
 
   Session MakeSession(std::initializer_list<const char*> hosts) {
     Session s;
     s.start = 0;
     s.end = 600;
-    std::uint32_t tag = 1;
     for (const char* h : hosts) {
-      tag_to_host_[tag] = h;
-      s.domains.push_back(tag++);
+      s.domains.push_back(static_cast<std::uint32_t>(hosts_.size()));
+      hosts_.emplace_back(h);
     }
     return s;
   }
 
-  SocialApp Classify(const Session& s) {
-    return sigs_.ClassifySession(
-        s, [this](std::uint32_t tag) { return std::string_view(tag_to_host_[tag]); });
+  SocialApp Classify(const Session& s) const {
+    const world::ServiceCatalog& catalog = world::ServiceCatalog::Default();
+    const auto instagram = catalog.FindByName("instagram");
+    return ClassifySession(s, [&](std::uint32_t tag) {
+      return catalog.FindByHost(hosts_[tag]) == instagram;
+    });
   }
 };
-
-TEST_F(SocialTest, FacebookFamilyMembership) {
-  EXPECT_TRUE(sigs_.IsFacebookFamily("facebook.com"));
-  EXPECT_TRUE(sigs_.IsFacebookFamily("fbcdn.net"));
-  EXPECT_TRUE(sigs_.IsFacebookFamily("scontent.fbcdn.net"));
-  EXPECT_TRUE(sigs_.IsFacebookFamily("instagram.com"));
-  EXPECT_TRUE(sigs_.IsFacebookFamily("cdninstagram.com"));
-  EXPECT_FALSE(sigs_.IsFacebookFamily("tiktok.com"));
-  EXPECT_FALSE(sigs_.IsFacebookFamily("facebook.evil.com"));
-}
-
-TEST_F(SocialTest, InstagramOnlyDomains) {
-  EXPECT_TRUE(sigs_.IsInstagramOnly("instagram.com"));
-  EXPECT_TRUE(sigs_.IsInstagramOnly("scontent.cdninstagram.com"));
-  EXPECT_FALSE(sigs_.IsInstagramOnly("facebook.com"));
-  EXPECT_FALSE(sigs_.IsInstagramOnly("fbcdn.net"));
-}
-
-TEST_F(SocialTest, TikTokDomains) {
-  EXPECT_TRUE(sigs_.IsTikTok("tiktok.com"));
-  EXPECT_TRUE(sigs_.IsTikTok("v16.tiktokcdn.com"));
-  EXPECT_TRUE(sigs_.IsTikTok("api.tiktokv.com"));
-  EXPECT_FALSE(sigs_.IsTikTok("facebook.com"));
-}
 
 TEST_F(SocialTest, PureFacebookSessionIsFacebook) {
   EXPECT_EQ(Classify(MakeSession({"facebook.com", "facebook.net", "fbcdn.net"})),

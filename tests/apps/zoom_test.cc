@@ -5,60 +5,65 @@
 namespace lockdown::apps {
 namespace {
 
-ZoomMatcher ExplicitMatcher() {
-  return ZoomMatcher({"zoom.us"},
-                     {*net::Cidr::Parse("52.10.0.0/16")},
-                     {*net::Cidr::Parse("52.20.0.0/16")});
+const world::ServiceCatalog& Catalog() { return world::ServiceCatalog::Default(); }
+
+net::Cidr BlockOf(std::string_view service) {
+  return Catalog().Get(*Catalog().FindByName(service)).block;
 }
 
 TEST(ZoomMatcher, DomainMatch) {
-  const auto m = ExplicitMatcher();
-  EXPECT_TRUE(m.IsZoom("zoom.us", net::Ipv4Address(1, 1, 1, 1)));
-  EXPECT_TRUE(m.IsZoom("us04web.zoom.us", net::Ipv4Address(1, 1, 1, 1)));
-  EXPECT_FALSE(m.IsZoom("zoom.com", net::Ipv4Address(1, 1, 1, 1)));
-  EXPECT_FALSE(m.IsZoom("notzoom.us", net::Ipv4Address(1, 1, 1, 1)));
+  const ZoomMatcher m(Catalog());
+  const net::Ipv4Address elsewhere(1, 1, 1, 1);
+  EXPECT_TRUE(m.IsZoom("zoom.us", elsewhere));
+  EXPECT_TRUE(m.IsZoom("us04web.zoom.us", elsewhere));
+  EXPECT_TRUE(m.IsZoom("a.b.zoom.us", elsewhere));
+  EXPECT_FALSE(m.IsZoom("zoom.com", elsewhere));
+  EXPECT_FALSE(m.IsZoom("notzoom.us", elsewhere));
+  EXPECT_FALSE(m.IsZoom("zoom.usa", elsewhere));
 }
 
 TEST(ZoomMatcher, CurrentIpListMatchesRawTraffic) {
-  const auto m = ExplicitMatcher();
+  const ZoomMatcher m(Catalog());
+  const net::Cidr media = BlockOf("zoom-media");
   // Media relays never resolve through DNS: host is empty.
-  EXPECT_TRUE(m.IsZoom("", *net::Ipv4Address::Parse("52.10.3.4")));
-  EXPECT_TRUE(m.MatchesCurrentIp(*net::Ipv4Address::Parse("52.10.255.255")));
-  EXPECT_FALSE(m.MatchesCurrentIp(*net::Ipv4Address::Parse("52.11.0.0")));
+  EXPECT_TRUE(m.IsZoom("", media.At(3)));
+  EXPECT_TRUE(m.MatchesCurrentIp(media.At(media.size() - 1)));
+  const net::Ipv4Address past_end(media.base().value() +
+                                  static_cast<std::uint32_t>(media.size()));
+  EXPECT_FALSE(m.MatchesCurrentIp(past_end));
 }
 
 TEST(ZoomMatcher, HistoricalWaybackRangesStillMatch) {
   // "use the Internet Archive Wayback Machine to find any IP addresses that
   //  were previously listed on this page, but were subsequently removed".
-  const auto m = ExplicitMatcher();
-  EXPECT_TRUE(m.IsZoom("", *net::Ipv4Address::Parse("52.20.9.9")));
-  EXPECT_TRUE(m.MatchesHistoricalIp(*net::Ipv4Address::Parse("52.20.9.9")));
-  EXPECT_FALSE(m.MatchesCurrentIp(*net::Ipv4Address::Parse("52.20.9.9")));
+  const ZoomMatcher m(Catalog());
+  const net::Ipv4Address retired = BlockOf("zoom-media-legacy").At(42);
+  EXPECT_TRUE(m.IsZoom("", retired));
+  EXPECT_TRUE(m.MatchesHistoricalIp(retired));
+  EXPECT_FALSE(m.MatchesCurrentIp(retired));
 }
 
 TEST(ZoomMatcher, NonZoomTraffic) {
-  const auto m = ExplicitMatcher();
-  EXPECT_FALSE(m.IsZoom("netflix.com", *net::Ipv4Address::Parse("99.0.0.1")));
-  EXPECT_FALSE(m.IsZoom("", *net::Ipv4Address::Parse("99.0.0.1")));
+  const ZoomMatcher m(Catalog());
+  const net::Ipv4Address netflix = BlockOf("netflix").At(1);
+  EXPECT_FALSE(m.IsZoom("netflix.com", netflix));
+  EXPECT_FALSE(m.IsZoom("", netflix));
 }
 
 TEST(ZoomMatcher, CatalogConstruction) {
-  const auto& cat = world::ServiceCatalog::Default();
-  ZoomMatcher m(cat);
-  EXPECT_TRUE(m.MatchesDomain("zoom.us"));
-  const auto media = cat.Get(*cat.FindByName("zoom-media")).block;
-  const auto legacy = cat.Get(*cat.FindByName("zoom-media-legacy")).block;
-  EXPECT_TRUE(m.MatchesCurrentIp(media.At(42)));
-  EXPECT_TRUE(m.MatchesHistoricalIp(legacy.At(42)));
-  EXPECT_FALSE(m.MatchesCurrentIp(legacy.At(42)));
+  const ZoomMatcher m(Catalog());
+  for (const std::string& host : Catalog().Get(*Catalog().FindByName("zoom")).hosts) {
+    EXPECT_TRUE(m.MatchesDomain(host)) << host;
+  }
+  EXPECT_TRUE(m.MatchesCurrentIp(BlockOf("zoom-media").At(42)));
+  EXPECT_TRUE(m.MatchesHistoricalIp(BlockOf("zoom-media-legacy").At(42)));
   // Steam traffic is not Zoom.
-  const auto steam = cat.Get(*cat.FindByName("steam")).block;
-  EXPECT_FALSE(m.IsZoom("steampowered.com", steam.At(1)));
+  EXPECT_FALSE(m.IsZoom("steampowered.com", BlockOf("steam").At(1)));
 }
 
 TEST(ZoomMatcher, DomainBeatsIpCheck) {
   // A flow with a zoom.us hostname is Zoom regardless of address.
-  const auto m = ExplicitMatcher();
+  const ZoomMatcher m(Catalog());
   EXPECT_TRUE(m.IsZoom("zoom.us", *net::Ipv4Address::Parse("99.99.99.99")));
 }
 

@@ -5,12 +5,7 @@
 namespace lockdown::classify {
 namespace {
 
-SwitchDetector MakeDetector(double threshold = 0.5) {
-  return SwitchDetector(
-      {"npln.srv.nintendo.net", "atum.hac.lp1.d4c.nintendo.net",
-       "conntest.nintendowifi.net"},
-      threshold);
-}
+SwitchDetector MakeDetector() { return SwitchDetector(world::ServiceCatalog::Default()); }
 
 std::vector<DomainBytes> Obs(std::uint64_t nintendo_bytes, std::uint64_t other_bytes) {
   std::vector<DomainBytes> domains;
@@ -31,6 +26,7 @@ TEST(SwitchDetector, MajorityNintendoIsSwitch) {
 
 TEST(SwitchDetector, MinorityNintendoIsNotSwitch) {
   EXPECT_FALSE(MakeDetector().IsSwitch(Obs(400, 600)));
+  EXPECT_FALSE(MakeDetector().IsSwitch(Obs(499, 501)));
   // A laptop that downloaded one game update but mostly streams.
   EXPECT_FALSE(MakeDetector().IsSwitch(Obs(1, 1000000)));
 }
@@ -47,13 +43,20 @@ TEST(SwitchDetector, ShareComputation) {
 TEST(SwitchDetector, SubdomainsMatch) {
   const std::vector<DomainBytes> domains = {{"east.npln.srv.nintendo.net", 100}};
   EXPECT_TRUE(MakeDetector().IsSwitch(domains));
+  // A look-alike is not a Nintendo server.
+  const std::vector<DomainBytes> fan_site = {{"nintendo-fan-site.com", 100}};
+  EXPECT_FALSE(MakeDetector().IsSwitch(fan_site));
 }
 
 TEST(SwitchDetector, CatalogConstruction) {
-  SwitchDetector detector(world::ServiceCatalog::Default());
+  // Both Nintendo services count: gameplay and update/account endpoints.
+  const SwitchDetector detector = MakeDetector();
   const std::vector<DomainBytes> sw = {{"npln.srv.nintendo.net", 5000},
                                        {"conntest.nintendowifi.net", 100}};
   EXPECT_TRUE(detector.IsSwitch(sw));
+  const std::vector<DomainBytes> updating = {{"atum.hac.lp1.d4c.nintendo.net", 900},
+                                             {"netflix.com", 100}};
+  EXPECT_TRUE(detector.IsSwitch(updating));
   const std::vector<DomainBytes> laptop = {
       {"netflix.com", 100000},
       {"accounts.nintendo.com", 50}};  // bought a gift card

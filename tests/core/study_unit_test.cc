@@ -4,8 +4,10 @@
 // sums).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "core/study.h"
 
 #include "sorted_flows.h"
@@ -81,6 +83,89 @@ class StudyBuilder {
   std::vector<Flow> flows_;
   std::uint64_t next_id_ = 1;
 };
+
+/// The census tags a domain carries, space-separated ("" for none).
+std::string TagsOf(const StudyContext::DomainFlags& f) {
+  std::string tags;
+  for (const auto& [set, name] :
+       {std::pair{f.zoom, "zoom"}, std::pair{f.fb_family, "fb_family"},
+        std::pair{f.instagram_only, "instagram_only"}, std::pair{f.tiktok, "tiktok"},
+        std::pair{f.steam, "steam"}, std::pair{f.nintendo_gameplay, "nintendo_gameplay"}}) {
+    if (!set) continue;
+    if (!tags.empty()) tags += ' ';
+    tags += name;
+  }
+  return tags;
+}
+
+TEST(StudyUnit, DomainTagsComeFromTheOwningService) {
+  // Each row: a DNS name and the tags the census gives it, from the catalog
+  // service that owns it — its hosts, their subdomains, and look-alikes that
+  // no service owns.
+  struct Row {
+    const char* name;
+    const char* tags;
+  };
+  const Row rows[] = {
+      {"zoom.us", "zoom"},
+      {"us04web.zoom.us", "zoom"},
+      {"notzoom.us", ""},
+      {"zoom.usa", ""},
+      // Facebook and Instagram share delivery domains: both are the FB
+      // family, and only Instagram's own names are Instagram-only (§5.2).
+      {"facebook.com", "fb_family"},
+      {"facebook.net", "fb_family"},
+      {"fbcdn.net", "fb_family"},
+      {"scontent.fbcdn.net", "fb_family"},
+      {"edge-mqtt.facebook.com", "fb_family"},
+      {"facebook.evil.com", ""},
+      {"instagram.com", "fb_family instagram_only"},
+      {"cdninstagram.com", "fb_family instagram_only"},
+      {"scontent.cdninstagram.com", "fb_family instagram_only"},
+      {"tiktok.com", "tiktok"},
+      {"api.tiktokv.com", "tiktok"},
+      {"v16.tiktokcdn.com", "tiktok"},
+      {"muscdn.com", "tiktok"},
+      // Steam: the support-whitelist domains (§5.3.1).
+      {"steampowered.com", "steam"},
+      {"store.steampowered.com", "steam"},
+      {"steamcommunity.com", "steam"},
+      {"cache1-lax1.steamcontent.com", "steam"},
+      {"steamusercontent.com", "steam"},
+      {"cdn.steamstatic.com", "steam"},
+      {"steam.com", ""},
+      {"mysteampowered.com", ""},
+      {"epicgames.com", ""},
+      // Nintendo gameplay vs. update/download/account/telemetry endpoints:
+      // only gameplay is tagged; the Switch rule counts both (§5.3.2).
+      {"npln.srv.nintendo.net", "nintendo_gameplay"},
+      {"p2prel.srv.nintendo.net", "nintendo_gameplay"},
+      {"mm.p2p.srv.nintendo.net", "nintendo_gameplay"},
+      {"nncs1.app.nintendowifi.net", "nintendo_gameplay"},
+      {"east.npln.srv.nintendo.net", "nintendo_gameplay"},
+      {"atum.hac.lp1.d4c.nintendo.net", ""},
+      {"accounts.nintendo.com", ""},
+      {"conntest.nintendowifi.net", ""},
+      {"nintendo.net", ""},
+      {"nintendo-fan-site.com", ""},
+      {"netflix.com", ""},
+  };
+  StudyBuilder b;
+  const DeviceIndex dev = b.AddLaptopDevice();
+  std::uint32_t start = Offset(2, 3);
+  for (const Row& row : rows) {
+    b.AddFlow(dev, start++, 1, row.name, ServiceIp("web-us-000"), 1000);
+  }
+  const auto study = b.Build();
+  const Dataset& ds = study.dataset();
+  // Domains intern in row order after the empty domain (id 0).
+  ASSERT_EQ(ds.num_domains(), std::size(rows) + 1);
+  for (DomainId id = 1; id < ds.num_domains(); ++id) {
+    const Row& row = rows[id - 1];
+    ASSERT_EQ(ds.DomainName(id), row.name);
+    EXPECT_EQ(TagsOf(study.context().domain_flags(id)), row.tags) << row.name;
+  }
+}
 
 TEST(StudyUnit, ZoomDailyCountsDomainAndIpListFlows) {
   StudyBuilder b;
@@ -256,6 +341,37 @@ TEST(StudyUnit, NintendoShareComesFromTheDeviceFlows) {
             classify::DeviceClass::kMobile);
   EXPECT_FALSE(study.context().IsSwitchDevice(phone));
   EXPECT_EQ(study.CountSwitches().active_post_shutdown, 1u);
+}
+
+TEST(StudyUnit, SwitchBitIsTheClassifierTrafficVerdict) {
+  // On a simulated campus, the census's Switch bit is the classifier's
+  // traffic-rule verdict for every device, and both equal the rule recomputed
+  // from the device's flows: at least half its domain-attributed bytes on a
+  // host of either Nintendo service.
+  const CollectionResult result = MeasurementPipeline::Collect(StudyConfig::Small(60, 2020));
+  const Dataset& ds = result.dataset;
+  const world::ServiceCatalog& catalog = world::ServiceCatalog::Default();
+  const LockdownStudy study(ds, catalog);
+  const auto gameplay = catalog.FindByName("nintendo-gameplay");
+  const auto services = catalog.FindByName("nintendo-services");
+  DomainBytesTally tally(ds);
+  std::size_t switches = 0;
+  for (DeviceIndex dev = 0; dev < ds.num_devices(); ++dev) {
+    std::uint64_t total = 0;
+    std::uint64_t nintendo = 0;
+    for (const classify::DomainBytes& d : tally.Of(dev)) {
+      total += d.bytes;
+      const auto owner = catalog.FindByHost(d.domain);
+      if (owner == gameplay || owner == services) nintendo += d.bytes;
+    }
+    const bool rule = total > 0 && nintendo * 2 >= total;
+    const bool verdict =
+        study.classifications()[dev].evidence == classify::kSwitchTrafficEvidence;
+    EXPECT_EQ(study.context().IsSwitchDevice(dev), verdict) << "device " << dev;
+    EXPECT_EQ(verdict, rule) << "device " << dev;
+    switches += rule ? 1 : 0;
+  }
+  EXPECT_GT(switches, 0u);
 }
 
 TEST(StudyUnit, InternationalSplitByFebruaryMidpoint) {

@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -182,9 +183,23 @@ TEST(LegacySnapshot, DeviceCountWrapIsCorrupt) {
   file.Reseal();
   const std::filesystem::path path = TempPath("v5_device_count_wrap");
   file.Write(path);
-  EXPECT_THROW((void)InspectSnapshot(path), Error);
-  EXPECT_THROW((void)LoadSnapshot(path), Error);
-  EXPECT_THROW(VerifySnapshot(path), Error);
+  // Each fails as corruption naming the file once: "lds: <path>: ...".
+  const std::string prefix = "lds: " + path.string() + ": ";
+  const auto expect_corrupt = [&](const char* what, auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << what << " did not throw";
+    } catch (const Error& e) {
+      const std::string message = e.what();
+      EXPECT_EQ(message.rfind(prefix, 0), 0u) << what << ": " << message;
+      const std::string rest = message.substr(std::min(prefix.size(), message.size()));
+      EXPECT_NE(rest.rfind("lds: ", 0), 0u) << what << ": " << message;
+      EXPECT_EQ(rest.find(path.string()), std::string::npos) << what << ": " << message;
+    }
+  };
+  expect_corrupt("InspectSnapshot", [&] { (void)InspectSnapshot(path); });
+  expect_corrupt("LoadSnapshot", [&] { (void)LoadSnapshot(path); });
+  expect_corrupt("VerifySnapshot", [&] { VerifySnapshot(path); });
   std::filesystem::remove(path);
 }
 

@@ -9,6 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "util/rng.h"
+#include "util/strings.h"
+
 namespace lockdown::world {
 namespace {
 
@@ -50,6 +53,52 @@ TEST(ServiceCatalog, FindByHostExactAndSubdomain) {
   EXPECT_EQ(Catalog().FindByHost("deep.sub.domain.zoom.us"), zoom);
   EXPECT_FALSE(Catalog().FindByHost("notzoom.us").has_value());
   EXPECT_FALSE(Catalog().FindByHost("unknown.example").has_value());
+}
+
+// The oracle for the suffix index: the service owning the longest catalogued
+// name that `host` equals or is a subdomain of.
+std::optional<ServiceId> FindByHostLinear(const ServiceCatalog& catalog,
+                                          std::string_view host) {
+  std::optional<ServiceId> best;
+  std::size_t best_len = 0;
+  for (ServiceId id = 0; id < catalog.size(); ++id) {
+    for (const std::string& name : catalog.Get(id).hosts) {
+      if (name.size() > best_len && util::DomainMatches(host, name)) {
+        best = id;
+        best_len = name.size();
+      }
+    }
+  }
+  return best;
+}
+
+TEST(ServiceCatalog, FindByHostMatchesLinearScan) {
+  // Every catalogued name, a subdomain and two look-alikes of each, then
+  // random hosts assembled from the catalog's own labels.
+  std::vector<std::string> probes = {"", "com", "us", "zoom.usa", "steam.com"};
+  std::set<std::string> label_set;
+  for (const Service& svc : Catalog().services()) {
+    for (const std::string& host : svc.hosts) {
+      probes.insert(probes.end(), {host, "sub." + host, "x" + host, host + ".evil.com"});
+      for (const std::string_view label : util::Split(host, '.')) {
+        label_set.emplace(label);
+      }
+    }
+  }
+  const std::vector<std::string> labels(label_set.begin(), label_set.end());
+  util::Pcg32 rng(99);
+  for (int i = 0; i < 2000; ++i) {
+    std::string host;
+    const int n = 1 + static_cast<int>(rng.NextBounded(4));
+    for (int k = 0; k < n; ++k) {
+      if (k) host += '.';
+      host += labels[rng.NextBounded(static_cast<std::uint32_t>(labels.size()))];
+    }
+    probes.push_back(std::move(host));
+  }
+  for (const std::string& host : probes) {
+    EXPECT_EQ(Catalog().FindByHost(host), FindByHostLinear(Catalog(), host)) << host;
+  }
 }
 
 TEST(ServiceCatalog, MoreSpecificHostWins) {

@@ -289,9 +289,17 @@ PY
   craft flows "${work}/structure/flows.lds"
   cp tests/store/legacy/v5_raw.lds "${work}/structure/devices.lds"
   craft devices "${work}/structure/devices.lds"
+  # The error must name the file, whichever decoder caught the count.
   for crafted in flows devices; do
-    expect_exit 4 "${cli}" snapshot info "${work}/structure/${crafted}.lds"
-    expect_exit 4 "${cli}" snapshot verify "${work}/structure/${crafted}.lds"
+    file="${work}/structure/${crafted}.lds"
+    for cmd in info verify; do
+      expect_exit 4 "${cli}" snapshot "${cmd}" "${file}"
+      err=$("${cli}" snapshot "${cmd}" "${file}" 2>&1 >/dev/null || true)
+      if [[ "${err}" != *"${file}"* ]]; then
+        echo "FAIL: snapshot ${cmd} stderr does not name ${file}: ${err}" >&2
+        exit 1
+      fi
+    done
   done
   rm -r "${work}/structure"
 
