@@ -72,14 +72,24 @@ std::optional<ServiceId> FindByHostLinear(const ServiceCatalog& catalog,
   return best;
 }
 
-TEST(ServiceCatalog, FindByHostMatchesLinearScan) {
-  // Every catalogued name, a subdomain and two look-alikes of each, then
-  // random hosts assembled from the catalog's own labels.
+TEST(ServiceCatalog, FindByHostAgreesWithLinearScan) {
+  // Every catalogued name, a subdomain and two look-alikes of each.
   std::vector<std::string> probes = {"", "com", "us", "zoom.usa", "steam.com"};
-  std::set<std::string> label_set;
   for (const Service& svc : Catalog().services()) {
     for (const std::string& host : svc.hosts) {
       probes.insert(probes.end(), {host, "sub." + host, "x" + host, host + ".evil.com"});
+    }
+  }
+  for (const std::string& host : probes) {
+    EXPECT_EQ(Catalog().FindByHost(host), FindByHostLinear(Catalog(), host)) << host;
+  }
+}
+
+TEST(ServiceCatalog, FindByHostEqualsLinearOnRandomHosts) {
+  // Random hosts assembled from the catalog's own labels.
+  std::set<std::string> label_set;
+  for (const Service& svc : Catalog().services()) {
+    for (const std::string& host : svc.hosts) {
       for (const std::string_view label : util::Split(host, '.')) {
         label_set.emplace(label);
       }
@@ -94,9 +104,6 @@ TEST(ServiceCatalog, FindByHostMatchesLinearScan) {
       if (k) host += '.';
       host += labels[rng.NextBounded(static_cast<std::uint32_t>(labels.size()))];
     }
-    probes.push_back(std::move(host));
-  }
-  for (const std::string& host : probes) {
     EXPECT_EQ(Catalog().FindByHost(host), FindByHostLinear(Catalog(), host)) << host;
   }
 }
