@@ -18,7 +18,7 @@
 
 namespace lockdown::obs {
 
-inline constexpr std::array<std::string_view, 17> kRegisteredSpanNames = {
+inline constexpr std::array<std::string_view, 19> kRegisteredSpanNames = {
     "ingest/export",
     "pipeline/collect",
     "pipeline/pass1_attribution",
@@ -27,6 +27,8 @@ inline constexpr std::array<std::string_view, 17> kRegisteredSpanNames = {
     "pipeline/process",
     "pipeline/ua_sightings",
     "sim/generate",
+    "store/decode_columns",
+    "store/encode_columns",
     "store/load",
     "store/open",
     "store/save",

@@ -204,15 +204,15 @@ class Reader::Impl {
         }
       }
     } else {
-      // Columnar (compressed) flow storage: each column decodes straight
-      // into one array; the varint streams cannot back a zero-copy view.
+      // Columnar (compressed) flow storage: the columns decode together
+      // straight into one array; the varint streams cannot back a zero-copy
+      // view.
       if (options.mode == LoadMode::kMmap) {
         Fail("zero-copy load unavailable: flows are stored compressed");
       }
-      const std::span<core::Flow> decoded = map_flows();
-      detail::DecodeTimestampColumn(Section(SectionKind::kColTimestamps), decoded);
-      detail::DecodeDomainColumn(Section(SectionKind::kColDomains), decoded);
-      detail::DecodeRestColumn(Section(SectionKind::kColRest), decoded);
+      detail::DecodeColumns(Section(SectionKind::kColTimestamps),
+                            Section(SectionKind::kColDomains),
+                            Section(SectionKind::kColRest), map_flows());
       if (lockdown::obs::MetricsEnabled()) {
         lockdown::obs::GetCounter("store/load_columnar", "loads").Increment();
       }

@@ -201,14 +201,8 @@ class Writer::Impl {
     const detail::Encoder meta_enc = EncodeMeta(ds, meta);
     const detail::Encoder stats_enc = EncodeStats(result.stats);
     const auto flows = ds.flows();
-    detail::Encoder col_ts;
-    detail::Encoder col_dom;
-    detail::Encoder col_rest;
-    if (options.compress) {
-      col_ts = detail::EncodeTimestampColumn(flows);
-      col_dom = detail::EncodeDomainColumn(flows);
-      col_rest = detail::EncodeRestColumn(flows);
-    }
+    detail::EncodedColumns columns;
+    if (options.compress) columns = detail::EncodeColumns(flows);
     // Encoded bodies by kind - 1; the raw flow array has none (it streams).
     std::array<const detail::Encoder*, kSections.size()> bodies{};
     const auto put = [&](SectionKind kind, const detail::Encoder& enc) {
@@ -218,9 +212,9 @@ class Writer::Impl {
     put(SectionKind::kStringPool, pool_enc);
     put(SectionKind::kDevices, devices);
     put(SectionKind::kStats, stats_enc);
-    put(SectionKind::kColTimestamps, col_ts);
-    put(SectionKind::kColDomains, col_dom);
-    put(SectionKind::kColRest, col_rest);
+    put(SectionKind::kColTimestamps, columns.timestamps);
+    put(SectionKind::kColDomains, columns.domains);
+    put(SectionKind::kColRest, columns.rest);
 
     struct Section {
       const SectionDesc* desc;
@@ -274,10 +268,11 @@ class Writer::Impl {
     }
     if (flow_section != nullptr) {
       util::Crc32cAccumulator flow_crc;
+      detail::Encoder chunk;
+      chunk.Reserve(std::min(flows.size(), kFlowsPerChunk) * kFlowStride);
       for (std::size_t begin = 0; begin < flows.size(); begin += kFlowsPerChunk) {
         const std::size_t end = std::min(begin + kFlowsPerChunk, flows.size());
-        detail::Encoder chunk;
-        chunk.Reserve((end - begin) * kFlowStride);
+        chunk.Clear();
         for (std::size_t i = begin; i < end; ++i) EncodeFlow(chunk, flows[i]);
         crc_timer.Crc(chunk.bytes(), &flow_crc);
         file_.PWriteAll(chunk.bytes(),

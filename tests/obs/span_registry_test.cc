@@ -1,10 +1,10 @@
 // The span registry (src/obs/span_names.h) holds no dead entry. OBS_SPAN
 // refuses an unregistered name at compile time; this test covers the other
 // direction. With tracing on it drives every spanned stage once at a small
-// scale: collect, log export and re-ingest, snapshot save/load/verify, and
-// both figure policies. The static span names in the trace must then equal
-// the registry. The per-file "ingest/<log>" spans carry runtime names and
-// are left out.
+// scale: collect, log export and re-ingest, snapshot save/load/verify (raw
+// and compressed), and both figure policies. The static span names in the
+// trace must then equal the registry. The per-file "ingest/<log>" spans
+// carry runtime names and are left out.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -60,6 +60,9 @@ TEST(SpanRegistry, EveryRegisteredNameIsEmittedByAStage) {
     store::SaveSnapshot(snapshot, collection);
     (void)store::LoadSnapshot(snapshot);
     store::VerifySnapshot(snapshot);
+    const fs::path compressed = dir / "registry_compressed.lds";
+    store::SaveSnapshot(compressed, collection, {}, {.compress = true});
+    (void)store::LoadSnapshot(compressed);
     const core::LockdownStudy exact(collection.dataset, catalog, 1);
     (void)exact.DiurnalShape(0, 13);
     const stream::StreamingStudy sketched(collection.dataset, catalog);

@@ -1,6 +1,8 @@
 // Column-codec verification: varint property tests, encode/decode round
-// trips over random flow tables (edge values included), decoder fuzz (random
-// payload mutations must throw store::Error or return a validated value —
+// trips over random flow tables (edge values included), col-rest run
+// boundaries moved by one terminator (in a payload and in a resealed file),
+// decoder fuzz (random mutations of one section beside two valid ones must
+// throw store::Error or return a validated value —
 // never crash or read out of bounds; the ASan tier is the real judge), a
 // byte-sweep over every compressed section of a real snapshot proving the
 // reader rejects or salvages but never silently misreads, and format-matrix
@@ -11,11 +13,14 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -34,21 +39,44 @@ using core::Flow;
 
 // --- varint properties -------------------------------------------------------
 
+/// `values` as consecutive varints written by PutUvarint, each of which
+/// must take UvarintSize bytes (the column encoder sizes its runs by it).
+std::vector<std::byte> PutAll(const std::vector<std::uint64_t>& values) {
+  std::vector<std::byte> bytes(values.size() * detail::kMaxUvarintBytes);
+  std::byte* at = bytes.data();
+  for (const std::uint64_t v : values) {
+    std::byte* const end = detail::PutUvarint(at, v);
+    EXPECT_EQ(static_cast<std::size_t>(end - at), detail::UvarintSize(v)) << v;
+    at = end;
+  }
+  bytes.resize(static_cast<std::size_t>(at - bytes.data()));
+  return bytes;
+}
+
 TEST(VarintProperty, UvarintRoundTripsEdgeAndRandomValues) {
   std::mt19937_64 rng(1);
   std::vector<std::uint64_t> values = {0, 1, 127, 128, 16383, 16384,
                                        std::uint64_t{1} << 32,
+                                       (std::uint64_t{1} << 56) - 1,
+                                       std::uint64_t{1} << 56,
                                        ~std::uint64_t{0}};
   for (int i = 0; i < 2000; ++i) {
     // Bias toward boundary magnitudes: random bit width, then random value.
     const int bits = static_cast<int>(rng() % 64) + 1;
     values.push_back(rng() & ((~std::uint64_t{0}) >> (64 - bits)));
   }
-  detail::Encoder enc;
-  for (const std::uint64_t v : values) enc.Uvarint(v);
-  detail::Decoder dec(enc.bytes(), "test");
+  const std::vector<std::byte> bytes = PutAll(values);
+  detail::Decoder dec(bytes, "test");
   for (const std::uint64_t v : values) ASSERT_EQ(dec.Uvarint(), v);
   dec.ExpectDone();
+  // Each value alone, which the decoder reads byte by byte, and followed by
+  // 8 bytes with every bit set, which it reads a word at a time.
+  for (const std::uint64_t v : values) {
+    std::vector<std::byte> one = PutAll({v});
+    ASSERT_EQ(detail::Decoder(one, "test").Uvarint(), v);
+    one.resize(one.size() + 8, std::byte{0xFF});
+    ASSERT_EQ(detail::Decoder(one, "test").Uvarint(), v);
+  }
 }
 
 TEST(VarintProperty, SvarintRoundTripsBothSigns) {
@@ -59,9 +87,10 @@ TEST(VarintProperty, SvarintRoundTripsBothSigns) {
   for (int i = 0; i < 2000; ++i) {
     values.push_back(static_cast<std::int64_t>(rng()));
   }
-  detail::Encoder enc;
-  for (const std::int64_t v : values) enc.Svarint(v);
-  detail::Decoder dec(enc.bytes(), "test");
+  std::vector<std::uint64_t> zigzag;
+  for (const std::int64_t v : values) zigzag.push_back(detail::Zigzag(v));
+  const std::vector<std::byte> bytes = PutAll(zigzag);
+  detail::Decoder dec(bytes, "test");
   for (const std::int64_t v : values) ASSERT_EQ(dec.Svarint(), v);
   dec.ExpectDone();
 }
@@ -71,10 +100,15 @@ TEST(VarintProperty, OverlongAndTruncatedEncodingsThrow) {
   const std::vector<std::byte> overlong(11, std::byte{0x80});
   detail::Decoder dec(overlong, "test");
   EXPECT_THROW((void)dec.Uvarint(), Error);
+  // A 10th byte with more than the one payload bit left for it.
+  std::vector<std::byte> wide(9, std::byte{0xFF});
+  wide.push_back(std::byte{0x02});
+  detail::Decoder dec2(wide, "test");
+  EXPECT_THROW((void)dec2.Uvarint(), Error);
   // A continuation bit with nothing after it.
   const std::vector<std::byte> cut = {std::byte{0x80}};
-  detail::Decoder dec2(cut, "test");
-  EXPECT_THROW((void)dec2.Uvarint(), Error);
+  detail::Decoder dec3(cut, "test");
+  EXPECT_THROW((void)dec3.Uvarint(), Error);
 }
 
 // --- column round trips ------------------------------------------------------
@@ -107,14 +141,46 @@ std::vector<Flow> RandomFlows(std::size_t n, std::uint64_t seed) {
   return flows;
 }
 
+/// The three section payloads, in DecodeColumns' argument order.
+using Payloads = std::array<std::span<const std::byte>, 3>;
+constexpr const char* kSectionNames[] = {"col-timestamps", "col-domains",
+                                         "col-rest"};
+
+Payloads PayloadsOf(const detail::EncodedColumns& cols) {
+  return {cols.timestamps.bytes(), cols.domains.bytes(), cols.rest.bytes()};
+}
+
+void Decode(const Payloads& payloads, std::span<Flow> out) {
+  detail::DecodeColumns(payloads[0], payloads[1], payloads[2], out);
+}
+
+/// Decodes `cols` into a fresh array of `n` flows.
+std::vector<Flow> RoundTrip(const detail::EncodedColumns& cols, std::size_t n) {
+  std::vector<Flow> decoded(n);
+  Decode(PayloadsOf(cols), decoded);
+  return decoded;
+}
+
+/// `what` throws store::Error whose message names `section`.
+template <typename Fn>
+void ExpectErrorNaming(Fn&& what, const std::string& section,
+                       const std::string& context) {
+  try {
+    what();
+    ADD_FAILURE() << context << ": decoded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(section), std::string::npos)
+        << context << ": " << e.what();
+  }
+}
+
 TEST(ColumnCodec, TimestampColumnRoundTrips) {
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{257},
                               std::size_t{5000}}) {
     const auto flows = RandomFlows(n, 10 + n);
-    const detail::Encoder enc = detail::EncodeTimestampColumn(flows);
-    EXPECT_EQ(detail::PeekRawSize(enc.bytes()), n * 4);
-    std::vector<Flow> decoded(n);
-    detail::DecodeTimestampColumn(enc.bytes(), decoded);
+    const detail::EncodedColumns cols = detail::EncodeColumns(flows);
+    EXPECT_EQ(detail::PeekRawSize(cols.timestamps.bytes()), n * 4);
+    const std::vector<Flow> decoded = RoundTrip(cols, n);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(decoded[i].start_offset_s, flows[i].start_offset_s) << i;
     }
@@ -125,9 +191,9 @@ TEST(ColumnCodec, DomainColumnRoundTrips) {
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{257},
                               std::size_t{5000}}) {
     const auto flows = RandomFlows(n, 20 + n);
-    const detail::Encoder enc = detail::EncodeDomainColumn(flows);
-    std::vector<Flow> decoded(n);
-    detail::DecodeDomainColumn(enc.bytes(), decoded);
+    const detail::EncodedColumns cols = detail::EncodeColumns(flows);
+    EXPECT_EQ(detail::PeekRawSize(cols.domains.bytes()), n * 4);
+    const std::vector<Flow> decoded = RoundTrip(cols, n);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(decoded[i].domain, flows[i].domain) << i;
     }
@@ -138,9 +204,9 @@ TEST(ColumnCodec, RestColumnRoundTrips) {
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{257},
                               std::size_t{5000}}) {
     const auto flows = RandomFlows(n, 30 + n);
-    const detail::Encoder enc = detail::EncodeRestColumn(flows);
-    std::vector<Flow> decoded(n);
-    detail::DecodeRestColumn(enc.bytes(), decoded);
+    const detail::EncodedColumns cols = detail::EncodeColumns(flows);
+    EXPECT_EQ(detail::PeekRawSize(cols.rest.bytes()), n * 31);
+    const std::vector<Flow> decoded = RoundTrip(cols, n);
     for (std::size_t i = 0; i < n; ++i) {
       const Flow& f = flows[i];
       ASSERT_EQ(decoded[i].duration_s, f.duration_s) << i;
@@ -154,62 +220,110 @@ TEST(ColumnCodec, RestColumnRoundTrips) {
   }
 }
 
-/// The three decoders together rebuild the flows, and a decode into an
-/// array of another length is a count mismatch.
+/// The three sections together rebuild the flows. A decode into an array of
+/// another length is a count mismatch, and so is any one section encoded for
+/// one flow fewer beside the other two: the error names that section.
 TEST(ColumnCodec, ColumnsDecodeIntoOneFlowArray) {
   const auto flows = RandomFlows(3000, 40);
-  const detail::Encoder ts = detail::EncodeTimestampColumn(flows);
-  const detail::Encoder dom = detail::EncodeDomainColumn(flows);
-  const detail::Encoder rest = detail::EncodeRestColumn(flows);
-  std::vector<Flow> decoded(flows.size());
-  detail::DecodeTimestampColumn(ts.bytes(), decoded);
-  detail::DecodeDomainColumn(dom.bytes(), decoded);
-  detail::DecodeRestColumn(rest.bytes(), decoded);
-  EXPECT_EQ(decoded, flows);
+  const detail::EncodedColumns cols = detail::EncodeColumns(flows);
+  EXPECT_EQ(RoundTrip(cols, flows.size()), flows);
 
   std::vector<Flow> shorter(flows.size() - 1);
-  EXPECT_THROW(detail::DecodeTimestampColumn(ts.bytes(), shorter), Error);
-  EXPECT_THROW(detail::DecodeDomainColumn(dom.bytes(), shorter), Error);
-  EXPECT_THROW(detail::DecodeRestColumn(rest.bytes(), shorter), Error);
+  EXPECT_THROW(Decode(PayloadsOf(cols), shorter), Error);
+
+  const detail::EncodedColumns fewer =
+      detail::EncodeColumns(std::span<const Flow>(flows).first(flows.size() - 1));
+  for (std::size_t i = 0; i < 3; ++i) {
+    Payloads payloads = PayloadsOf(cols);
+    payloads[i] = PayloadsOf(fewer)[i];
+    std::vector<Flow> out(flows.size());
+    ExpectErrorNaming([&] { Decode(payloads, out); }, kSectionNames[i],
+                      kSectionNames[i]);
+  }
+}
+
+/// Offsets just past col-rest's device-delta run and bytes_up run, found by
+/// counting `n` varint terminators (bytes with the high bit clear) in each.
+struct RestRunEnds {
+  std::size_t device;
+  std::size_t bytes_up;
+};
+RestRunEnds FindRestRunEnds(std::span<const std::byte> rest, std::size_t n) {
+  const auto run_end = [&](std::size_t pos) {
+    for (std::size_t left = n; left > 0; ++pos) {
+      if ((static_cast<std::uint8_t>(rest[pos]) & 0x80) == 0) --left;
+    }
+    return pos;
+  };
+  const std::size_t device = run_end(16 + n * 4);
+  return {device, run_end(device + n * (4 + 2 + 1))};
+}
+
+/// `rest` with the varint run ending at `end` given one terminator too
+/// many (a one-byte varint appended to the run) or too few (the payload cut
+/// just before the run's last terminator). Both must fail however the other
+/// bytes read: one varint too many pushes a varint of the run before
+/// (col-rest's last proto, always below 0x80) or of bytes_up itself into
+/// bytes_down, which then holds one varint more than it reads; one too few
+/// leaves the run short of terminators.
+std::vector<std::byte> MoveRunEnd(std::span<const std::byte> rest,
+                                  std::size_t end, bool too_many) {
+  std::vector<std::byte> payload(rest.begin(), rest.end());
+  if (too_many) {
+    payload.insert(payload.begin() + static_cast<std::ptrdiff_t>(end),
+                   std::byte{0});
+  } else {
+    payload.resize(end - 1);
+  }
+  return payload;
+}
+
+/// A col-rest device-delta or bytes_up run with one terminator too many or
+/// too few throws naming col-rest.
+TEST(ColumnCodec, RestRunBoundaryCorruptionThrows) {
+  const auto flows = RandomFlows(2000, 41);
+  const detail::EncodedColumns cols = detail::EncodeColumns(flows);
+  const RestRunEnds ends = FindRestRunEnds(cols.rest.bytes(), flows.size());
+  for (const auto& [run, end] : {std::pair{"device-delta", ends.device},
+                                 std::pair{"bytes_up", ends.bytes_up}}) {
+    for (const bool too_many : {false, true}) {
+      const std::vector<std::byte> rest =
+          MoveRunEnd(cols.rest.bytes(), end, too_many);
+      Payloads payloads = PayloadsOf(cols);
+      payloads[2] = rest;
+      std::vector<Flow> out(flows.size());
+      ExpectErrorNaming([&] { Decode(payloads, out); }, "col-rest",
+                        std::string(run) + (too_many ? " +1" : " -1"));
+    }
+  }
 }
 
 // --- decoder fuzz ------------------------------------------------------------
 
-/// Mutates coded payloads at random offsets; every decode must either throw
-/// store::Error or return (validation may accept a flip that lands in value
-/// bytes — the snapshot layer's CRC rejects those; here we only require
-/// memory safety and bounded results).
+/// Mutates one section at random offsets while the other two stay valid;
+/// every decode must either throw store::Error or return (validation may
+/// accept a flip that lands in value bytes — the snapshot layer's CRC
+/// rejects those; here we only require memory safety and bounded results).
 TEST(ColumnCodecFuzz, MutatedPayloadsNeverCrash) {
   const auto flows = RandomFlows(600, 99);
-  const detail::Encoder ts = detail::EncodeTimestampColumn(flows);
-  const detail::Encoder dom = detail::EncodeDomainColumn(flows);
-  const detail::Encoder rest = detail::EncodeRestColumn(flows);
+  const detail::EncodedColumns cols = detail::EncodeColumns(flows);
   std::mt19937_64 rng(7);
   int threw = 0;
   int decoded = 0;
   for (int round = 0; round < 3000; ++round) {
-    const detail::Encoder* src =
-        round % 3 == 0 ? &ts : (round % 3 == 1 ? &dom : &rest);
-    std::vector<std::byte> payload(src->bytes().begin(), src->bytes().end());
+    Payloads payloads = PayloadsOf(cols);
+    const auto src = payloads[static_cast<std::size_t>(round % 3)];
+    std::vector<std::byte> payload(src.begin(), src.end());
     // 1-4 random byte mutations (XOR, so round 0's identity flip is impossible).
     const int flips = 1 + static_cast<int>(rng() % 4);
     for (int f = 0; f < flips; ++f) {
       payload[rng() % payload.size()] ^=
           static_cast<std::byte>(1 + rng() % 255);
     }
+    payloads[static_cast<std::size_t>(round % 3)] = payload;
     std::vector<Flow> out(flows.size());
     try {
-      switch (round % 3) {
-        case 0:
-          detail::DecodeTimestampColumn(payload, out);
-          break;
-        case 1:
-          detail::DecodeDomainColumn(payload, out);
-          break;
-        default:
-          detail::DecodeRestColumn(payload, out);
-          break;
-      }
+      Decode(payloads, out);
       ++decoded;
     } catch (const Error&) {
       ++threw;
@@ -223,23 +337,18 @@ TEST(ColumnCodecFuzz, MutatedPayloadsNeverCrash) {
 
 TEST(ColumnCodecFuzz, TruncatedPayloadsThrow) {
   const auto flows = RandomFlows(300, 5);
-  const detail::Encoder ts = detail::EncodeTimestampColumn(flows);
-  const detail::Encoder dom = detail::EncodeDomainColumn(flows);
-  const detail::Encoder rest = detail::EncodeRestColumn(flows);
-  for (const detail::Encoder* enc : {&ts, &dom, &rest}) {
-    const auto payload = enc->bytes();
+  const detail::EncodedColumns cols = detail::EncodeColumns(flows);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto payload = PayloadsOf(cols)[i];
     for (const std::size_t keep :
          {std::size_t{0}, std::size_t{7}, payload.size() / 2,
           payload.size() - 1}) {
-      const auto cut = payload.first(keep);
+      Payloads payloads = PayloadsOf(cols);
+      payloads[i] = payload.first(keep);
       std::vector<Flow> out(flows.size());
-      if (enc == &ts) {
-        EXPECT_THROW(detail::DecodeTimestampColumn(cut, out), Error);
-      } else if (enc == &dom) {
-        EXPECT_THROW(detail::DecodeDomainColumn(cut, out), Error);
-      } else {
-        EXPECT_THROW(detail::DecodeRestColumn(cut, out), Error);
-      }
+      ExpectErrorNaming([&] { Decode(payloads, out); }, kSectionNames[i],
+                        std::string(kSectionNames[i]) + " cut to " +
+                            std::to_string(keep));
     }
   }
 }
@@ -440,6 +549,41 @@ TEST_F(CompressedSnapshotTest, ColumnCountBeyondPayloadIsCorrupt) {
           std::to_string(count);
       expect_corrupt(file, what, "section size disagrees with flow count");
       EXPECT_THROW((void)InspectSnapshot(path), Error) << what;
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+/// ColumnCodec.RestRunBoundaryCorruptionThrows in a file: col-rest's
+/// descriptor gives the payload's new size (one byte more runs into the
+/// padding before the trailer), every CRC resealed. Load, salvage load and
+/// verify each throw store::Error naming col-rest; none misreads.
+TEST_F(CompressedSnapshotTest, RestRunBoundaryCorruptionIsCorrupt) {
+  const testing::PatchedSnapshot clean(*dir_ / "compressed.lds");
+  const SectionInfo& s = clean.section("col-rest");
+  ASSERT_LT(s.offset + s.size, clean.bytes().size() - kTrailerSize)
+      << "no padding after col-rest to grow it into";
+  const auto rest = std::as_bytes(std::span<const char>(
+      clean.bytes().data() + s.offset, static_cast<std::size_t>(s.size)));
+  const RestRunEnds ends = FindRestRunEnds(rest, clean.info().num_flows);
+  const auto path = *dir_ / "run_boundary.lds";
+  for (const auto& [run, end] : {std::pair{"device-delta", ends.device},
+                                 std::pair{"bytes_up", ends.bytes_up}}) {
+    for (const bool too_many : {false, true}) {
+      const std::vector<std::byte> payload = MoveRunEnd(rest, end, too_many);
+      testing::PatchedSnapshot file = clean;
+      for (std::size_t i = end; i < payload.size(); ++i) {
+        file.Put(s.offset + i, static_cast<std::uint8_t>(payload[i]), 1);
+      }
+      file.Put(file.descriptor("col-rest") + 16, payload.size(), 8);
+      file.Reseal();
+      file.Write(path);
+      const std::string what = std::string(run) + (too_many ? " +1" : " -1");
+      for (const bool salvage : {false, true}) {
+        ExpectErrorNaming([&] { (void)LoadSnapshot(path, {.salvage = salvage}); },
+                          "col-rest", what);
+      }
+      ExpectErrorNaming([&] { VerifySnapshot(path); }, "col-rest", what);
     }
   }
   std::filesystem::remove(path);

@@ -10,7 +10,9 @@
 # EXPERIMENTS.md diff against the instrumented experiments binary.
 # After its ctest run, the default pass diffs EXPERIMENTS.md's
 # ```experiments blocks against the stdout of build/bench/experiments, so
-# every measured number in the document is the one the code prints; the
+# every measured number in the document is the one the code prints, and
+# requires that a raw and a --compress snapshot of one campus both verify
+# and make `analyze` print the same stdout; the
 # asan pass repeats that diff with the instrumented binary, which drives the
 # exact figure pass through the full 1200-student campus under ASan/UBSan.
 #
@@ -102,6 +104,35 @@ check_experiments() {
   echo "=== ${label}: EXPERIMENTS.md OK ==="
 }
 
+# check_snapshot_formats LABEL DIR: a raw and a --compress snapshot of the
+# same 60-student campus each pass `snapshot verify`, and `analyze` prints
+# the same stdout from either (each is loaded as DIR/analyze/dataset.lds, so
+# even the "loading snapshot" line must match).
+check_snapshot_formats() {
+  local label="$1" cli="$2/tools/lockdown_cli" work format
+  echo "=== ${label}: raw and compressed snapshots analyze alike ==="
+  work=$(mktemp -d)
+  for format in raw compressed; do
+    local flags=(--students 60 --seed 2020)
+    [[ "${format}" == compressed ]] && flags+=(--compress)
+    "${cli}" snapshot save --out "${work}/${format}.lds" "${flags[@]}" >/dev/null
+    "${cli}" snapshot verify "${work}/${format}.lds" >/dev/null
+    mkdir "${work}/analyze"
+    cp "${work}/${format}.lds" "${work}/analyze/dataset.lds"
+    "${cli}" analyze --logs "${work}/analyze" --students 60 --seed 2020 \
+      >"${work}/${format}.out"
+    rm -r "${work}/analyze"
+  done
+  if ! diff "${work}/raw.out" "${work}/compressed.out"; then
+    rm -rf "${work}"
+    echo "FAIL: analyze prints differently from the raw and the compressed" \
+         "snapshot" >&2
+    exit 1
+  fi
+  rm -rf "${work}"
+  echo "=== ${label}: snapshot formats OK ==="
+}
+
 # GCC's -fsanitize=undefined leaves out float-cast-overflow; the simulator
 # and the flow records cast doubles to integers, so name it explicitly.
 asan_flags=(
@@ -111,6 +142,7 @@ asan_flags=(
 if [[ "${mode}" == "all" || "${mode}" == "--default-only" ]]; then
   run_pass "default" build
   check_experiments "default" build
+  check_snapshot_formats "default" build
 fi
 
 if [[ "${mode}" == "all" || "${mode}" == "--asan-only" ]]; then
@@ -375,11 +407,20 @@ if [[ "${mode}" == "all" || "${mode}" == "--obs-only" ]]; then
   LOCKDOWN_METRICS="${obs_work}/m_store.json" \
     "${cli}" analyze --logs "${obs_work}/logs" --students 60 --seed 11 >/dev/null
 
+  echo "=== obs: compressed snapshot save + analyze traces (column codec) ==="
+  mkdir "${obs_work}/compressed"
+  "${cli}" snapshot save --out "${obs_work}/compressed/dataset.lds" --compress \
+    --students 60 --seed 11 --trace-out "${obs_work}/t_save.json" >/dev/null
+  "${cli}" analyze --logs "${obs_work}/compressed" --students 60 --seed 11 \
+    --trace-out "${obs_work}/t_load.json" >/dev/null
+
   echo "=== obs: validate JSON shapes ==="
   python3 - "${obs_work}/m.json" "${obs_work}/t.json" "${obs_work}/m_ingest.json" \
-    "${obs_work}/m_store.json" "${obs_work}/logs" <<'PY'
+    "${obs_work}/m_store.json" "${obs_work}/logs" "${obs_work}/t_save.json" \
+    "${obs_work}/t_load.json" <<'PY'
 import json, os, sys
-m_path, t_path, ingest_path, store_path, logs_dir = sys.argv[1:6]
+m_path, t_path, ingest_path, store_path, logs_dir, save_path, load_path = \
+    sys.argv[1:8]
 
 def names(doc):
     return {entry["name"]
@@ -438,6 +479,19 @@ for e in events:
     for key in ("name", "pid", "tid", "ts", "dur"):
         assert key in e, f"trace event missing {key}"
 assert max(e["args"]["depth"] for e in events) >= 1, "no nested spans"
+
+# The column codec's span sits inside the store span of each compressed
+# trace, so the trace shows the codec's share of the save and the load.
+for path, outer, inner in ((save_path, "store/save", "store/encode_columns"),
+                           (load_path, "store/load", "store/decode_columns")):
+    spans = {e["name"]: e for e in json.load(open(path))["traceEvents"]
+             if e["ph"] == "X"}
+    assert outer in spans and inner in spans, \
+        f"{path}: missing {outer} or {inner} span: {sorted(spans)}"
+    o, i = spans[outer], spans[inner]
+    assert i["args"]["depth"] == o["args"]["depth"] + 1, f"{path}: {inner} not nested"
+    assert o["ts"] <= i["ts"] and i["ts"] + i["dur"] <= o["ts"] + o["dur"], \
+        f"{path}: {inner} outside {outer}"
 print(f"ok: {len(names(m))} metrics across {sorted(subsystems)}, "
       f"{len(events)} trace events")
 PY
